@@ -141,6 +141,10 @@ def dmrg_ground_state(
     converged = False
     history: list[float] = []
 
+    # A local eigen-residual r adds about r^2 / E^2 to epsilon; stopping at
+    # r <= 1e-3 sqrt(epsilon_goal) |E| keeps that share below 1e-6 of the goal.
+    local_rtol = 1e-3 * np.sqrt(epsilon_goal)
+
     def optimize_bond(k: int, cap: int):
         theta = np.tensordot(psi.tensors[k], psi.tensors[k + 1], axes=([2], [0]))
         shape = theta.shape
@@ -150,6 +154,7 @@ def dmrg_ground_state(
             matvec,
             theta.reshape(-1),
             tol=1e-12,
+            rtol=local_rtol,
             max_restarts=4,
             krylov_dim=min(krylov_dim, dim),
             strict=False,

@@ -90,13 +90,16 @@ def lanczos_lowest(
     krylov_dim: int = 30,
     locked: list[np.ndarray] | None = None,
     strict: bool = True,
+    rtol: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Restarted Lanczos with full reorthogonalization for the lowest eigenpair.
 
     `locked` vectors are projected out of the Krylov space, which targets the
     lowest eigenpair orthogonal to them.  Deterministic given `start`.
-    Raises ConvergenceError if the residual norm stays above `tol`; with
-    strict=False the best pair found is returned instead (inner-loop use).
+    Converged once the residual norm ||A v - theta v|| is at most
+    max(tol, rtol * |theta|).  Raises ConvergenceError if it stays above
+    that; with strict=False the best pair found is returned instead
+    (inner-loop use).
     """
     locked = locked or []
     dim = start.shape[0]
@@ -115,9 +118,10 @@ def lanczos_lowest(
         raise ValueError("start vector lies in the locked subspace")
     v = v / nrm
 
+    basis = np.empty((m_cap, dim), dtype=complex)
     theta = 0.0
     for _ in range(max_restarts):
-        basis = [v]
+        basis[0] = v
         alphas: list[float] = []
         betas: list[float] = []
         for j in range(m_cap):
@@ -126,16 +130,17 @@ def lanczos_lowest(
             alphas.append(alpha)
             w = w - alpha * basis[j]
             if j > 0:
-                w = w - betas[-1] * basis[j - 1]
-            # full reorthogonalization, twice for stability
+                w -= betas[-1] * basis[j - 1]
+            # full reorthogonalization, twice for stability; w.conj() keeps
+            # the temporaries vector-sized (no conjugated copy of the basis)
+            q = basis[: j + 1]
             for _pass in range(2):
-                for u in basis:
-                    w = w - np.vdot(u, w) * u
+                w -= (q @ w.conj()).conj() @ q
             beta = float(np.linalg.norm(w))
             if beta < 1e-14 or j == m_cap - 1:
                 break
             betas.append(beta)
-            basis.append(w / beta)
+            basis[j + 1] = w / beta
         k = len(alphas)
         tmat = np.diag(alphas)
         for i, b in enumerate(betas[: k - 1]):
@@ -143,18 +148,17 @@ def lanczos_lowest(
             tmat[i + 1, i] = b
         tvals, tvecs = np.linalg.eigh(tmat)
         theta = float(tvals[0])
-        y = tvecs[:, 0]
-        v_new = sum(y[i] * basis[i] for i in range(k))
-        v_new = project_out(v_new)
+        v_new = project_out(tvecs[:, 0] @ basis[:k])
         v_new = v_new / np.linalg.norm(v_new)
         residual = float(np.linalg.norm(project_out(matvec(v_new)) - theta * v_new))
         v = v_new
-        if residual <= tol:
+        if residual <= max(tol, rtol * abs(theta)):
             return theta, v
     if not strict:
         return theta, v
     raise ConvergenceError(
-        f"Lanczos did not reach residual {tol:.2e} after {max_restarts} restarts"
+        f"Lanczos did not reach residual max({tol:.2e}, {rtol:.2e}*|theta|) "
+        f"after {max_restarts} restarts"
     )
 
 

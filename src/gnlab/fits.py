@@ -63,7 +63,7 @@ def damped_gauss_newton(
                 continue
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
-            if cost_trial <= cost:
+            if cost_trial < cost:
                 theta, r, cost = trial, r_trial, cost_trial
                 accepted = True
                 break

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gnlab import dmrg
 from gnlab.dmrg import DegenerateEnergyError, dmrg_ground_state, epsilon_measure
-from gnlab.exact import ground_state_dense
+from gnlab.exact import ground_state_dense, ground_state_lanczos
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
 from gnlab.pauli import PauliSumOperator
@@ -68,6 +69,31 @@ class TestDmrgGroundState:
             assert abs(report.energy - e_exact) <= max(
                 np.sqrt(report.epsilon), 1e-12
             ) * abs(report.energy)
+
+    def test_local_solves_stop_early_at_large_energy(self, monkeypatch):
+        """At |E| ~ 560 an absolute residual of 1e-12 is out of reach; the
+        relative local tolerance lets each solve stop well inside its budget."""
+        counts = {"solves": 0, "matvecs": 0}
+        build = dmrg._two_site_matvec
+
+        def counting_matvec(*args):
+            matvec = build(*args)
+            counts["solves"] += 1
+
+            def counted(vec):
+                counts["matvecs"] += 1
+                return matvec(vec)
+
+            return counted
+
+        monkeypatch.setattr(dmrg, "_two_site_matvec", counting_matvec)
+        spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        _state, report = solve(spec, epsilon_goal=1e-10)
+        # matrix-free reference: a dense 4096-dim eigensolve takes minutes on one core
+        exact = ground_state_lanczos(build_hamiltonian(spec), tol=1e-9, seed=0).ground_energy
+        assert abs(report.energy - exact) <= 1e-10 * abs(exact)
+        assert report.converged
+        assert counts["matvecs"] / counts["solves"] < 40
 
     def test_validates_arguments(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))

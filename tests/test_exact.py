@@ -8,6 +8,7 @@ from gnlab.exact import (
     fix_phase,
     ground_state_dense,
     ground_state_lanczos,
+    lanczos_lowest,
 )
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.pauli import PauliSumOperator
@@ -91,7 +92,10 @@ class TestLanczos:
         result = ground_state_lanczos(ham, tol=tol, seed=1)
         vec = result.ground_vector
         h_vec = ham.apply(vec)
-        variance = np.real(np.vdot(h_vec, h_vec)) - np.real(np.vdot(vec, h_vec)) ** 2
+        # ||Hv - <H>v||^2 rather than <Hv,Hv> - <H>^2, whose subtraction has a
+        # rounding floor of ulp(E^2), above the bound itself
+        energy = np.real(np.vdot(vec, h_vec))
+        variance = float(np.linalg.norm(h_vec - energy * vec) ** 2)
         assert variance <= (10 * tol) ** 2
 
     def test_deterministic_given_seed(self, small_spec):
@@ -109,6 +113,21 @@ class TestLanczos:
     def test_rejects_bad_tol(self, small_spec):
         with pytest.raises(ValueError):
             ground_state_lanczos(build_hamiltonian(small_spec), tol=0.0, seed=1)
+
+    def test_relative_tolerance_at_large_shift(self):
+        rng = np.random.default_rng(7)
+        dim = 200
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mat = (a + a.conj().T) / 2 + 1e4 * np.eye(dim)
+        start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        # the absolute 1e-12 lies below the rounding floor at |E| ~ 1e4
+        with pytest.raises(ConvergenceError):
+            lanczos_lowest(lambda v: mat @ v, start, tol=1e-12, max_restarts=20)
+        rtol = 1e-9
+        theta, vec = lanczos_lowest(lambda v: mat @ v, start, tol=1e-12, max_restarts=20, rtol=rtol)
+        exact = np.linalg.eigvalsh(mat)[0]
+        assert abs(theta - exact) <= 1e-10 * abs(exact)
+        assert np.linalg.norm(mat @ vec - theta * vec) <= rtol * abs(theta)
 
 
 class TestEvolveExact:

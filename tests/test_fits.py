@@ -121,6 +121,20 @@ class TestEnergyExtrapolation:
         )
         assert fit_a.prediction_errors[-1] != fit_b.prediction_errors[-1]
 
+    def test_casimir_refit_at_rounding_floor(self):
+        """Four points for four coefficients fit to the rounding floor; the
+        Gauss-Newton iteration must stop there instead of taking tied steps."""
+        data = [
+            (2, -14.952065824101567), (3, -22.730155642367034),
+            (4, -30.512273747565157), (5, -38.295227853202945),
+            (6, -46.078381339465814), (7, -53.86158637198549),
+            (8, -61.64480544650826),
+        ]
+        fit = fit_energy_extrapolation(data, "casimir", gap=22.0)
+        defined = [e for e in fit.prediction_errors if not math.isnan(e)]
+        assert len(defined) == 3
+        assert all(math.isfinite(e) for e in defined)
+
     def test_insufficient_points_rejected(self):
         with pytest.raises(ValueError):
             fit_energy_extrapolation([(2, 1.0), (3, 2.0)], EnergyModel.LINEAR, gap=1.0)
