@@ -30,7 +30,7 @@ _KNOWN_KEYS = {
         "points", "m0_values", "g0_sq_values", "energy_model", "gap",
     },
     "prep": {"n0", "n_final", "eps", "oracle", "eta_floor", "repetitions", "ancilla_bits", "window_cells"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 DEFAULT_CORRELATE_M0 = (0.2, 0.4)
@@ -81,7 +81,6 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     prep: PrepConfig = field(default_factory=PrepConfig)
     out_dir: Path = Path("out")
-    formats: tuple[str, ...] = ("csv",)
     config_hash: str = "none"
 
     def manifest_line(self) -> str:
@@ -204,9 +203,6 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         raise ConfigError(str(exc)) from exc
 
     out_dir = Path(overrides.get("out") or _get("output", "directory", str, "out"))
-    formats = tuple(
-        f.strip() for f in _get("output", "formats", str, "csv").split(",") if f.strip()
-    )
     # hash the semantic inputs only: the file plus overrides that change
     # results (the output location does not)
     hashed_overrides = {k: v for k, v in overrides.items() if k != "out"}
@@ -219,6 +215,5 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         analysis=analysis,
         prep=prep,
         out_dir=out_dir,
-        formats=formats,
         config_hash=digest,
     )

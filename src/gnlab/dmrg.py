@@ -22,6 +22,7 @@ from .mps import (
     MatrixProductState,
     apply_mpo,
     mps_overlap,
+    transfer,
     truncated_svd,
 )
 
@@ -75,18 +76,10 @@ def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator,
 # -- environments -------------------------------------------------------------
 
 
-def _grow_left(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    tmp = np.tensordot(env, a, axes=([2], [0]))              # (bra, wb, p_in, rket)
-    tmp = np.tensordot(tmp, w, axes=([1, 2], [0, 2]))        # (bra, rket, p_out, w2)
-    out = np.tensordot(a.conj(), tmp, axes=([0, 1], [0, 2]))  # (rbra, rket, w2)
-    return out.transpose(0, 2, 1)                            # (rbra, w2, rket)
-
-
 def _grow_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    tmp = np.tensordot(a, env, axes=([2], [2]))              # (lket, p_in, bra, wb)
-    tmp = np.tensordot(w, tmp, axes=([3, 2], [3, 1]))        # (wl, p_out, lket, bra)
-    out = np.tensordot(tmp, a.conj(), axes=([1, 3], [1, 2]))  # (wl, lket, lbra)
-    return out.transpose(2, 0, 1)                            # (lbra, wl, lket)
+    """Right environment (lbra, wl, lket): the transfer on mirrored tensors."""
+    a = a.transpose(2, 1, 0)
+    return transfer(env, a, w.transpose(3, 1, 2, 0), a)
 
 
 def _two_site_matvec(lenv, w1, w2, renv):
@@ -175,7 +168,7 @@ def dmrg_ground_state(
             psi.tensors[k] = u.reshape(dl, d1, chi)
             psi.tensors[k + 1] = (s[:, None] * vh).reshape(chi, d2, dr)
             psi.center = k + 1
-            left_envs[k + 1] = _grow_left(left_envs[k], psi.tensors[k], mpo.tensors[k])
+            left_envs[k + 1] = transfer(left_envs[k], psi.tensors[k], mpo.tensors[k], psi.tensors[k])
         # right-to-left
         for k in range(n - 2, -1, -1):
             e_loc, u, s, vh, (dl, d1, d2, dr) = optimize_bond(k, cap)

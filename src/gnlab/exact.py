@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliSumOperator, compile_string_action
+from .pauli import PauliSumOperator
 
 DENSE_CAP_DEFAULT = 14
 LANCZOS_CAP_DEFAULT = 24
@@ -48,21 +48,6 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
         return vector
     idx = int(np.argmax(mags > 1e-12 * top))
     return vector * np.exp(-1j * np.angle(vector[idx]))
-
-
-def _compiled_matvec(op: PauliSumOperator) -> Callable[[np.ndarray], np.ndarray]:
-    actions = [
-        (coeff, *compile_string_action(op.n_qubits, string))
-        for coeff, string in op.terms
-    ]
-
-    def matvec(state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        for coeff, perm, phase in actions:
-            out[perm] += (coeff * phase) * state
-        return out
-
-    return matvec
 
 
 def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumResult:
@@ -175,12 +160,11 @@ def ground_state_lanczos(
     if op.n_qubits > lanczos_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds Lanczos cap {lanczos_cap}")
     dim = 1 << op.n_qubits
-    matvec = _compiled_matvec(op)
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    e0, v0 = lanczos_lowest(matvec, start, tol, max_restarts=max_restarts)
+    e0, v0 = lanczos_lowest(op.apply, start, tol, max_restarts=max_restarts)
     start2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    e1, _v1 = lanczos_lowest(matvec, start2, tol, max_restarts=max_restarts, locked=[v0])
+    e1, _v1 = lanczos_lowest(op.apply, start2, tol, max_restarts=max_restarts, locked=[v0])
     return SpectrumResult(
         ground_energy=e0,
         first_excited_energy=e1,

@@ -252,11 +252,11 @@ def mps_overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
     """Exact contraction <a|b>."""
     if a.phys_dims != b.phys_dims:
         raise ValueError(f"size mismatch: {a.phys_dims} vs {b.phys_dims}")
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1, 1), dtype=complex)
     for ta, tb in zip(a.tensors, b.tensors):
-        tmp = np.tensordot(env, tb, axes=([1], [0]))          # (abond, p, rb)
-        env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))  # (ra, rb)
-    return complex(env[0, 0])
+        d = ta.shape[1]
+        env = transfer(env, ta, np.eye(d).reshape(1, d, d, 1), tb)
+    return complex(env[0, 0, 0])
 
 
 def append_site(state: MatrixProductState, pad: np.ndarray) -> MatrixProductState:
@@ -284,19 +284,10 @@ def append_site(state: MatrixProductState, pad: np.ndarray) -> MatrixProductStat
 
 def pauli_sum_expectation(state: MatrixProductState, op: PauliSumOperator,
                           group: int = QUBITS_PER_SITE) -> complex:
-    """<state|op|state> by per-term transfer contraction."""
+    """<state|op|state> through the exact MPO of `op`, whatever its range."""
     if op.n_qubits != group * state.n_sites:
         raise ValueError("operator size does not match the state")
-    total = 0j
-    for coeff, string in op.terms:
-        env = np.ones((1, 1), dtype=complex)
-        for k, t in enumerate(state.tensors):
-            site_op = _site_operator(string[group * k: group * (k + 1)])
-            tmp = np.tensordot(env, t, axes=([1], [0]))            # (bl, p_in, r)
-            tmp = np.tensordot(site_op, tmp, axes=([1], [1]))      # (p_out, bl, r)
-            env = np.tensordot(t.conj(), tmp, axes=([0, 1], [1, 0]))  # (rbra, rket)
-        total += coeff * env[0, 0]
-    return complex(total)
+    return expectation_value(state, compile_mpo(op, group, max_span=state.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +436,27 @@ def _deparallelize(tensors: list[np.ndarray]) -> None:
         tensors[k - 1] = np.tensordot(tensors[k - 1], transfer.T, axes=([3], [0]))
 
 
+def transfer(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Grow a (bra, mpo, ket) environment by one site, left to right.
+
+    Sums env[a, b, c] conj(bra[a, s, a']) w[b, s, t, b'] ket[c, t, c'] into
+    the (a', b', c') environment (Schollwoeck, Ann. Phys. 326, 96 (2011)).
+    Right environments use the same sum on mirrored tensors:
+    a.transpose(2, 1, 0) and w.transpose(3, 1, 2, 0).
+    """
+    tmp = np.tensordot(env, ket, axes=([2], [0]))              # (bra, wb, p_in, rket)
+    tmp = np.tensordot(tmp, w, axes=([1, 2], [0, 2]))          # (bra, rket, p_out, w2)
+    out = np.tensordot(bra.conj(), tmp, axes=([0, 1], [0, 2]))  # (rbra, rket, w2)
+    return out.transpose(0, 2, 1)                              # (rbra, w2, rket)
+
+
 def expectation_value(state: MatrixProductState, mpo: MatrixProductOperator) -> complex:
     """<state|mpo|state> by a single transfer sweep."""
     if state.phys_dims != mpo.phys_dims:
         raise ValueError("state and operator dimensions differ")
-    env = np.ones((1, 1, 1), dtype=complex)   # (bra, mpo, ket)
+    env = np.ones((1, 1, 1), dtype=complex)
     for t, w in zip(state.tensors, mpo.tensors):
-        tmp = np.tensordot(env, t, axes=([2], [0]))            # (bra, w, p_in, rket)
-        tmp = np.tensordot(tmp, w, axes=([1, 2], [0, 2]))      # (bra, rket, p_out, w2)
-        env = np.tensordot(t.conj(), tmp, axes=([0, 1], [0, 2]))  # (rbra, rket, w2)
-        env = env.transpose(0, 2, 1)
+        env = transfer(env, t, w, t)
     return complex(env[0, 0, 0])
 
 

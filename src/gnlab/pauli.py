@@ -16,6 +16,10 @@ import numpy as np
 
 PAULI_CHARS = "IXYZ"
 
+# Letter -> bit of the X/Y flip mask and of the Y/Z sign mask.
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+
 # Coefficients at or below this magnitude are dropped during canonicalization.
 COEFF_DROP_TOL = 1e-14
 
@@ -177,86 +181,50 @@ class PauliSumOperator:
 
     # -- action on state vectors --------------------------------------------
 
+    def _actions(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (perm, diag) per X/Y flip mask x, with perm = idx ^ x.
+
+        The terms sharing x act together as P|i> = diag[i] |perm[i]>, where
+        diag[i] sums c i^{#Y} (-1)^{parity(i & z)} and z marks the Y and Z
+        letters (Aaronson & Gottesman's symplectic view of Pauli strings).
+        """
+        groups: dict[int, list[tuple[complex, int]]] = {}
+        for coeff, string in self.terms:
+            x = int(string.translate(_X_BITS), 2)
+            z = int(string.translate(_Z_BITS), 2)
+            groups.setdefault(x, []).append((coeff * 1j ** string.count("Y"), z))
+        idx = np.arange(1 << self.n_qubits)
+        # parity of every index, tabulated by doubling: i + 2**k flips it
+        parity = np.zeros(1, dtype=bool)
+        for _ in range(self.n_qubits):
+            parity = np.concatenate([parity, ~parity])
+        for x, members in groups.items():
+            diag = np.zeros(len(idx), dtype=complex)
+            for c, z in members:
+                diag += np.where(parity[idx & z], -c, c)
+            yield idx ^ x, diag
+
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matrix-free action on a dense state vector of length 2**n_qubits."""
         dim = 1 << self.n_qubits
         if state.shape != (dim,):
             raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
         out = np.zeros(dim, dtype=complex)
-        for coeff, string in self.terms:
-            perm, phase = compile_string_action(self.n_qubits, string)
-            out[perm] += (coeff * phase) * state
+        for perm, diag in self._actions():
+            out += (diag * state)[perm]   # perm is its own inverse: a gather
         return out
 
     def expectation(self, state: np.ndarray) -> complex:
         return complex(np.vdot(state, self.apply(state)))
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix; one non-zero per term per column, O(terms * 2**n)."""
+        """Dense matrix; one non-zero per flip mask per column."""
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
-        for coeff, string in self.terms:
-            perm, phase = compile_string_action(self.n_qubits, string)
-            mat[perm, cols] += coeff * phase
+        for perm, diag in self._actions():
+            mat[perm, cols] += diag
         return mat
-
-    # -- plain-text exchange format ------------------------------------------
-
-    def to_text(self) -> str:
-        """One term per line, "coefficient<TAB>string"; Hermitian input required."""
-        herm = self.hermitized()
-        lines = [f"{c.real!r}\t{s}" for c, s in herm.terms]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSumOperator":
-        raw = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                coeff_str, string = line.split("\t")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: expected 'coefficient<TAB>string'") from exc
-            raw.append((float(coeff_str), string.strip()))
-        if not raw and n_qubits is None:
-            raise ValueError("empty operator text and no qubit count supplied")
-        n = n_qubits if n_qubits is not None else len(raw[0][1])
-        return cls.from_terms(n, raw)
-
-
-# Per-process cache of compiled string actions, keyed by (n_qubits, string).
-_ACTION_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-_ACTION_CACHE_MAX = 4096
-
-
-def compile_string_action(n_qubits: int, string: str) -> tuple[np.ndarray, np.ndarray]:
-    """Compile a Pauli string to (perm, phase): P|i> = phase[i] |perm[i]>."""
-    key = (n_qubits, string)
-    hit = _ACTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    flip = 0
-    phase = np.ones(dim, dtype=complex)
-    for q, ch in enumerate(string):
-        if ch == "I":
-            continue
-        bit = (idx >> (n_qubits - 1 - q)) & 1
-        if ch == "X":
-            flip |= 1 << (n_qubits - 1 - q)
-        elif ch == "Y":
-            flip |= 1 << (n_qubits - 1 - q)
-            phase = phase * (1j * (1 - 2 * bit))
-        elif ch == "Z":
-            phase = phase * (1 - 2 * bit)
-    perm = idx ^ flip
-    if len(_ACTION_CACHE) >= _ACTION_CACHE_MAX:
-        _ACTION_CACHE.clear()
-    _ACTION_CACHE[key] = (perm, phase)
-    return perm, phase
 
 
 def jordan_wigner(

@@ -192,8 +192,9 @@ class TestCliCommands:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[solver]\nwibble = 1\n")
-        assert main(["solve", "--config", str(bad)]) == 2
+        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n"):
+            bad.write_text(text)
+            assert main(["solve", "--config", str(bad)]) == 2
 
     def test_numerical_error_exit_code(self, config_file, tmp_path):
         # correlate on a 4-site chain: the default window has too few points

@@ -158,11 +158,6 @@ class TestBuildHamiltonian:
             atol=1e-10,
         )
 
-    def test_text_export_roundtrip(self, small_spec):
-        ham = build_hamiltonian(small_spec)
-        again = PauliSumOperator.from_text(ham.to_text())
-        assert again == ham
-
 
 class TestFreeDispersion:
     def test_rest_mass_value(self):

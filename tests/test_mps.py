@@ -12,8 +12,9 @@ from gnlab.mps import (
     grouped_dims,
     mps_overlap,
     pauli_sum_expectation,
+    transfer,
 )
-from gnlab.pauli import PauliSumOperator
+from gnlab.pauli import PauliSumOperator, jordan_wigner
 
 
 def random_state_vector(dim, rng):
@@ -176,6 +177,18 @@ class TestCompileMpo:
         with pytest.raises(MpoRangeError):
             compile_mpo(op, max_span=2)
 
+    def test_mirrored_transfer_right_to_left(self, small_spec):
+        op = build_hamiltonian(small_spec)
+        mpo = compile_mpo(op)
+        mps = MatrixProductState.random(grouped_dims(small_spec.n_qubits), bond_dim=4, seed=7)
+        env = np.ones((1, 1, 1), dtype=complex)
+        for t, w in zip(reversed(mps.tensors), reversed(mpo.tensors)):
+            a = t.transpose(2, 1, 0)
+            env = transfer(env, a, w.transpose(3, 1, 2, 0), a)
+        full = mps.to_dense()
+        assert env[0, 0, 0] == pytest.approx(expectation_value(mps, mpo), abs=1e-12)
+        assert env[0, 0, 0] == pytest.approx(np.vdot(full, op.to_matrix() @ full), abs=1e-12)
+
     def test_bond_dimension_tracks_coupling_channels(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))
         assert mpo.max_bond <= 12
@@ -196,4 +209,10 @@ class TestApplyMpo:
         mps = MatrixProductState.from_dense(vec, grouped_dims(small_spec.n_qubits))
         assert pauli_sum_expectation(mps, op) == pytest.approx(
             np.vdot(vec, op.to_matrix() @ vec), abs=1e-10
+        )
+        # a Jordan-Wigner bilinear from site 0 to site 9, beyond compile_mpo's default range
+        mps = MatrixProductState.random(grouped_dims(20), bond_dim=4, seed=5)
+        op = jordan_wigner(0, "annihilate", 20) * jordan_wigner(19, "create", 20)
+        assert pauli_sum_expectation(mps, op) == pytest.approx(
+            op.expectation(mps.to_dense()), abs=1e-12
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnlab.pauli import PAULI_CHARS, PauliSumOperator, compile_string_action, jordan_wigner
+from gnlab.pauli import PAULI_CHARS, PauliSumOperator, jordan_wigner
 
 from oracles import ladder_operators
 
@@ -39,14 +39,20 @@ def test_invalid_strings_rejected():
         PauliSumOperator.from_terms(2, [(1.0, "XZZ")])
 
 
-def test_string_action_matches_dense(rng):
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        string = "".join(rng.choice(list(PAULI_CHARS), size=n))
-        perm, phase = compile_string_action(n, string)
-        dense = np.zeros((1 << n, 1 << n), dtype=complex)
-        dense[perm, np.arange(1 << n)] = phase
-        assert np.allclose(dense, dense_of_string(string))
+def test_action_matches_kronecker_oracle(rng):
+    """to_matrix and apply against the sum of Kronecker products, string by string."""
+    for n in range(1, 7):
+        strings = {"".join(rng.choice(list(PAULI_CHARS), size=n)) for _ in range(3 * n)}
+        strings.add("I" * n)
+        if n >= 2:
+            # three strings sharing the flip mask of "XI..."
+            strings.update(s + "I" * (n - 2) for s in ("XZ", "YI", "XI"))
+        terms = [(complex(rng.standard_normal(), rng.standard_normal()), s) for s in sorted(strings)]
+        op = PauliSumOperator.from_terms(n, terms)
+        oracle = sum(c * dense_of_string(s) for c, s in terms)
+        assert np.allclose(op.to_matrix(), oracle, atol=1e-13)
+        state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        assert np.allclose(op.apply(state), oracle @ state, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,14 +128,6 @@ def test_jordan_wigner_matches_ladder_oracle():
     for k in range(n):
         assert np.allclose(jordan_wigner(k, "annihilate", n).to_matrix(), oracle[k])
         assert np.allclose(jordan_wigner(k, "create", n).to_matrix(), oracle[k].conj().T)
-
-
-def test_text_roundtrip():
-    op = PauliSumOperator.from_terms(3, [(0.25, "XZY"), (-1.75, "IIZ")])
-    text = op.to_text()
-    assert text == "-1.75\tIIZ\n0.25\tXZY\n"
-    back = PauliSumOperator.from_text(text)
-    assert back == op
 
 
 def test_permute_qubits_roundtrip(rng):
