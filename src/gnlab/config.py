@@ -12,8 +12,9 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import ModelSpec
+from .model import Boundary, ModelSpec
 from .fits import EnergyModel
+from .mps import MPO_MAX_SPAN
 from .overlaps import Engine, PadKind
 from .stateprep import OracleMode
 
@@ -201,6 +202,13 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    if (model is not None and model.boundary is Boundary.PERIODIC and solver.engine is Engine.DMRG
+            and max(model.n_sites, analysis.sizes[1]) > MPO_MAX_SPAN):
+        raise ConfigError(
+            f"engine = dmrg with periodic boundaries supports at most {MPO_MAX_SPAN} sites "
+            f"(the wrap-around term spans the whole chain), got n_sites = {model.n_sites}, "
+            f"sizes_max = {analysis.sizes[1]}"
+        )
 
     out_dir = Path(overrides.get("out") or _get("output", "directory", str, "out"))
     # hash the semantic inputs only: the file plus overrides that change

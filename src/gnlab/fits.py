@@ -96,11 +96,6 @@ class CorrelationFit:
             raise ValueError("corr_length_chi must be positive")
 
     @property
-    def renormalized_mass(self) -> float:
-        """1 / chi, with the proportionality constant set to one."""
-        return 1.0 / self.corr_length_chi
-
-    @property
     def half_gap(self) -> float:
         return 0.5 / self.corr_length_chi
 
@@ -145,8 +140,7 @@ def fit_correlation_length(series, window: tuple[float, float] | None = None) ->
 
     def residual(theta: np.ndarray) -> np.ndarray:
         b, chi = theta
-        model = b * np.array([bessel_k(0, xi / chi) for xi in x])
-        return weights * (model - y)
+        return weights * (b * bessel_k(0, x / chi) - y)
 
     theta, _ = damped_gauss_newton(
         residual,
@@ -154,8 +148,7 @@ def fit_correlation_length(series, window: tuple[float, float] | None = None) ->
         feasible=lambda th: th[1] > 0,
     )
     b, chi = float(theta[0]), float(theta[1])
-    model = b * np.array([bessel_k(0, xi / chi) for xi in x])
-    rel = float(np.linalg.norm(model - y) / np.linalg.norm(y))
+    rel = float(np.linalg.norm(b * bessel_k(0, x / chi) - y) / np.linalg.norm(y))
     return CorrelationFit(
         amplitude_b=b,
         corr_length_chi=chi,
@@ -182,10 +175,12 @@ _N_COEFFS = {
 }
 
 CASIMIR_HARMONICS = 10
+_HARMONICS = np.arange(1.0, CASIMIR_HARMONICS + 1)
 
 
-def _casimir_sum(c3: float, size: float) -> float:
-    return sum(bessel_k(2, c3 * h * size) / h**2 for h in range(1, CASIMIR_HARMONICS + 1))
+def _casimir_sum(c3: float, sizes: np.ndarray | float) -> np.ndarray:
+    """sum_h h^-2 K2(c3 h L) over h = 1..CASIMIR_HARMONICS, for each size L."""
+    return bessel_k(2, c3 * np.asarray(sizes, dtype=float)[..., None] * _HARMONICS) @ _HARMONICS**-2
 
 
 def _linear_design(model: EnergyModel, sizes: np.ndarray) -> np.ndarray:
@@ -208,9 +203,7 @@ def _fit_coefficients(model: EnergyModel, sizes: np.ndarray, energies: np.ndarra
     grid = np.geomspace(0.05, 50.0, 60) / median
 
     def solve_linear(c3: float) -> tuple[np.ndarray, float]:
-        basis = np.column_stack(
-            [np.ones_like(sizes), sizes, [_casimir_sum(c3, s) for s in sizes]]
-        )
+        basis = np.column_stack([np.ones_like(sizes), sizes, _casimir_sum(c3, sizes)])
         lin, *_ = np.linalg.lstsq(basis, energies, rcond=None)
         resid = basis @ lin - energies
         return lin, float(resid @ resid)
@@ -223,9 +216,7 @@ def _fit_coefficients(model: EnergyModel, sizes: np.ndarray, energies: np.ndarra
 
     def residual(theta: np.ndarray) -> np.ndarray:
         c0, c1, c2, c3 = theta
-        return np.array(
-            [c0 + c1 * s + c2 * _casimir_sum(c3, s) - e for s, e in zip(sizes, energies)]
-        )
+        return c0 + c1 * sizes + c2 * _casimir_sum(c3, sizes) - energies
 
     theta, _ = damped_gauss_newton(
         residual,
@@ -245,7 +236,7 @@ def _evaluate(model: EnergyModel, coeffs: Sequence[float], size: float) -> float
         c0, c1, c2, c3, c4 = coeffs
         return c0 + c1 * size + c2 / size + c3 / size**2 + c4 / size**3
     c0, c1, c2, c3 = coeffs
-    return c0 + c1 * size + c2 * _casimir_sum(c3, size)
+    return c0 + c1 * size + c2 * float(_casimir_sum(c3, size))
 
 
 @dataclass(frozen=True)

@@ -333,10 +333,13 @@ class MpoRangeError(ValueError):
     """A Pauli term spans more sites than the configured locality range."""
 
 
+MPO_MAX_SPAN = 8
+
+
 def compile_mpo(
     op: PauliSumOperator,
     group: int = QUBITS_PER_SITE,
-    max_span: int = 8,
+    max_span: int = MPO_MAX_SPAN,
 ) -> MatrixProductOperator:
     """Exact MPO of a geometrically local Pauli sum.
 

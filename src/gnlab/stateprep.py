@@ -94,11 +94,6 @@ def _time_scaling(op: PauliSumOperator) -> tuple[float, float, float]:
     return e_lo, 2.0 * math.pi / span, span
 
 
-def _resolution(op: PauliSumOperator, cfg: PhaseEstimationConfig) -> float:
-    _e_lo, t, span = _time_scaling(op)
-    return span / (1 << cfg.ancilla_bits)
-
-
 def ancilla_bits_for(op: PauliSumOperator, gap_bound: float, window_cells: int = 8) -> int:
     """Ancilla count making the decision window at least `window_cells` wide."""
     _e_lo, _t, span = _time_scaling(op)

@@ -62,6 +62,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wibble"):
             load_config(config_file({"solver": "wibble = 3"}))
 
+    def test_periodic_dmrg_beyond_mpo_range(self, config_file):
+        periodic = config_file({"model": "boundary = periodic"})
+        assert load_config(periodic, {"sizes": (2, 8)}).model.boundary.value == "periodic"
+        assert load_config(periodic, {"sizes": (2, 9), "engine": "dense"}).analysis.sizes == (2, 9)
+        with pytest.raises(ConfigError, match="periodic"):
+            load_config(periodic, {"sizes": (2, 9)})
+
     def test_unknown_section_rejected(self, config_file, tmp_path):
         path = tmp_path / "extra.ini"
         path.write_text(BASE_CONFIG.format(out=tmp_path) + "\n[mystery]\nx = 1\n")
@@ -192,7 +199,11 @@ class TestCliCommands:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
-        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n"):
+        periodic = (
+            "[model]\nn_sites = 9\nspacing = 0.25\nbare_mass = 0.2\ncoupling_sq = 1.5\n"
+            "boundary = periodic\n[analysis]\nsizes_max = 4\n"
+        )
+        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n", periodic):
             bad.write_text(text)
             assert main(["solve", "--config", str(bad)]) == 2
 

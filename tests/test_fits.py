@@ -5,6 +5,7 @@ import pytest
 
 from gnlab.bessel import bessel_k
 from gnlab.fits import (
+    CASIMIR_HARMONICS,
     CorrelationFit,
     EnergyModel,
     ErrorBudget,
@@ -90,15 +91,21 @@ class TestEnergyExtrapolation:
         assert fit.predict(20) == pytest.approx(62.0)
 
     def test_casimir_roundtrip(self):
-        c0, c1, c2, c3 = 1.0, 0.5, 0.1, 2.0
-        data = [
-            (n, c0 + c1 * n + c2 * _casimir_sum(c3, n)) for n in range(2, 14)
-        ]
-        fit = fit_energy_extrapolation(data, EnergyModel.CASIMIR, gap=1.0)
-        assert fit.coefficients[0] == pytest.approx(c0, abs=1e-4)
-        assert fit.coefficients[1] == pytest.approx(c1, abs=1e-4)
-        assert fit.coefficients[2] == pytest.approx(c2, abs=1e-4)
-        assert fit.coefficients[3] == pytest.approx(c3, abs=1e-4)
+        for coeffs, top in (((1.0, 0.5, 0.1, 2.0), 13), ((-1.5, -7.8, 0.3, 0.4), 20)):
+            c0, c1, c2, c3 = coeffs
+            sizes = np.arange(2.0, top + 1)
+            energies = c0 + c1 * sizes + c2 * _casimir_sum(c3, sizes)
+            fit = fit_energy_extrapolation(list(zip(sizes, energies)), EnergyModel.CASIMIR, gap=1.0)
+            assert np.allclose(fit.coefficients, coeffs, rtol=0.0, atol=1e-4), top
+
+    def test_casimir_sum_matches_scalar_bessel_calls(self):
+        sizes = np.array([2.0, 3.0, 5.0, 8.0, 13.0, 20.0])
+        for c3 in (0.01, 0.4, 2.0):
+            explicit = [
+                sum(bessel_k(2, c3 * h * n) / h**2 for h in range(1, CASIMIR_HARMONICS + 1))
+                for n in sizes
+            ]
+            assert np.allclose(_casimir_sum(c3, sizes), explicit, rtol=1e-13, atol=0.0)
 
     def test_inverse_series_roundtrip(self):
         coeffs = (1.0, 2.0, -0.5, 0.3, -0.1)
