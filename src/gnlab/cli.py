@@ -58,8 +58,7 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, out: Path):
         vec = result.ground_vector
         h_vec = op.apply(vec)
         e = float(np.real(np.vdot(vec, h_vec)))
-        variance = float(np.real(np.vdot(h_vec, h_vec))) - e * e
-        eps = abs(variance) / e**2
+        eps = float(np.linalg.norm(h_vec - e * vec)) ** 2 / e**2
         mps = MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits))
         report = DmrgReport(energy=result.ground_energy, epsilon=eps, sweeps=0,
                             max_bond=max(mps.bond_dims), converged=True)

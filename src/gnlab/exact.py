@@ -7,7 +7,7 @@ reproducible bit-for-bit: the first amplitude whose magnitude exceeds
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,11 +52,7 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
 def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumResult:
     """Full diagonalization; lowest two eigenpairs with the fixed phase convention."""
-    if op.n_qubits > dense_cap:
-        raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
-    if not op.is_hermitian(1e-10):
-        raise ValueError("operator must be Hermitian")
-    evals, evecs = np.linalg.eigh(op.to_matrix())
+    evals, evecs = _eigensystem(op, dense_cap)
     ground = fix_phase(evecs[:, 0])
     e0, e1 = float(evals[0]), float(evals[1])
     return SpectrumResult(
@@ -174,26 +170,71 @@ def ground_state_lanczos(
 
 
 # ---------------------------------------------------------------------------
-# Exact time evolution
+# Dense eigensystems and exact time evolution
 # ---------------------------------------------------------------------------
 
-_EIG_CACHE: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-_EIG_CACHE_MAX = 8
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _invariant_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of each connected component of the exact non-zero pattern.
+
+    Every entry between two components is exactly zero, so each component
+    spans an invariant subspace (fermion-number sectors, for instance).
+    Labels start as the indices themselves, take the minimum over the
+    neighbours in both directions, then jump to their label's label, until
+    nothing changes.
+    """
+    rows, cols = np.nonzero(mat)
+    labels = np.arange(mat.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    counts = np.unique(labels, return_counts=True)[1]
+    return np.split(order, np.cumsum(counts)[:-1])
 
 
 def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs, eigenvalues ascending, one `eigh` per invariant block.
+
+    Block eigenvalues are merged by a stable sort and each block's
+    eigenvectors are written straight into their columns of the full
+    eigenvector matrix.  An operator with no invariant split is one block,
+    which is a plain full `eigh`.
+    """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
-    key = (op.n_qubits, op.terms)
-    hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        _EIG_CACHE.move_to_end(key)
-        return hit
-    evals, evecs = np.linalg.eigh(op.to_matrix())
-    _EIG_CACHE[key] = (evals, evecs)
-    if len(_EIG_CACHE) > _EIG_CACHE_MAX:
-        _EIG_CACHE.popitem(last=False)
-    return evals, evecs
+    if not op.is_hermitian(1e-10):
+        raise ValueError("operator must be Hermitian")
+    dim = 1 << op.n_qubits
+    need = 2 * np.dtype(complex).itemsize * dim * dim  # the matrix and its eigenvectors
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"a dense eigensystem of {op.n_qubits} qubits needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+    mat = op.to_matrix()
+    solved = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)])) for idx in _invariant_blocks(mat)]
+    del mat
+    evals = np.concatenate([w for _, w, _ in solved])
+    order = np.argsort(evals, kind="stable")
+    column = np.empty(dim, dtype=np.intp)
+    column[order] = np.arange(dim)
+    evecs = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for idx, w, v in solved:
+        evecs[np.ix_(idx, column[start:start + len(w)])] = v
+        start += len(w)
+    return evals[order], evecs
 
 
 class ExactPropagator:

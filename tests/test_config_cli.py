@@ -127,6 +127,13 @@ class TestCliCommands:
             assert n1 == n2
             assert e1 == pytest.approx(e2, rel=1e-8)
 
+    def test_dense_engine_epsilon_is_the_residual_norm(self, config_file, tmp_path):
+        # ||Hv - Ev||^2 / E^2 of an exact eigenvector sits near 1e-30; the
+        # form <Hv,Hv>/E^2 - 1 cannot go below its rounding floor of ~1e-16
+        assert main(["solve", "--config", config_file(), "--engine", "dense"]) == 0
+        for _n, _e, eps in read_energy_csv(tmp_path / "out" / "energies_dense.csv"):
+            assert 0.0 <= eps < 1e-24
+
     def test_reruns_are_byte_identical(self, config_file, tmp_path):
         cfg_path = config_file()
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
@@ -154,6 +161,18 @@ class TestCliCommands:
         assert trace[1].startswith("step_j,")
         manifest = (out / "prep_manifest_ideal.txt").read_text()
         assert "final_fidelity" in manifest and "oracle_mode = ideal" in manifest
+
+    def test_prepare_phase_estimation_to_five_sites(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "exp.ini"
+        text = BASE_CONFIG.format(out=out).replace("n_final = 3", "n_final = 5")
+        path.write_text(text.replace("oracle = ideal", "oracle = phase-estimation"))
+        assert main(["prepare", "--config", str(path)]) == 0
+        manifest = (out / "prep_manifest_phase-estimation.txt").read_text().splitlines()
+        values = dict(line.split(" = ", 1) for line in manifest if " = " in line)
+        assert values["n_final"] == "5"
+        assert float(values["final_fidelity"]) >= 1 - 5 * 1e-2
+        assert int(values["oracle_calls_total"]) == 24
 
     def test_energy_fit_pipeline(self, config_file, tmp_path):
         out = tmp_path / "out"

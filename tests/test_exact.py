@@ -1,9 +1,14 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+import gnlab.exact
 from gnlab.exact import (
     ConvergenceError,
+    ExactPropagator,
     SpectrumResult,
+    _invariant_blocks,
     evolve_exact,
     fix_phase,
     ground_state_dense,
@@ -11,7 +16,9 @@ from gnlab.exact import (
     lanczos_lowest,
 )
 from gnlab.model import ModelSpec, build_hamiltonian
+from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
+from gnlab.stateprep import _embed_left, projector_pauli_expansion
 
 from oracles import dense_hamiltonian, taylor_evolve
 
@@ -60,6 +67,98 @@ class TestDense:
     def test_spectrum_csv_row(self):
         row = SpectrumResult(-1.0, -0.5, 0.5, np.array([1.0, 0])).csv_row(3)
         assert row.startswith("3,-1.0,-0.5,0.5")
+
+    def test_six_sites_matches_lanczos(self):
+        ham = build_hamiltonian(ModelSpec(n_sites=6, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        dense = ground_state_dense(ham)
+        krylov = ground_state_lanczos(ham, tol=1e-10, seed=3)
+        assert dense.ground_energy == pytest.approx(krylov.ground_energy, rel=1e-9)
+        assert dense.first_excited_energy == pytest.approx(krylov.first_excited_energy, rel=1e-9)
+
+    def test_tiny_coupling_between_blocks_is_kept(self):
+        # 1e-13 X on the second qubit splits the degenerate ground pair of Z on
+        # the first; dropping it as "numerically zero" would give gap 0 and a
+        # basis state instead of |1>|->
+        op = PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")])
+        result = ground_state_dense(op)
+        assert result.gap == pytest.approx(2e-13, rel=1e-3)
+        expected = np.kron([0.0, 1.0], [1.0, -1.0]) / np.sqrt(2.0)
+        assert abs(np.vdot(expected, result.ground_vector)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_memory_guard_raises_before_building_the_matrix(self, monkeypatch):
+        op = PauliSumOperator.from_terms(3, [(1.0, "XZY")])
+        need = 2 * 16 * 4**3  # the complex matrix and its eigenvectors
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
+        assert ground_state_dense(op).gap == 0.0
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
+
+        def no_matrix(_self):
+            raise AssertionError("to_matrix called despite the memory guard")
+
+        monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
+        with pytest.raises(ValueError, match="physical memory"):
+            ground_state_dense(op)
+        with pytest.raises(ValueError, match="physical memory"):
+            ExactPropagator(op)
+
+
+def _unitary_eigensystem_residuals(mat, prop):
+    scale = np.linalg.norm(mat)
+    unitarity = np.linalg.norm(prop.evecs.conj().T @ prop.evecs - np.eye(len(mat)))
+    residual = np.linalg.norm(mat @ prop.evecs - prop.evecs * prop.evals) / scale
+    return unitarity, residual
+
+
+class TestBlockEigensystem:
+    def test_gross_neveu_blocks_are_fermion_number_sectors(self):
+        spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        ham = build_hamiltonian(spec)
+        mat = ham.to_matrix()
+        blocks = _invariant_blocks(mat)
+        popcounts = [{bin(int(i)).count("1") for i in idx} for idx in blocks]
+        assert all(len(p) == 1 for p in popcounts)
+        assert sorted(p.pop() for p in popcounts) == list(range(9))
+        assert sorted(len(idx) for idx in blocks) == sorted(comb(8, k) for k in range(9))
+
+        prop = ExactPropagator(ham)
+        oracle = np.linalg.eigvalsh(dense_hamiltonian(spec))
+        assert np.max(np.abs(prop.evals - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        unitarity, residual = _unitary_eigensystem_residuals(mat, prop)
+        assert unitarity <= 1e-12
+        assert residual <= 1e-10
+
+    def test_start_operator_spectrum_is_shifted_copies(self):
+        spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        h_prev = build_hamiltonian(spec)
+        e_prev = np.linalg.eigvalsh(h_prev.to_matrix())
+        penalty = max(1.0, 2.0 * (e_prev[1] - e_prev[0]))
+        n_qubits = build_hamiltonian(spec.with_sites(4)).n_qubits
+        pad = pad_state(PadKind.UNIFORM, 1)
+        complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
+        penalty_op = PauliSumOperator.from_terms(
+            n_qubits, ((penalty * c, "I" * h_prev.n_qubits + s) for c, s in complement.terms)
+        )
+        start_op = _embed_left(h_prev, n_qubits) + penalty_op
+        mat = start_op.to_matrix()
+        blocks = _invariant_blocks(mat)
+        assert max(len(idx) for idx in blocks) <= 4 * comb(6, 3)
+
+        prop = ExactPropagator(start_op)
+        expected = np.sort(np.concatenate([e_prev] + 3 * [e_prev + penalty]))
+        assert np.max(np.abs(prop.evals - expected)) <= 1e-12 * np.max(np.abs(expected))
+        unitarity, residual = _unitary_eigensystem_residuals(mat, prop)
+        assert unitarity <= 1e-12
+        assert residual <= 1e-10
+
+    def test_random_pauli_sum_is_one_block_and_matches_eigh(self, rng):
+        op = random_hermitian_pauli_sum(5, 10, rng)
+        mat = op.to_matrix()
+        assert len(_invariant_blocks(mat)) == 1
+        evals, evecs = np.linalg.eigh(mat)
+        prop = ExactPropagator(op)
+        assert np.max(np.abs(prop.evals - evals)) <= 1e-12 * np.max(np.abs(evals))
+        overlaps = np.abs(np.sum(evecs.conj() * prop.evecs, axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
 
 class TestLanczos:
