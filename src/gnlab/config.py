@@ -125,10 +125,9 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw = path.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(raw)
+        parser.read_string(path.read_text())
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _check_keys(parser)
@@ -211,12 +210,12 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         )
 
     out_dir = Path(overrides.get("out") or _get("output", "directory", str, "out"))
-    # hash the semantic inputs only: the file plus overrides that change
-    # results (the output location does not)
-    hashed_overrides = {k: v for k, v in overrides.items() if k != "out"}
-    digest = hashlib.sha256(
-        raw.encode() + repr(sorted((k, str(v)) for k, v in hashed_overrides.items())).encode()
-    ).hexdigest()[:12]
+    # hash the semantic inputs only: the parsed sections plus overrides that
+    # change results (the output location, [output] or --out, does not)
+    sections = [(name, sorted(parser.items(name, raw=True)))
+                for name in sorted(parser.sections()) if name != "output"]
+    hashed_overrides = sorted((k, str(v)) for k, v in overrides.items() if k != "out")
+    digest = hashlib.sha256(repr((sections, hashed_overrides)).encode()).hexdigest()[:12]
     return ExperimentConfig(
         model=model,
         solver=solver,

@@ -17,6 +17,7 @@ from .pauli import PauliSumOperator
 
 DENSE_CAP_DEFAULT = 14
 LANCZOS_CAP_DEFAULT = 24
+KRYLOV_DIM_DEFAULT = 30
 
 
 class ConvergenceError(RuntimeError):
@@ -68,7 +69,7 @@ def lanczos_lowest(
     start: np.ndarray,
     tol: float,
     max_restarts: int = 400,
-    krylov_dim: int = 30,
+    krylov_dim: int = KRYLOV_DIM_DEFAULT,
     locked: list[np.ndarray] | None = None,
     strict: bool = True,
     rtol: float = 0.0,
@@ -156,6 +157,7 @@ def ground_state_lanczos(
     if op.n_qubits > lanczos_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds Lanczos cap {lanczos_cap}")
     dim = 1 << op.n_qubits
+    _require_memory(16 * min(KRYLOV_DIM_DEFAULT, dim) * dim, f"a Lanczos basis of {op.n_qubits} qubits")
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     e0, v0 = lanczos_lowest(op.apply, start, tol, max_restarts=max_restarts)
@@ -176,6 +178,13 @@ def ground_state_lanczos(
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, `what` when it needs more than physical memory."""
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(f"{what} needs {need} bytes, more than the {have} bytes of physical memory")
 
 
 def _invariant_blocks(mat: np.ndarray) -> list[np.ndarray]:
@@ -215,13 +224,7 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, np.n
     if not op.is_hermitian(1e-10):
         raise ValueError("operator must be Hermitian")
     dim = 1 << op.n_qubits
-    need = 2 * np.dtype(complex).itemsize * dim * dim  # the matrix and its eigenvectors
-    have = _physical_memory_bytes()
-    if need > have:
-        raise ValueError(
-            f"a dense eigensystem of {op.n_qubits} qubits needs {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    _require_memory(2 * 16 * dim * dim, f"the complex matrix and eigenvectors of {op.n_qubits} qubits")
     mat = op.to_matrix()
     solved = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)])) for idx in _invariant_blocks(mat)]
     del mat

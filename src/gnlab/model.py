@@ -135,10 +135,10 @@ class ModelSpec:
 
 
 def _bilinear(spec: ModelSpec, site_a: int, site_b: int, flavor: int,
-              matrix: np.ndarray) -> PauliSumOperator:
-    """sum_{alpha,beta} matrix[alpha,beta] c+_{site_a,flavor,alpha} c_{site_b,flavor,beta}."""
+              matrix: np.ndarray) -> list[tuple[complex, str]]:
+    """Uncanonicalised terms of sum_ab matrix[a,b] c+_{site_a,flavor,a} c_{site_b,flavor,b}."""
     n = spec.n_qubits
-    acc = PauliSumOperator.zero(n)
+    raw = []
     for alpha in range(2):
         for beta in range(2):
             m = complex(matrix[alpha, beta])
@@ -146,8 +146,8 @@ def _bilinear(spec: ModelSpec, site_a: int, site_b: int, flavor: int,
                 continue
             op = jordan_wigner(spec.mode_index(site_a, flavor, alpha), "create", n) \
                 * jordan_wigner(spec.mode_index(site_b, flavor, beta), "annihilate", n)
-            acc = acc + m * op
-    return acc
+            raw.extend((m * c, s) for c, s in op.terms)
+    return raw
 
 
 def _neighbor(spec: ModelSpec, site: int, step: int) -> int | None:
@@ -174,20 +174,21 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
     wilson_hop = (-spec.wilson_r / (2 * a)) * sy
 
     n = spec.n_qubits
-    ham = PauliSumOperator.zero(n)
+    raw: list[tuple[complex, str]] = []
     for x in range(spec.n_sites):
-        interaction_density = PauliSumOperator.zero(n)
+        density: list[tuple[complex, str]] = []
         for j in range(spec.flavors):
-            ham = ham + _bilinear(spec, x, x, j, onsite)
+            raw += _bilinear(spec, x, x, j, onsite)
             for step, mat in ((+1, grad + wilson_hop), (-1, -grad + wilson_hop)):
                 y = _neighbor(spec, x, step)
                 if y is not None:
-                    ham = ham + _bilinear(spec, x, y, j, mat)
+                    raw += _bilinear(spec, x, y, j, mat)
             if spec.coupling_sq != 0.0:
-                interaction_density = interaction_density + _bilinear(spec, x, x, j, sy)
-        if spec.coupling_sq != 0.0:
-            ham = ham + (-spec.coupling_sq / (2 * a)) * (interaction_density * interaction_density)
-    return ham.hermitized()
+                density += _bilinear(spec, x, x, j, sy)
+        if density:
+            s_x = PauliSumOperator.from_terms(n, density)
+            raw += [(-spec.coupling_sq / (2 * a) * c, s) for c, s in (s_x * s_x).terms]
+    return PauliSumOperator.from_terms(n, raw).hermitized()
 
 
 def free_quadratic_form(spec: ModelSpec) -> np.ndarray:

@@ -10,12 +10,20 @@ only inside the exported complex blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .mps import MatrixProductState, pauli_sum_expectation
+from .mps import MatrixProductState, transfer
 from .model import ModelSpec, majorana_gammas
-from .pauli import PauliSumOperator, jordan_wigner
+from .pauli import jordan_wigner
+
+# Jordan-Wigner images on one (component 0, component 1) qubit pair:
+# annihilators a_0 = A x 1 and a_1 = Z x A with A = |0><1|, and the parity
+# string P = Z x Z of a site that a bilinear jumps over.
+_A, _Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+_ANNIHILATE = (np.kron(_A, np.eye(2)), np.kron(_Z, _A))
+_PARITY = np.kron(_Z, _Z)
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,6 @@ class CorrelatorSeries:
         return "m0,g0_sq,dx,value,err"
 
 
-def _expectation(state: MatrixProductState | np.ndarray, op: PauliSumOperator) -> complex:
-    if isinstance(state, MatrixProductState):
-        return pauli_sum_expectation(state, op)
-    return op.expectation(np.asarray(state, dtype=complex))
-
-
 def centered_pairs(n_sites: int) -> list[tuple[int, int, int]]:
     """(k, i, j) for separations k*a, pairs centered on the chain midpoint."""
     out = []
@@ -58,6 +60,46 @@ def centered_pairs(n_sites: int) -> list[tuple[int, int, int]]:
         i = (n_sites - k) // 2
         out.append((k, i, i + k))
     return out
+
+
+def _statevector_block(vec: np.ndarray, spec: ModelSpec, flavor: int, i: int, j: int) -> np.ndarray:
+    """raw[alpha, c] = <c_{i,alpha} c+_{j,c}>, by Pauli-sum expectations."""
+    nq = spec.n_qubits
+    return np.array([[
+        (jordan_wigner(spec.mode_index(i, flavor, alpha), "annihilate", nq)
+         * jordan_wigner(spec.mode_index(j, flavor, c), "create", nq)).expectation(vec)
+        for c in range(2)] for alpha in range(2)])
+
+
+def _mps_block(state: MatrixProductState, spec: ModelSpec, flavor: int):
+    """(i, j) -> the same block, from partial contractions of <state|state>.
+
+    Between the MPS sites p < q of the pair, c_{p,alpha} c+_{q,c} is a_alpha P
+    at p, P on every site in between and a_c^T = a_c^dagger at q (Schollwoeck,
+    Ann. Phys. 326, 96 (2011)).  The environments left of p and right of q
+    are computed once per state; no gauge and no normalisation are assumed.
+    """
+    if state.phys_dims != (4,) * (spec.flavors * spec.n_sites):
+        raise ValueError("state does not match the lattice of `spec`")
+    ts = state.tensors
+
+    def op(mat: np.ndarray) -> np.ndarray:
+        return mat.reshape(1, 4, 4, 1)
+
+    left, right = [np.ones((1, 1, 1), dtype=complex)], [np.ones((1, 1, 1), dtype=complex)]
+    for t, u in zip(ts[:-1], [u.transpose(2, 1, 0) for u in ts[:0:-1]]):
+        left.append(transfer(left[-1], t, op(np.eye(4)), t))        # left[p]: sites < p
+        right.insert(0, transfer(right[0], u, op(np.eye(4)), u))    # right[p]: sites > p
+
+    def block(i: int, j: int) -> np.ndarray:
+        p, q = spec.flavors * i + flavor, spec.flavors * j + flavor
+        envs = [transfer(left[p], ts[p], op(a @ _PARITY), ts[p]) for a in _ANNIHILATE]
+        for t in ts[p + 1:q]:
+            envs = [transfer(env, t, op(_PARITY), t) for env in envs]
+        return np.array([[np.sum(transfer(env, ts[q], op(a.T), ts[q]) * right[q])
+                          for a in _ANNIHILATE] for env in envs])
+
+    return block
 
 
 def two_point_correlator(
@@ -74,34 +116,19 @@ def two_point_correlator(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    if not 0 <= flavor < spec.flavors:
+        raise ValueError(f"flavor {flavor} out of range")
     a = spec.spacing
-    nq = spec.n_qubits
     gamma0 = majorana_gammas().gamma0
-    bar = 2.0 * float(np.sqrt(epsilon)) / a
-
-    seps: list[float] = []
-    values: list[float] = []
-    bars: list[float] = []
-    blocks = []
-    for k, i, j in centered_pairs(spec.n_sites):
-        if j >= spec.n_sites:
-            raise ValueError(f"separation {k} exceeds the lattice")
-        raw = np.zeros((2, 2), dtype=complex)
-        for alpha in range(2):
-            for c in range(2):
-                op = jordan_wigner(spec.mode_index(i, flavor, alpha), "annihilate", nq) \
-                    * jordan_wigner(spec.mode_index(j, flavor, c), "create", nq)
-                raw[alpha, c] = _expectation(state, op)
-        block = raw @ gamma0 / a
-        seps.append(k * a)
-        values.append(float(block[0, 0].real))
-        bars.append(bar)
-        blocks.append(block)
+    pairs = centered_pairs(spec.n_sites)
+    block = (_mps_block(state, spec, flavor) if isinstance(state, MatrixProductState)
+             else partial(_statevector_block, np.asarray(state, dtype=complex), spec, flavor))
+    blocks = np.array([block(i, j) @ gamma0 / a for _k, i, j in pairs])
     return CorrelatorSeries(
-        separations=tuple(seps),
-        values=tuple(values),
-        error_bars=tuple(bars),
-        blocks=np.array(blocks),
+        separations=tuple(k * a for k, _i, _j in pairs),
+        values=tuple(float(v) for v in blocks[:, 0, 0].real),
+        error_bars=(2.0 * float(np.sqrt(epsilon)) / a,) * len(pairs),
+        blocks=blocks,
     )
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,15 @@ class TestConfigParsing:
         a = load_config(config_file(), overrides={"out": "x"})
         b = load_config(config_file(), overrides={"out": "y"})
         assert a.config_hash == b.config_hash
+
+    def test_hash_ignores_output_directory_key(self, config_file, tmp_path):
+        a = load_config(config_file(out=tmp_path / "x"))
+        b = load_config(config_file(out=tmp_path / "y"))
+        assert a.out_dir != b.out_dir
+        assert a.config_hash == b.config_hash
+        changed = config_file(out=tmp_path / "x")
+        Path(changed).write_text(Path(changed).read_text().replace("bare_mass = 0.2", "bare_mass = 0.3"))
+        assert load_config(changed).config_hash != a.config_hash
 
     def test_grid_fallback(self, tmp_path):
         text = BASE_CONFIG.format(out=tmp_path).replace(

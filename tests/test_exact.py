@@ -101,6 +101,21 @@ class TestDense:
         with pytest.raises(ValueError, match="physical memory"):
             ExactPropagator(op)
 
+    def test_lanczos_memory_guard_raises_before_drawing_start_vectors(self, monkeypatch):
+        op = PauliSumOperator.from_terms(3, [(1.0, "XZY"), (0.5, "ZII")])
+        need = 16 * 8 * 8  # the complex (min(krylov_dim, 2^n), 2^n) basis
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
+        assert ground_state_lanczos(op).ground_energy == pytest.approx(-np.sqrt(1.25))  # anticommuting terms
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
+
+        def no_start_vectors(*_args, **_kwargs):
+            raise AssertionError("random generator created despite the memory guard")
+
+        monkeypatch.setattr(gnlab.exact.np.random, "default_rng", no_start_vectors)
+        with pytest.raises(ValueError, match="physical memory"):
+            ground_state_lanczos(op)
+
+
 
 def _unitary_eigensystem_residuals(mat, prop):
     scale = np.linalg.norm(mat)

@@ -3,7 +3,7 @@ import pytest
 
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
-from gnlab.mps import MatrixProductState, grouped_dims
+from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
 from gnlab.observables import CorrelatorSeries, centered_pairs, continuum_free_correlator, two_point_correlator
 from gnlab.bessel import bessel_k
 
@@ -117,6 +117,55 @@ class TestPaths:
         rows = series.csv_rows(0.2, 1.5)
         assert len(rows) == len(series.separations)
         assert rows[0].startswith("0.2,1.5,")
+
+
+class TestMpsContraction:
+    """The parity-string contraction against the Pauli-sum statevector route.
+
+    Both routes evaluate <psi|O|psi> without normalising, so they agree on
+    any MPS, whatever its gauge and norm.
+    """
+
+    @staticmethod
+    def assert_paths_agree(mps, spec, flavor=0):
+        by_mps = two_point_correlator(mps, spec, flavor=flavor).blocks
+        by_vector = two_point_correlator(mps.to_dense(), spec, flavor=flavor).blocks
+        assert by_mps.shape == (spec.n_sites // 2, 2, 2)
+        assert np.max(np.abs(by_mps - by_vector)) <= 1e-12
+
+    def test_random_unnormalised_mps_off_centre(self):
+        spec = ModelSpec(n_sites=5, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)
+        rng = np.random.default_rng(11)
+        bonds = (1, 4, 4, 4, 4, 1)
+        mps = MatrixProductState(   # Gaussian tensors: no gauge, no unit norm
+            [rng.standard_normal((bonds[k], 4, bonds[k + 1]))
+             + 1j * rng.standard_normal((bonds[k], 4, bonds[k + 1])) for k in range(5)],
+            center=2,
+        )
+        mps.tensors[0] *= 1.7 / np.linalg.norm(mps.to_dense())   # |psi| = 1.7
+        self.assert_paths_agree(mps, spec)
+
+    @pytest.mark.parametrize("flavor", [0, 1])
+    def test_two_flavors_skip_the_other_flavor(self, flavor):
+        spec = ModelSpec(n_sites=3, spacing=0.5, bare_mass=0.2, coupling_sq=1.5, flavors=2)
+        mps = MatrixProductState.random(grouped_dims(spec.n_qubits), bond_dim=8, seed=5 + flavor)
+        self.assert_paths_agree(mps, spec, flavor)
+
+    def test_dmrg_vacuum_at_chain50_parameters(self):
+        from gnlab.dmrg import dmrg_ground_state
+
+        spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        mps, _report = dmrg_ground_state(
+            compile_mpo(build_hamiltonian(spec)), epsilon_goal=1e-8, max_bond=32, seed=3
+        )
+        self.assert_paths_agree(mps, spec)
+
+    def test_rejects_mismatched_state_and_flavor(self, small_spec):
+        mps = MatrixProductState.random((4,) * 4, bond_dim=2, seed=1)
+        with pytest.raises(ValueError, match="lattice"):
+            two_point_correlator(mps, small_spec)
+        with pytest.raises(ValueError, match="flavor"):
+            two_point_correlator(mps, small_spec.with_sites(4), flavor=1)
 
 
 def test_continuum_reference_is_bessel_shaped():
