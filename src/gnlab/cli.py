@@ -8,7 +8,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +20,10 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state, epsilon_measure
 from .exact import ConvergenceError, ground_state_dense
-from .fits import (
-    CorrelationFit,
-    EnergyFit,
-    FitConvergenceError,
-    fit_correlation_length,
-    fit_energy_extrapolation,
-)
+from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
 from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
 from .mps import MatrixProductState, compile_mpo, grouped_dims
-from .observables import two_point_correlator
+from .observables import centered_pairs, two_point_correlator
 from .overlaps import Engine, PadKind, consecutive_overlaps, pad_state
 from .stateprep import OracleMode, PreparationError, prepare_vacuum
 
@@ -40,10 +37,26 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _write(path: Path, cfg: ExperimentConfig, header: str, rows: list[str]) -> None:
+def _cell(value: object) -> str:
+    """One CSV cell: enums by value, floats by repr (NaN is empty), the rest by str."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return str(value)
+
+
+def _write(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = "\n".join([cfg.manifest_line(), header, *rows])
-    path.write_text(body + "\n")
+    lines = [cfg.manifest_line(), header, *(",".join(map(_cell, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    """Data rows of a CSV written by `_write`, keyed by its header."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip() and not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
 def _state_slug(n_sites: int, m0: float, g0_sq: float) -> str:
@@ -87,21 +100,22 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
         spec = model.with_sites(n)
         mps, report = _solve_point(cfg, spec, cfg.out_dir)
         mps.save(cfg.out_dir / _state_slug(n, spec.bare_mass, spec.coupling_sq))
-        rows.append(report.csv_row(n))
+        rows.append((n, report.energy, report.epsilon, report.sweeps, report.max_bond))
     name = "energies.csv" if cfg.solver.engine is Engine.DMRG else "energies_dense.csv"
-    _write(cfg.out_dir / name, cfg, DmrgReport.csv_header(), rows)
+    _write(cfg.out_dir / name, cfg, "N,energy,epsilon,sweeps,max_bond", rows)
 
 
 def cmd_correlate(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
-    corr_rows: list[str] = []
-    fit_rows: list[str] = []
+    window = cfg.analysis.fit_window
+    try:
+        window_mask([k * model.spacing for k, _i, _j in centered_pairs(model.n_sites)], window)
+    except ValueError as exc:
+        raise ConfigError(f"{model.n_sites} sites: {exc}") from exc
+    corr_rows: list[tuple] = []
+    fit_rows: list[tuple] = []
     for m0, g0_sq in cfg.analysis.parameter_points():
-        spec = ModelSpec(
-            n_sites=model.n_sites, spacing=model.spacing, bare_mass=m0,
-            coupling_sq=g0_sq, wilson_r=model.wilson_r, flavors=model.flavors,
-            boundary=model.boundary,
-        )
+        spec = replace(model, bare_mass=m0, coupling_sq=g0_sq)
         chk = cfg.out_dir / _state_slug(spec.n_sites, m0, g0_sq)
         if chk.exists():
             state = MatrixProductState.load(chk)
@@ -112,27 +126,24 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
             state.save(chk)
             eps = report.epsilon
         series = two_point_correlator(state, spec, epsilon=eps)
-        corr_rows.extend(series.csv_rows(m0, g0_sq))
-        fit = fit_correlation_length(series, window=cfg.analysis.fit_window)
-        fit_rows.append(fit.csv_row(m0, g0_sq))
+        corr_rows.extend((m0, g0_sq, *point)
+                         for point in zip(series.separations, series.values, series.error_bars))
+        fit = fit_correlation_length(series, window=window)
+        fit_rows.append((m0, g0_sq, fit.amplitude_b, fit.corr_length_chi, fit.residual_norm))
     _write(cfg.out_dir / "correlators.csv", cfg, "m0,g0_sq,dx,value,err", corr_rows)
-    _write(cfg.out_dir / "corr_fits.csv", cfg, CorrelationFit.csv_header(), fit_rows)
+    _write(cfg.out_dir / "corr_fits.csv", cfg, "m0,g0_sq,b,chi,residual", fit_rows)
 
 
 def cmd_overlap(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     lo, hi = cfg.analysis.sizes
-    rows: list[str] = []
-    summary: list[str] = []
+    rows: list[tuple] = []
+    summary: list[tuple] = []
     kinds = [cfg.analysis.pad_kind]
     if cfg.analysis.pad_kind is PadKind.UNIFORM:
         kinds.append(PadKind.SYMMETRY_ADAPTED)
     for m0, g0_sq in cfg.analysis.parameter_points():
-        spec = ModelSpec(
-            n_sites=max(lo, 2), spacing=model.spacing, bare_mass=m0,
-            coupling_sq=g0_sq, wilson_r=model.wilson_r, flavors=model.flavors,
-            boundary=model.boundary,
-        )
+        spec = replace(model, n_sites=max(lo, 2), bare_mass=m0, coupling_sq=g0_sq)
         for kind in kinds:
             pad = pad_state(kind, spec.flavors)
             series = consecutive_overlaps(
@@ -144,21 +155,10 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
                 dense_cap=cfg.solver.dense_cap,
                 pad_label=kind,
             )
-            rows.extend(series.csv_rows(m0, g0_sq))
-            summary.append(series.summary_row(m0, g0_sq) + f",{kind.value}")
+            rows.extend((m0, g0_sq, j, o, kind) for j, o in zip(series.sizes, series.overlaps))
+            summary.append((m0, g0_sq, series.eta_estimate, series.eta_spread, kind))
     _write(cfg.out_dir / "overlaps.csv", cfg, "m0,g0_sq,j,overlap,pad_kind", rows)
     _write(cfg.out_dir / "overlaps_summary.csv", cfg, "m0,g0_sq,eta,spread,pad_kind", summary)
-
-
-def read_energy_csv(path: Path) -> list[tuple[int, float, float]]:
-    """(N, energy, epsilon) rows from an energies.csv file."""
-    out = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#") or line.startswith("N,") or not line.strip():
-            continue
-        parts = line.split(",")
-        out.append((int(parts[0]), float(parts[1]), float(parts[2])))
-    return out
 
 
 def cmd_energy_fit(cfg: ExperimentConfig) -> None:
@@ -167,11 +167,16 @@ def cmd_energy_fit(cfg: ExperimentConfig) -> None:
         path = cfg.out_dir / "energies_dense.csv"
     if not path.exists():
         raise ConfigError(f"no energies.csv under {cfg.out_dir}; run solve first")
-    data = [(n, e) for n, e, _ in read_energy_csv(path)]
+    data = [(int(r["N"]), float(r["energy"])) for r in read_csv(path)]
     if cfg.analysis.gap is None:
         raise ConfigError("[analysis] gap is required for energy-fit")
     fit = fit_energy_extrapolation(data, cfg.analysis.energy_model, gap=cfg.analysis.gap)
-    _write(cfg.out_dir / "energy_fit.csv", cfg, EnergyFit.csv_header(), fit.csv_rows())
+    rows = [
+        (size, energy, fit.model, math.nan if math.isnan(err) else fit.predict_causal(size),
+         err, fit.half_gap)
+        for size, energy, err in zip(fit.sizes, fit.energies, fit.prediction_errors)
+    ]
+    _write(cfg.out_dir / "energy_fit.csv", cfg, "N,E,model,prediction,abs_error,half_gap", rows)
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> None:
@@ -188,14 +193,15 @@ def cmd_prepare(cfg: ExperimentConfig) -> None:
     state, trace = prepare_vacuum(
         model, prep.n0, prep.n_final, pad, fit,
         eps=prep.eps, mode=prep.oracle, eta_floor=prep.eta_floor,
-        repetitions=prep.repetitions, ancilla_bits=prep.ancilla_bits,
-        window_cells=prep.window_cells, dense_cap=cfg.solver.dense_cap,
+        ancilla_bits=prep.ancilla_bits, window_cells=prep.window_cells,
+        dense_cap=cfg.solver.dense_cap,
     )
     _write(
         cfg.out_dir / f"prep_trace_{prep.oracle.value}.csv",
         cfg,
         "step_j,overlap_before,oracle_calls,fidelity_after,energy_estimate",
-        trace.csv_rows(),
+        [(s.target_size, s.overlap_before, s.oracle_calls, s.fidelity_after, s.energy_estimate_used)
+         for s in trace.steps],
     )
     manifest = [
         f"version = {__version__}",
@@ -249,8 +255,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     # 1. oracle equivalence: dense vs dmrg energies when both engines were run
     dense_f, dmrg_f = out / "energies_dense.csv", out / "energies.csv"
     if dense_f.exists() and dmrg_f.exists():
-        dense = {n: e for n, e, _ in read_energy_csv(dense_f)}
-        dmrg = {n: e for n, e, _ in read_energy_csv(dmrg_f)}
+        dense = {int(r["N"]): float(r["energy"]) for r in read_csv(dense_f)}
+        dmrg = {int(r["N"]): float(r["energy"]) for r in read_csv(dmrg_f)}
         common = sorted(set(dense) & set(dmrg))
         if common:
             worst = max(abs(dense[n] - dmrg[n]) / abs(dense[n]) for n in common)
@@ -267,17 +273,13 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     fits_f = out / "corr_fits.csv"
     if fits_f.exists() and cfg.model is not None:
-        entries = []
-        for line in fits_f.read_text().splitlines():
-            if line.startswith("#") or line.startswith("m0,") or not line.strip():
-                continue
-            m0, g0, b, chi, res = (float(x) for x in line.split(","))
-            entries.append((m0, g0, b, chi, res))
+        entries = [(float(r["m0"]), float(r["g0_sq"]), float(r["chi"]), float(r["residual"]))
+                   for r in read_csv(fits_f)]
         a = cfg.model.spacing
         length = cfg.model.n_sites * a
-        ok = all(res <= 0.05 and 2 * a <= chi <= length / 3 for *_x, chi, res in entries)
+        ok = all(res <= 0.05 and 2 * a <= chi <= length / 3 for _m, _g, chi, res in entries)
         detail = "; ".join(
-            f"(m0={m0}, g0^2={g0}): chi={chi:.4f}, residual={res:.2%}" for m0, g0, _b, chi, res in entries
+            f"(m0={m0}, g0^2={g0}): chi={chi:.4f}, residual={res:.2%}" for m0, g0, chi, res in entries
         )
         add(3, "correlator K0 fit", "PASS" if ok and entries else "FAIL", detail or "no rows")
     else:
@@ -285,12 +287,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     summary_f = out / "overlaps_summary.csv"
     if summary_f.exists():
-        rows = []
-        for line in summary_f.read_text().splitlines():
-            if line.startswith("#") or line.startswith("m0,") or not line.strip():
-                continue
-            m0, g0, eta, spread, kind = line.split(",")
-            rows.append((float(m0), float(g0), float(eta), float(spread), kind))
+        rows = [(float(r["m0"]), float(r["g0_sq"]), float(r["eta"]), float(r["spread"]), r["pad_kind"])
+                for r in read_csv(summary_f)]
         uniform = [r for r in rows if r[4] == PadKind.UNIFORM.value]
         ok = bool(uniform) and all(eta > 0 and spread <= 0.1 * eta for _m, _g, eta, spread, _k in uniform)
         sym = {(m, g): eta for m, g, eta, _s, k in rows if k == PadKind.SYMMETRY_ADAPTED.value}
@@ -307,16 +305,10 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     fit_f = out / "energy_fit.csv"
     if fit_f.exists():
-        rows = [ln for ln in fit_f.read_text().splitlines()
-                if not ln.startswith("#") and not ln.startswith("N,") and ln.strip()]
-        errs = []
-        for ln in rows:
-            parts = ln.split(",")
-            if parts[4]:
-                errs.append((float(parts[0]), float(parts[4]), float(parts[5])))
+        errs = [(float(r["abs_error"]), float(r["half_gap"])) for r in read_csv(fit_f) if r["abs_error"]]
         if errs:
-            half_gap = errs[0][2]
-            tail = [e for _n, e, _h in errs[len(errs) // 2:]]
+            half_gap = errs[0][1]
+            tail = [e for e, _h in errs[len(errs) // 2:]]
             ok = all(e < half_gap for e in tail)
             add(5, "energy predictability", "PASS" if ok else "FAIL",
                 f"late-size max error {max(tail):.3e} vs half gap {half_gap:.3e}")

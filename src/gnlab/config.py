@@ -30,7 +30,7 @@ _KNOWN_KEYS = {
         "fit_window_min", "fit_window_max", "pad_kind", "sizes_min", "sizes_max",
         "points", "m0_values", "g0_sq_values", "energy_model", "gap",
     },
-    "prep": {"n0", "n_final", "eps", "oracle", "eta_floor", "repetitions", "ancilla_bits", "window_cells"},
+    "prep": {"n0", "n_final", "eps", "oracle", "eta_floor", "ancilla_bits", "window_cells"},
     "output": {"directory"},
 }
 
@@ -70,7 +70,6 @@ class PrepConfig:
     eps: float = 1e-3
     oracle: OracleMode = OracleMode.IDEAL
     eta_floor: float = 0.4
-    repetitions: int = 3
     ancilla_bits: int | None = None
     window_cells: int = 32
 
@@ -193,7 +192,6 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
             eps=_get("prep", "eps", float, 1e-3),
             oracle=OracleMode(_get("prep", "oracle", str, "ideal")),
             eta_floor=_get("prep", "eta_floor", float, 0.4),
-            repetitions=_get("prep", "repetitions", int, 3),
             ancilla_bits=_get("prep", "ancilla_bits", int, None),
             window_cells=_get("prep", "window_cells", int, 32),
         )

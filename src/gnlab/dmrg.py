@@ -44,13 +44,6 @@ class DmrgReport:
     converged: bool
     energy_history: tuple[float, ...] = ()
 
-    def csv_row(self, n_sites: int) -> str:
-        return f"{n_sites},{self.energy!r},{self.epsilon!r},{self.sweeps},{self.max_bond}"
-
-    @staticmethod
-    def csv_header() -> str:
-        return "N,energy,epsilon,sweeps,max_bond"
-
 
 def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator,
                     discarded_weight: float = 1e-14) -> float:

@@ -33,13 +33,6 @@ class SpectrumResult:
     gap: float
     ground_vector: np.ndarray
 
-    def csv_row(self, n_sites: int) -> str:
-        return f"{n_sites},{self.ground_energy!r},{self.first_excited_energy!r},{self.gap!r}"
-
-    @staticmethod
-    def csv_header() -> str:
-        return "n_sites,ground_energy,first_excited,gap"
-
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first significant amplitude is real > 0."""

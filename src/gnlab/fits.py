@@ -99,19 +99,28 @@ class CorrelationFit:
     def half_gap(self) -> float:
         return 0.5 / self.corr_length_chi
 
-    def csv_row(self, m0: float, g0_sq: float) -> str:
-        return f"{m0!r},{g0_sq!r},{self.amplitude_b!r},{self.corr_length_chi!r},{self.residual_norm!r}"
-
-    @staticmethod
-    def csv_header() -> str:
-        return "m0,g0_sq,b,chi,residual"
-
 
 def default_fit_window(separations: Sequence[float]) -> tuple[float, float]:
     """[3a, L/4] with a the first separation and L twice the largest one."""
-    a = separations[0]
-    length = 2.0 * separations[-1]
+    a = float(separations[0])
+    length = 2.0 * float(separations[-1])
     return (3.0 * a, length / 4.0)
+
+
+def window_mask(separations: Sequence[float], window: tuple[float, float] | None = None) -> np.ndarray:
+    """Separations inside `window` (default_fit_window when None), at least four of them.
+
+    Raises ValueError when the window leaves the data range or holds fewer
+    than four points.
+    """
+    seps = np.asarray(separations, dtype=float)
+    lo, hi = default_fit_window(seps) if window is None else window
+    if lo < seps[0] - 1e-12 or hi > seps[-1] + 1e-12:
+        raise ValueError(f"window {(lo, hi)} extends beyond the data range")
+    mask = (seps >= lo - 1e-12) & (seps <= hi + 1e-12)
+    if int(mask.sum()) < 4:
+        raise ValueError(f"window {(lo, hi)} contains {int(mask.sum())} points, need at least 4")
+    return mask
 
 
 def fit_correlation_length(series, window: tuple[float, float] | None = None) -> CorrelationFit:
@@ -124,14 +133,8 @@ def fit_correlation_length(series, window: tuple[float, float] | None = None) ->
     seps = np.asarray(series.separations, dtype=float)
     vals = np.asarray(series.values, dtype=float)
     errs = np.asarray(series.error_bars, dtype=float)
-    if window is None:
-        window = default_fit_window(seps)
-    lo, hi = window
-    if lo < seps[0] - 1e-12 or hi > seps[-1] + 1e-12:
-        raise ValueError(f"window {window} extends beyond the data range")
-    mask = (seps >= lo - 1e-12) & (seps <= hi + 1e-12)
-    if int(mask.sum()) < 4:
-        raise ValueError(f"window {window} contains {int(mask.sum())} points, need at least 4")
+    lo, hi = default_fit_window(seps) if window is None else window
+    mask = window_mask(seps, (lo, hi))
     x, y, e = seps[mask], vals[mask], errs[mask]
     weights = np.where(e > 0, 1.0 / np.where(e > 0, e, 1.0), 1.0)
 
@@ -272,20 +275,6 @@ class EnergyFit:
             else:
                 ok_from = None
         return ok_from
-
-    def csv_rows(self) -> list[str]:
-        rows = []
-        for size, energy, err in zip(self.sizes, self.energies, self.prediction_errors):
-            pred = "" if math.isnan(err) else repr(float(self.predict_causal(size)))
-            err_s = "" if math.isnan(err) else repr(float(err))
-            rows.append(
-                f"{size!r},{energy!r},{self.model.value},{pred},{err_s},{self.half_gap!r}"
-            )
-        return rows
-
-    @staticmethod
-    def csv_header() -> str:
-        return "N,E,model,prediction,abs_error,half_gap"
 
     def predict_causal(self, size: float) -> float:
         """Prediction at `size` from the fit to strictly smaller recorded sizes."""

@@ -42,16 +42,6 @@ class CorrelatorSeries:
         if len(diffs) and not np.all(diffs > 0):
             raise ValueError("separations must be strictly increasing")
 
-    def csv_rows(self, m0: float, g0_sq: float) -> list[str]:
-        return [
-            f"{m0!r},{g0_sq!r},{dx!r},{v!r},{e!r}"
-            for dx, v, e in zip(self.separations, self.values, self.error_bars)
-        ]
-
-    @staticmethod
-    def csv_header() -> str:
-        return "m0,g0_sq,dx,value,err"
-
 
 def centered_pairs(n_sites: int) -> list[tuple[int, int, int]]:
     """(k, i, j) for separations k*a, pairs centered on the chain midpoint."""

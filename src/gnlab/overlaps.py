@@ -77,23 +77,6 @@ class OverlapSeries:
     eta_spread: float
     complete: bool = True
 
-    def csv_rows(self, m0: float, g0_sq: float) -> list[str]:
-        return [
-            f"{m0!r},{g0_sq!r},{j},{o!r},{self.pad_label.value}"
-            for j, o in zip(self.sizes, self.overlaps)
-        ]
-
-    @staticmethod
-    def csv_header() -> str:
-        return "m0,g0_sq,j,overlap,pad_kind"
-
-    def summary_row(self, m0: float, g0_sq: float) -> str:
-        return f"{m0!r},{g0_sq!r},{self.eta_estimate!r},{self.eta_spread!r}"
-
-    @staticmethod
-    def summary_header() -> str:
-        return "m0,g0_sq,eta,spread"
-
 
 def plateau_estimate(overlaps: list[float]) -> tuple[float, float]:
     """Mean and max-min spread over the final ceil(25%) of the series."""

@@ -337,17 +337,6 @@ class PrepTrace:
     oracle_calls_total: int
     final_fidelity: float
 
-    def csv_rows(self) -> list[str]:
-        return [
-            f"{s.target_size},{s.overlap_before!r},{s.oracle_calls},"
-            f"{s.fidelity_after!r},{s.energy_estimate_used!r}"
-            for s in self.steps
-        ]
-
-    @staticmethod
-    def csv_header() -> str:
-        return "step_j,overlap_before,oracle_calls,fidelity_after,energy_estimate"
-
 
 class PreparationError(RuntimeError):
     """A step's overlap fell below the floor; carries the partial trace."""
@@ -391,7 +380,6 @@ def prepare_vacuum(
     eps: float,
     mode: OracleMode | str = OracleMode.IDEAL,
     eta_floor: float = 0.4,
-    repetitions: int = 3,
     ancilla_bits: int | None = None,
     window_cells: int = 32,
     dense_cap: int = DENSE_CAP_DEFAULT,
@@ -453,7 +441,6 @@ def prepare_vacuum(
             ancilla_bits=bits,
             energy_estimate=e_pred,
             gap_bound=gap_bound,
-            repetitions=repetitions,
             failure_prob=eps_step,
         )
         target_oracle = ground_oracle_reflection(ops[target], pe_cfg, mode, dense_cap)
@@ -479,7 +466,6 @@ def prepare_vacuum(
                 else ancilla_bits_for(start_op, min(spectra[prev].gap, penalty), window_cells),
                 energy_estimate=energy_predictor.predict(prev),
                 gap_bound=min(spectra[prev].gap, penalty),
-                repetitions=repetitions,
                 failure_prob=eps_step,
             )
             start_oracle = ground_oracle_reflection(start_op, start_cfg, mode, dense_cap)

@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnlab.cli import main, read_energy_csv
+from gnlab.cli import main, read_csv
 from gnlab.config import ConfigError, load_config
 from gnlab.exact import ground_state_dense
+from gnlab.fits import EnergyModel
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind
 
@@ -121,29 +122,29 @@ class TestCliCommands:
         out = tmp_path / "out"
         code = main(["solve", "--config", config_file()])
         assert code == 0
-        rows = read_energy_csv(out / "energies.csv")
-        assert [r[0] for r in rows] == [2, 3, 4]
+        rows = read_csv(out / "energies.csv")
+        assert [r["N"] for r in rows] == ["2", "3", "4"]
         spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         dense = ground_state_dense(build_hamiltonian(spec))
-        assert rows[1][1] == pytest.approx(dense.ground_energy, rel=1e-9)
+        assert float(rows[1]["energy"]) == pytest.approx(dense.ground_energy, rel=1e-9)
         assert (out / "state_N3_m0.2_g1.5.mps").exists()
 
     def test_dense_engine_writes_matching_energies(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--config", config_file(), "--engine", "dense"]) == 0
-        dense_rows = read_energy_csv(out / "energies_dense.csv")
+        dense_rows = read_csv(out / "energies_dense.csv")
         assert main(["solve", "--config", config_file()]) == 0
-        dmrg_rows = read_energy_csv(out / "energies.csv")
-        for (n1, e1, _), (n2, e2, _) in zip(dense_rows, dmrg_rows):
-            assert n1 == n2
-            assert e1 == pytest.approx(e2, rel=1e-8)
+        dmrg_rows = read_csv(out / "energies.csv")
+        assert [r["N"] for r in dense_rows] == [r["N"] for r in dmrg_rows]
+        for dense, dmrg in zip(dense_rows, dmrg_rows):
+            assert float(dense["energy"]) == pytest.approx(float(dmrg["energy"]), rel=1e-8)
 
     def test_dense_engine_epsilon_is_the_residual_norm(self, config_file, tmp_path):
         # ||Hv - Ev||^2 / E^2 of an exact eigenvector sits near 1e-30; the
         # form <Hv,Hv>/E^2 - 1 cannot go below its rounding floor of ~1e-16
         assert main(["solve", "--config", config_file(), "--engine", "dense"]) == 0
-        for _n, _e, eps in read_energy_csv(tmp_path / "out" / "energies_dense.csv"):
-            assert 0.0 <= eps < 1e-24
+        for row in read_csv(tmp_path / "out" / "energies_dense.csv"):
+            assert 0.0 <= float(row["epsilon"]) < 1e-24
 
     def test_reruns_are_byte_identical(self, config_file, tmp_path):
         cfg_path = config_file()
@@ -199,6 +200,36 @@ class TestCliCommands:
                 if cell and not cell[0].isalpha():
                     float(cell)
 
+    def test_csv_headers_and_cells(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = config_file({"analysis": "gap = 2.0"})
+        for command in ("solve", "overlap", "energy-fit", "prepare"):
+            assert main([command, "--config", cfg_path]) == 0
+        headers = {
+            "energies.csv": "N,energy,epsilon,sweeps,max_bond",
+            "overlaps.csv": "m0,g0_sq,j,overlap,pad_kind",
+            "overlaps_summary.csv": "m0,g0_sq,eta,spread,pad_kind",
+            "energy_fit.csv": "N,E,model,prediction,abs_error,half_gap",
+            "prep_trace_ideal.csv": "step_j,overlap_before,oracle_calls,fidelity_after,energy_estimate",
+        }
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(headers)
+        enum_values = {e.value for e in (*PadKind, *EnergyModel)}
+        for name, header in headers.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0].startswith("# manifest config_sha=")
+            assert lines[1] == header
+            assert len(lines) > 2
+            for line in lines[2:]:
+                cells = line.split(",")
+                assert len(cells) == header.count(",") + 1
+                for cell in cells:
+                    assert "np." not in cell
+                    if cell and cell not in enum_values:
+                        float(cell)
+        fit_rows = read_csv(out / "energy_fit.csv")
+        assert [r["prediction"] == "" for r in fit_rows] == [True, True, False]
+        assert fit_rows[0]["N"] == "2.0"
+
     def test_report_marks_missing_inputs(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert main(["report", "--config", config_file()]) == 0
@@ -233,13 +264,22 @@ class TestCliCommands:
             "[model]\nn_sites = 9\nspacing = 0.25\nbare_mass = 0.2\ncoupling_sq = 1.5\n"
             "boundary = periodic\n[analysis]\nsizes_max = 4\n"
         )
-        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n", periodic):
+        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n", "[prep]\nrepetitions = 3\n",
+                     periodic):
             bad.write_text(text)
             assert main(["solve", "--config", str(bad)]) == 2
 
-    def test_numerical_error_exit_code(self, config_file, tmp_path):
-        # correlate on a 4-site chain: the default window has too few points
-        assert main(["correlate", "--config", config_file()]) == 3
+    def test_numerical_error_exit_code(self, config_file):
+        # the padded 2 -> 3 site overlap (~0.49) falls below the floor
+        assert main(["prepare", "--config", config_file({"prep": "eta_floor = 0.99"})]) == 3
+
+    @pytest.mark.parametrize("n_sites", [3, 4, 12])
+    def test_correlate_on_too_short_chain_is_config_error(self, config_file, tmp_path, n_sites):
+        # the default window [3a, L/4] holds fewer than four separations
+        path = Path(config_file())
+        path.write_text(path.read_text().replace("n_sites = 4", f"n_sites = {n_sites}"))
+        assert main(["correlate", "--config", str(path)]) == 2
+        assert not list((tmp_path / "out").glob("*.mps"))
 
     def test_bad_sizes_flag(self, config_file):
         assert main(["solve", "--config", config_file(), "--sizes", "xx"]) == 2

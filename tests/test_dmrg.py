@@ -102,13 +102,6 @@ class TestDmrgGroundState:
         with pytest.raises(ValueError):
             dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=1, seed=0)
 
-    def test_csv_row_format(self):
-        spec = ModelSpec(n_sites=3, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)
-        _state, report = solve(spec)
-        row = report.csv_row(3)
-        fields = row.split(",")
-        assert fields[0] == "3" and len(fields) == 5
-
 
 class TestEpsilonMeasure:
     def test_exact_eigenstate_has_tiny_epsilon(self, small_spec):

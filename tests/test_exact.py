@@ -7,7 +7,6 @@ import gnlab.exact
 from gnlab.exact import (
     ConvergenceError,
     ExactPropagator,
-    SpectrumResult,
     _invariant_blocks,
     evolve_exact,
     fix_phase,
@@ -63,10 +62,6 @@ class TestDense:
         assert np.array_equal(a, b)
         lead = a[np.argmax(np.abs(a) > 1e-12 * np.abs(a).max())]
         assert lead.real > 0 and abs(lead.imag) < 1e-12
-
-    def test_spectrum_csv_row(self):
-        row = SpectrumResult(-1.0, -0.5, 0.5, np.array([1.0, 0])).csv_row(3)
-        assert row.startswith("3,-1.0,-0.5,0.5")
 
     def test_six_sites_matches_lanczos(self):
         ham = build_hamiltonian(ModelSpec(n_sites=6, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))

@@ -10,9 +10,11 @@ from gnlab.fits import (
     EnergyModel,
     ErrorBudget,
     _casimir_sum,
+    default_fit_window,
     error_budget,
     fit_correlation_length,
     fit_energy_extrapolation,
+    window_mask,
 )
 from gnlab.observables import CorrelatorSeries, continuum_free_correlator
 
@@ -66,6 +68,15 @@ class TestCorrelationFit:
             fit_correlation_length(series, window=(0.02, 0.06))
         with pytest.raises(ValueError, match="beyond"):
             fit_correlation_length(series, window=(0.0, 100.0))
+
+    def test_default_window_and_mask(self):
+        seps = np.arange(1, 13) / 24.0
+        window = default_fit_window(seps)
+        assert all(type(x) is float for x in window)
+        assert window == pytest.approx((0.125, 0.25))
+        assert int(window_mask(seps).sum()) == 4
+        with pytest.raises(ValueError, match="contains 1 points, need at least 4"):
+            window_mask(seps[:6])
 
     def test_weighting_uses_error_bars(self):
         series = synthetic_series(0.5, 0.14)

@@ -111,13 +111,6 @@ class TestPaths:
         expected = 2 * np.sqrt(1e-8) / small_spec.spacing
         assert all(bar == pytest.approx(expected) for bar in series.error_bars)
 
-    def test_csv_rows(self, small_spec):
-        ground = ground_state_dense(build_hamiltonian(small_spec)).ground_vector
-        series = two_point_correlator(ground, small_spec)
-        rows = series.csv_rows(0.2, 1.5)
-        assert len(rows) == len(series.separations)
-        assert rows[0].startswith("0.2,1.5,")
-
 
 class TestMpsContraction:
     """The parity-string contraction against the Pauli-sum statevector route.

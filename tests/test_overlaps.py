@@ -158,12 +158,3 @@ class TestPlateauAndTable:
         }
         with pytest.raises(KeyError):
             eta_vs_correlation(series, {}, spacing=0.1)
-
-    def test_csv_rows(self):
-        series = OverlapSeries(
-            sizes=(2, 3), overlaps=(0.4, 0.5), pad_label=PadKind.UNIFORM,
-            eta_estimate=0.5, eta_spread=0.01,
-        )
-        rows = series.csv_rows(0.2, 1.5)
-        assert rows[0] == "0.2,1.5,2,0.4,uniform"
-        assert series.summary_row(0.2, 1.5).startswith("0.2,1.5,0.5,")
