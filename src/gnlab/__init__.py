@@ -10,20 +10,16 @@ from .model import (
     GammaRep,
     ModelSpec,
     REFERENCE_PARAMETER_POINTS,
-    SiteOrder,
     build_hamiltonian,
     free_dispersion,
     free_quadratic_form,
     lattice_momenta,
-    lattice_spacing_for,
     majorana_gammas,
-    site_order,
 )
 from .pauli import PauliSumOperator, jordan_wigner
 from .exact import (
     ConvergenceError,
     SpectrumResult,
-    evolve_exact,
     ground_state_dense,
     ground_state_lanczos,
 )
@@ -43,12 +39,10 @@ from .fits import (
     CorrelationFit,
     EnergyFit,
     EnergyModel,
-    ErrorBudget,
-    error_budget,
     fit_correlation_length,
     fit_energy_extrapolation,
 )
-from .overlaps import Engine, OverlapSeries, PadKind, consecutive_overlaps, eta_vs_correlation, pad_state
+from .overlaps import Engine, OverlapSeries, PadKind, consecutive_overlaps, pad_state
 from .stateprep import (
     Decision,
     FixedPointConfig,

@@ -59,11 +59,13 @@ def read_csv(path: Path) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def _state_slug(n_sites: int, m0: float, g0_sq: float) -> str:
-    return f"state_N{n_sites}_m{m0!r}_g{g0_sq!r}.mps"
+def _state_slug(spec: ModelSpec) -> str:
+    """Checkpoint name: every parameter of the Hamiltonian, none of the solver's."""
+    return (f"state_N{spec.n_sites}_a{spec.spacing!r}_m{spec.bare_mass!r}_g{spec.coupling_sq!r}"
+            f"_r{spec.wilson_r!r}_f{spec.flavors}_{spec.boundary.value}.mps")
 
 
-def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, out: Path):
+def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
     """Ground state for one spec: (mps, report); dense states become exact MPSs."""
     op = build_hamiltonian(spec)
     if cfg.solver.engine is Engine.DENSE:
@@ -98,8 +100,8 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     rows = []
     for n in range(lo, hi + 1):
         spec = model.with_sites(n)
-        mps, report = _solve_point(cfg, spec, cfg.out_dir)
-        mps.save(cfg.out_dir / _state_slug(n, spec.bare_mass, spec.coupling_sq))
+        mps, report = _solve_point(cfg, spec)
+        mps.save(cfg.out_dir / _state_slug(spec))
         rows.append((n, report.energy, report.epsilon, report.sweeps, report.max_bond))
     name = "energies.csv" if cfg.solver.engine is Engine.DMRG else "energies_dense.csv"
     _write(cfg.out_dir / name, cfg, "N,energy,epsilon,sweeps,max_bond", rows)
@@ -116,13 +118,13 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
     fit_rows: list[tuple] = []
     for m0, g0_sq in cfg.analysis.parameter_points():
         spec = replace(model, bare_mass=m0, coupling_sq=g0_sq)
-        chk = cfg.out_dir / _state_slug(spec.n_sites, m0, g0_sq)
+        chk = cfg.out_dir / _state_slug(spec)
         if chk.exists():
             state = MatrixProductState.load(chk)
             op = build_hamiltonian(spec)
             eps = epsilon_measure(state, compile_mpo(op))
         else:
-            state, report = _solve_point(cfg, spec, cfg.out_dir)
+            state, report = _solve_point(cfg, spec)
             state.save(chk)
             eps = report.epsilon
         series = two_point_correlator(state, spec, epsilon=eps)
@@ -137,6 +139,9 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
 def cmd_overlap(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     lo, hi = cfg.analysis.sizes
+    need = model.with_sites(hi).n_qubits
+    if cfg.solver.engine is Engine.DENSE and need > cfg.solver.dense_cap:
+        raise ConfigError(f"sizes_max = {hi} needs {need} qubits, beyond dense_cap = {cfg.solver.dense_cap}")
     rows: list[tuple] = []
     summary: list[tuple] = []
     kinds = [cfg.analysis.pad_kind]
@@ -155,6 +160,9 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
                 dense_cap=cfg.solver.dense_cap,
                 pad_label=kind,
             )
+            if not series.complete:
+                raise ConvergenceError(f"the {kind.value} overlap series at (m0, g0^2) = ({m0}, {g0_sq}) "
+                                       f"stopped after {len(series.overlaps)} of {hi - lo} pairs")
             rows.extend((m0, g0_sq, j, o, kind) for j, o in zip(series.sizes, series.overlaps))
             summary.append((m0, g0_sq, series.eta_estimate, series.eta_spread, kind))
     _write(cfg.out_dir / "overlaps.csv", cfg, "m0,g0_sq,j,overlap,pad_kind", rows)

@@ -28,7 +28,7 @@ _KNOWN_KEYS = {
     "solver": {"engine", "epsilon_goal", "max_bond", "dense_cap", "seed", "max_sweeps"},
     "analysis": {
         "fit_window_min", "fit_window_max", "pad_kind", "sizes_min", "sizes_max",
-        "points", "m0_values", "g0_sq_values", "energy_model", "gap",
+        "points", "energy_model", "gap",
     },
     "prep": {"n0", "n_final", "eps", "oracle", "eta_floor", "ancilla_bits", "window_cells"},
     "output": {"directory"},
@@ -174,18 +174,6 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
             energy_model=EnergyModel(_get("analysis", "energy_model", str, "linear")),
             gap=_get("analysis", "gap", float, None),
         )
-        if analysis.points is None and ("analysis" in parser and (
-                "m0_values" in parser["analysis"] or "g0_sq_values" in parser["analysis"])):
-            m0s = [float(x) for x in _get("analysis", "m0_values", str, "0.2,0.4").split(",")]
-            g0s = [float(x) for x in _get("analysis", "g0_sq_values", str, "0.0,0.5,1.0,1.5,2.0").split(",")]
-            analysis = AnalysisConfig(
-                fit_window=analysis.fit_window,
-                pad_kind=analysis.pad_kind,
-                sizes=analysis.sizes,
-                points=tuple((m, g) for m in m0s for g in g0s),
-                energy_model=analysis.energy_model,
-                gap=analysis.gap,
-            )
         prep = PrepConfig(
             n0=_get("prep", "n0", int, 2),
             n_final=_get("prep", "n_final", int, 4),

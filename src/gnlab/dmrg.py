@@ -27,6 +27,12 @@ from .mps import (
 )
 
 
+DISCARDED_WEIGHT = 1e-12   # sweep truncation, relative to the squared norm
+WARMUP_BOND = 8            # bond cap of the first sweep
+KRYLOV_DIM = 16            # local Lanczos basis size
+ENERGY_RISE_TOL = 1e-8     # tolerated sweep-to-sweep rise, relative to 1 + |E|
+
+
 class EnergyIncreaseError(RuntimeError):
     """A sweep raised the energy beyond tolerance, which signals a bug."""
 
@@ -45,15 +51,14 @@ class DmrgReport:
     energy_history: tuple[float, ...] = ()
 
 
-def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator,
-                    discarded_weight: float = 1e-14) -> float:
+def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> float:
     """Relative energy variance of `state` with respect to `mpo`.
 
     Returns (|<H^2>| - |<H>|^2) / |<H>|^2 with <H^2> = ||H psi||^2 from a
     second operator application.  Raises DegenerateEnergyError when |<H>|
     falls below 1e-12; shift the operator by a constant in that case.
     """
-    phi = apply_mpo(mpo, state, discarded_weight=discarded_weight)
+    phi = apply_mpo(mpo, state)
     energy = mps_overlap(state, phi)
     if abs(energy) < 1e-12:
         raise DegenerateEnergyError(
@@ -93,15 +98,11 @@ def dmrg_ground_state(
     max_bond: int,
     seed: int,
     max_sweeps: int = 40,
-    discarded_weight: float = 1e-12,
-    warmup_bond: int = 8,
-    krylov_dim: int = 16,
-    energy_rise_tol: float = 1e-8,
 ) -> tuple[MatrixProductState, DmrgReport]:
     """Two-site sweeps from a seeded random bond-2 state until epsilon converges.
 
     Deterministic given `seed`.  Raises EnergyIncreaseError if the energy
-    rises across a sweep by more than `energy_rise_tol * (1 + |E|)`.
+    rises across a sweep by more than `ENERGY_RISE_TOL * (1 + |E|)`.
     """
     if epsilon_goal <= 0:
         raise ValueError("epsilon_goal must be positive")
@@ -135,24 +136,23 @@ def dmrg_ground_state(
         theta = np.tensordot(psi.tensors[k], psi.tensors[k + 1], axes=([2], [0]))
         shape = theta.shape
         matvec = _two_site_matvec(left_envs[k], mpo.tensors[k], mpo.tensors[k + 1], right_envs[k + 2])
-        dim = theta.size
         e_loc, vec = lanczos_lowest(
             matvec,
             theta.reshape(-1),
             tol=1e-12,
             rtol=local_rtol,
             max_restarts=4,
-            krylov_dim=min(krylov_dim, dim),
+            krylov_dim=KRYLOV_DIM,
             strict=False,
         )
         theta = vec.reshape(shape)
         dl, d1, d2, dr = shape
-        u, s, vh = truncated_svd(theta.reshape(dl * d1, d2 * dr), cap, discarded_weight)
+        u, s, vh = truncated_svd(theta.reshape(dl * d1, d2 * dr), cap, DISCARDED_WEIGHT)
         s = s / np.linalg.norm(s)
         return e_loc, u, s, vh, (dl, d1, d2, dr)
 
     for sweep in range(1, max_sweeps + 1):
-        cap = min(warmup_bond, max_bond) if sweep == 1 else max_bond
+        cap = min(WARMUP_BOND, max_bond) if sweep == 1 else max_bond
         e_last = energy
         # left-to-right
         for k in range(n - 1):
@@ -173,7 +173,7 @@ def dmrg_ground_state(
         energy = float(e_loc)
         sweeps_done = sweep
         history.append(energy)
-        if np.isfinite(e_last) and energy > e_last + energy_rise_tol * (1.0 + abs(e_last)):
+        if np.isfinite(e_last) and energy > e_last + ENERGY_RISE_TOL * (1.0 + abs(e_last)):
             raise EnergyIncreaseError(
                 f"energy rose from {e_last} to {energy} across sweep {sweep}"
             )

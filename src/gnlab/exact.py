@@ -1,4 +1,4 @@
-"""Ground-truth engines: dense and matrix-free eigensolvers, exact evolution.
+"""Ground-truth engines: dense and matrix-free eigensolvers.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -165,7 +165,7 @@ def ground_state_lanczos(
 
 
 # ---------------------------------------------------------------------------
-# Dense eigensystems and exact time evolution
+# Dense eigensystems
 # ---------------------------------------------------------------------------
 
 
@@ -234,10 +234,9 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, np.n
 
 
 class ExactPropagator:
-    """Eigendecomposition-backed evolution exp(-iHt) for one fixed operator."""
+    """Eigendecomposition of one fixed operator, with basis changes to and from it."""
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
-        self.op = op
         self.evals, self.evecs = _eigensystem(op, dense_cap)
 
     def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:
@@ -245,21 +244,3 @@ class ExactPropagator:
 
     def from_eigenbasis(self, state: np.ndarray) -> np.ndarray:
         return self.evecs @ state
-
-    def apply(self, time: float, state: np.ndarray) -> np.ndarray:
-        amps = self.to_eigenbasis(state)
-        amps = amps * np.exp(-1j * self.evals * time)
-        return self.from_eigenbasis(amps)
-
-
-def evolve_exact(
-    op: PauliSumOperator,
-    time: float,
-    state: np.ndarray,
-    dense_cap: int = DENSE_CAP_DEFAULT,
-) -> np.ndarray:
-    """exp(-iHt) |state> via eigendecomposition; unitary to machine precision."""
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state must be normalized, got norm {nrm}")
-    return ExactPropagator(op, dense_cap).apply(time, state)

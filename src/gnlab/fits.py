@@ -1,4 +1,4 @@
-"""Nonlinear fits: correlation length, finite-size energy models, error budget.
+"""Nonlinear fits: correlation length and finite-size energy models.
 
 All fits use one deterministic damped Gauss-Newton engine with fixed,
 documented initialization, so identical inputs reproduce identical outputs.
@@ -326,54 +326,4 @@ def fit_energy_extrapolation(
         energies=tuple(float(v) for v in vals),
         prediction_errors=tuple(errors),
         half_gap=gap / 2.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Convergence-measure error budget
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """State-error bounds implied by the relative-variance measure epsilon."""
-
-    epsilon: float
-    delta_bound: float
-    condition_kappa: float | None = None
-    delta_bound_sharp: float | None = None
-    active_bound: str = "sqrt_epsilon"
-
-    def __post_init__(self) -> None:
-        if abs(self.delta_bound - math.sqrt(self.epsilon)) > 1e-15 * (1 + self.delta_bound):
-            raise ValueError("delta_bound must equal sqrt(epsilon)")
-
-
-def error_budget(
-    epsilon: float,
-    e_ground: float | None = None,
-    e_max: float | None = None,
-) -> ErrorBudget:
-    """delta <= sqrt(epsilon), sharpened to sqrt(eps) / |kappa^2 - 2 kappa|
-    when the extreme energies are supplied and the denominator is nonzero."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    delta = math.sqrt(epsilon)
-    if e_ground is None or e_max is None:
-        return ErrorBudget(epsilon=epsilon, delta_bound=delta)
-    if e_ground == 0:
-        raise ValueError("e_ground must be nonzero")
-    kappa_signed = e_max / e_ground
-    denom = abs(kappa_signed**2 - 2.0 * kappa_signed)
-    kappa_mag = abs(e_max) / abs(e_ground)
-    if denom < 1e-12:
-        return ErrorBudget(epsilon=epsilon, delta_bound=delta, condition_kappa=kappa_mag)
-    sharp = delta / denom
-    active = "kappa" if sharp < delta else "sqrt_epsilon"
-    return ErrorBudget(
-        epsilon=epsilon,
-        delta_bound=delta,
-        condition_kappa=kappa_mag,
-        delta_bound_sharp=sharp,
-        active_bound=active,
     )

@@ -95,20 +95,9 @@ class ModelSpec:
             raise ValueError(f"component must be 0 or 1, got {component}")
         return 2 * (self.flavors * site + flavor) + component
 
-    # -- config-section serialization ----------------------------------------
+    # -- config-section parsing ----------------------------------------------
 
     _CONFIG_KEYS = ("n_sites", "spacing", "bare_mass", "coupling_sq", "wilson_r", "flavors", "boundary")
-
-    def to_config_section(self, parser: configparser.ConfigParser, section: str = "model") -> None:
-        parser[section] = {
-            "n_sites": str(self.n_sites),
-            "spacing": repr(self.spacing),
-            "bare_mass": repr(self.bare_mass),
-            "coupling_sq": repr(self.coupling_sq),
-            "wilson_r": repr(self.wilson_r),
-            "flavors": str(self.flavors),
-            "boundary": self.boundary.value,
-        }
 
     @classmethod
     def from_config_section(cls, section: configparser.SectionProxy) -> "ModelSpec":
@@ -233,49 +222,3 @@ def lattice_momenta(spec: ModelSpec) -> np.ndarray:
     """Allowed momenta 2*pi*k/(N*a), k = 0..N-1, of the periodic lattice."""
     n, a = spec.n_sites, spec.spacing
     return 2.0 * np.pi * np.arange(n) / (n * a)
-
-
-def lattice_spacing_for(precision: float, momentum_scale: float, k: float = 1.0) -> float:
-    """Spacing a = k * precision / momentum_scale for experiment configuration.
-
-    The proportionality constant defaults to k = 1 and is configurable.
-    """
-    if precision <= 0:
-        raise ValueError(f"precision must be positive, got {precision}")
-    if momentum_scale <= 0:
-        raise ValueError(f"momentum_scale must be positive, got {momentum_scale}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return k * precision / momentum_scale
-
-
-# ---------------------------------------------------------------------------
-# Site ordering for D-dimensional growth
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SiteOrder:
-    """Deterministic growth order over a rectangular lattice of point labels."""
-
-    dims: tuple[int, ...]
-    order: tuple[tuple[int, ...], ...]
-
-
-def site_order(dims: list[int] | tuple[int, ...]) -> SiteOrder:
-    """Growth order keeping every prefix within one unit of a hypercube.
-
-    Points are ranked by shell index max(coords), ties broken row-major
-    (last coordinate varies slowest inside a shell).  D = 1 reduces to
-    left-to-right growth.
-    """
-    if not dims:
-        raise ValueError("dims must be a non-empty list")
-    if any(int(d) != d or d < 1 for d in dims):
-        raise ValueError(f"all dims must be positive integers, got {dims}")
-    dims_t = tuple(int(d) for d in dims)
-    grid: list[tuple[int, ...]] = [()]
-    for d in dims_t:
-        grid = [(*p, x) for p in grid for x in range(d)]
-    ranked = sorted(grid, key=lambda p: (max(p), tuple(reversed(p))))
-    return SiteOrder(dims=dims_t, order=tuple(ranked))

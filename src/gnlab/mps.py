@@ -31,10 +31,10 @@ QUBITS_PER_SITE = 2
 _DENSE_GUARD = 1 << 22
 
 
-def grouped_dims(n_qubits: int, group: int = QUBITS_PER_SITE) -> tuple[int, ...]:
-    if n_qubits % group != 0:
-        raise ValueError(f"{n_qubits} qubits cannot be grouped in blocks of {group}")
-    return tuple([2**group] * (n_qubits // group))
+def grouped_dims(n_qubits: int) -> tuple[int, ...]:
+    if n_qubits % QUBITS_PER_SITE != 0:
+        raise ValueError(f"{n_qubits} qubits cannot be grouped in blocks of {QUBITS_PER_SITE}")
+    return tuple([2**QUBITS_PER_SITE] * (n_qubits // QUBITS_PER_SITE))
 
 
 def _site_operator(letters: str) -> np.ndarray:
@@ -101,9 +101,6 @@ class MatrixProductState:
     def bond_dims(self) -> tuple[int, ...]:
         """Bond dimensions including the trivial edges: length n_sites + 1."""
         return tuple([1] + [t.shape[2] for t in self.tensors])
-
-    def copy(self) -> "MatrixProductState":
-        return MatrixProductState([t.copy() for t in self.tensors], self.center)
 
     # -- construction ---------------------------------------------------------
 
@@ -206,16 +203,6 @@ class MatrixProductState:
             raise ValueError("cannot normalize a zero state")
         self.tensors[self.center] = self.tensors[self.center] / nrm
 
-    def schmidt_values(self, bond: int) -> np.ndarray:
-        """Singular values across the bond between sites bond-1 and bond."""
-        if not 1 <= bond <= self.n_sites - 1:
-            raise ValueError("bond index out of range")
-        work = self.copy()
-        work.move_center_to(bond - 1)
-        dl, d, dr = work.tensors[bond - 1].shape
-        s = np.linalg.svd(work.tensors[bond - 1].reshape(dl * d, dr), compute_uv=False)
-        return s
-
     # -- persistence ------------------------------------------------------------
 
     _MAGIC = b"GNMPS001"
@@ -282,12 +269,11 @@ def append_site(state: MatrixProductState, pad: np.ndarray) -> MatrixProductStat
     return MatrixProductState([t.copy() for t in state.tensors] + pad_mps.tensors, state.center)
 
 
-def pauli_sum_expectation(state: MatrixProductState, op: PauliSumOperator,
-                          group: int = QUBITS_PER_SITE) -> complex:
+def pauli_sum_expectation(state: MatrixProductState, op: PauliSumOperator) -> complex:
     """<state|op|state> through the exact MPO of `op`, whatever its range."""
-    if op.n_qubits != group * state.n_sites:
+    if op.n_qubits != QUBITS_PER_SITE * state.n_sites:
         raise ValueError("operator size does not match the state")
-    return expectation_value(state, compile_mpo(op, group, max_span=state.n_sites))
+    return expectation_value(state, compile_mpo(op, max_span=state.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +322,7 @@ class MpoRangeError(ValueError):
 MPO_MAX_SPAN = 8
 
 
-def compile_mpo(
-    op: PauliSumOperator,
-    group: int = QUBITS_PER_SITE,
-    max_span: int = MPO_MAX_SPAN,
-) -> MatrixProductOperator:
+def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixProductOperator:
     """Exact MPO of a geometrically local Pauli sum.
 
     Built as a term automaton (idle channel, one intermediate channel per
@@ -348,9 +330,10 @@ def compile_mpo(
     exactly parallel rows and columns.  The bond dimension is of the order
     of the number of distinct coupling channels crossing a bond.
     """
-    dims = grouped_dims(op.n_qubits, group)
+    dims = grouped_dims(op.n_qubits)
     n_sites = len(dims)
     d = dims[0]
+    group = QUBITS_PER_SITE
 
     supports = []
     site_ops = []
@@ -463,13 +446,9 @@ def expectation_value(state: MatrixProductState, mpo: MatrixProductOperator) -> 
     return complex(env[0, 0, 0])
 
 
-def apply_mpo(
-    mpo: MatrixProductOperator,
-    state: MatrixProductState,
-    discarded_weight: float = 1e-14,
-    max_bond: int | None = None,
-) -> MatrixProductState:
-    """mpo |state> as an MPS, compressed on the fly (zip-up sweep).
+def apply_mpo(mpo: MatrixProductOperator, state: MatrixProductState) -> MatrixProductState:
+    """mpo |state> as an MPS, compressed on the fly (zip-up sweep) with
+    discarded weight 1e-14 and no bond cap.
 
     The result is left-orthonormal except at the last site, so its norm is
     the Frobenius norm of the final tensor.
@@ -488,7 +467,7 @@ def apply_mpo(
         if k == n - 1:
             tensors.append(x.reshape(nb, d, w2 * r))
             break
-        u, s, vh = truncated_svd(x.reshape(nb * d, w2 * r), max_bond, discarded_weight)
+        u, s, vh = truncated_svd(x.reshape(nb * d, w2 * r), None, 1e-14)
         tensors.append(u.reshape(nb, d, u.shape[1]))
         rem = (s[:, None] * vh).reshape(u.shape[1], w2, r)
     return MatrixProductState(tensors, center=n - 1)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dmrg import dmrg_ground_state
 from .exact import ConvergenceError, ground_state_dense
-from .fits import CorrelationFit
 from .model import ModelSpec, build_hamiltonian
 from .mps import MatrixProductState, append_site, compile_mpo, mps_overlap
 
@@ -150,32 +149,3 @@ def consecutive_overlaps(
         eta_spread=spread,
         complete=complete,
     )
-
-
-def eta_vs_correlation(
-    series_by_params: dict[tuple[float, float], OverlapSeries],
-    fits: dict[tuple[float, float], CorrelationFit],
-    spacing: float,
-) -> list[dict[str, float]]:
-    """(chi/a, eta) rows plus the exponential-model value exp(-chi/a).
-
-    Purely descriptive: the table lets the dependence of the plateau on the
-    correlation length be inspected, and encodes no pass/fail judgment.
-    """
-    rows = []
-    for key in sorted(series_by_params):
-        if key not in fits:
-            raise KeyError(f"no correlation fit for parameters {key}")
-        series = series_by_params[key]
-        fit = fits[key]
-        chi_over_a = fit.corr_length_chi / spacing
-        rows.append(
-            {
-                "m0": key[0],
-                "g0_sq": key[1],
-                "chi_over_a": chi_over_a,
-                "eta": series.eta_estimate,
-                "exp_model": math.exp(-chi_over_a),
-            }
-        )
-    return rows

@@ -75,10 +75,6 @@ class PauliSumOperator:
         return cls(n_qubits, _canonical(n_qubits, terms))
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSumOperator":
-        return cls.from_terms(n_qubits, [])
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSumOperator":
         return cls.from_terms(n_qubits, [(coeff, "I" * n_qubits)])
 
@@ -110,11 +106,6 @@ class PauliSumOperator:
 
     def __neg__(self) -> "PauliSumOperator":
         return (-1.0) * self
-
-    def dagger(self) -> "PauliSumOperator":
-        return PauliSumOperator.from_terms(
-            self.n_qubits, ((np.conj(c), s) for c, s in self.terms)
-        )
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self.terms)

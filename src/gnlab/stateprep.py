@@ -101,6 +101,29 @@ def ancilla_bits_for(op: PauliSumOperator, gap_bound: float, window_cells: int =
     return max(1, math.ceil(math.log2(need)))
 
 
+def _estimation_kernel(
+    op: PauliSumOperator, cfg: PhaseEstimationConfig, dense_cap: int
+) -> tuple[ExactPropagator, np.ndarray, np.ndarray]:
+    """(prop, kick, grid) of textbook phase estimation on `op`.
+
+    kick[a, k] is the phase exp(+i a (E_k - e_lo) t) that ancilla value a
+    kicks back on eigencomponent E_k (controlled powers of
+    exp(+i (H - e_lo) t)); grid[a] is the energy that ancilla outcome a reads.
+    """
+    e_lo, t, span = _time_scaling(op)
+    resolution = span / (1 << cfg.ancilla_bits)
+    if resolution > cfg.gap_bound / 2.0:
+        raise ValueError(
+            f"ancilla resolution {resolution:.3e} exceeds half the gap bound "
+            f"{cfg.gap_bound / 2.0:.3e}; increase ancilla_bits"
+        )
+    prop = ExactPropagator(op, dense_cap)
+    m_dim = 1 << cfg.ancilla_bits
+    kick = np.exp(1j * np.outer(np.arange(m_dim), (prop.evals - e_lo) * t))
+    grid = e_lo + 2.0 * math.pi * np.arange(m_dim) / (m_dim * t)
+    return prop, kick, grid
+
+
 def phase_estimate(
     op: PauliSumOperator,
     state: np.ndarray,
@@ -115,23 +138,10 @@ def phase_estimate(
     gap_bound / 2, and returns the voted decision, the post-measurement
     system state, and the median energy sample.
     """
-    e_lo, t, span = _time_scaling(op)
-    resolution = span / (1 << cfg.ancilla_bits)
-    if resolution > cfg.gap_bound / 2.0:
-        raise ValueError(
-            f"ancilla resolution {resolution:.3e} exceeds half the gap bound "
-            f"{cfg.gap_bound / 2.0:.3e}; increase ancilla_bits"
-        )
-    prop = ExactPropagator(op, dense_cap)
+    prop, kick, grid = _estimation_kernel(op, cfg, dense_cap)
     rng = np.random.default_rng(seed)
-    m_dim = 1 << cfg.ancilla_bits
-
+    m_dim = len(grid)
     psi = prop.to_eigenbasis(np.asarray(state, dtype=complex))
-    # controlled powers of exp(+i (H - e_lo) t): ancilla value a kicks back
-    # the phase a * (E - e_lo) * t on eigencomponent E
-    kick = np.exp(
-        1j * np.outer(np.arange(m_dim), (prop.evals - e_lo) * t)
-    )
 
     votes = []
     samples = []
@@ -141,7 +151,7 @@ def phase_estimate(
         probs = probs / probs.sum()
         outcome = int(rng.choice(m_dim, p=probs))
         psi = joint[outcome] / math.sqrt(probs[outcome])
-        e_hat = e_lo + 2.0 * math.pi * outcome / (m_dim * t)
+        e_hat = float(grid[outcome])
         samples.append(e_hat)
         votes.append(abs(e_hat - cfg.energy_estimate) <= cfg.gap_bound / 2.0)
     decision = Decision.GROUND if sum(votes) * 2 > len(votes) else Decision.NOT_GROUND
@@ -183,18 +193,8 @@ class PhaseEstimationReflection(_Reflection):
 
     def __init__(self, op: PauliSumOperator, cfg: PhaseEstimationConfig, dense_cap: int):
         super().__init__()
-        e_lo, t, span = _time_scaling(op)
-        resolution = span / (1 << cfg.ancilla_bits)
-        if resolution > cfg.gap_bound / 2.0:
-            raise ValueError(
-                f"ancilla resolution {resolution:.3e} exceeds half the gap bound "
-                f"{cfg.gap_bound / 2.0:.3e}; increase ancilla_bits"
-            )
-        self._prop = ExactPropagator(op, dense_cap)
-        m_dim = 1 << cfg.ancilla_bits
-        kick = np.exp(1j * np.outer(np.arange(m_dim), (self._prop.evals - e_lo) * t))
-        kernel = np.fft.fft(kick, axis=0) / m_dim
-        grid = e_lo + 2.0 * math.pi * np.arange(m_dim) / (m_dim * t)
+        self._prop, kick, grid = _estimation_kernel(op, cfg, dense_cap)
+        kernel = np.fft.fft(kick, axis=0) / len(grid)
         window = np.abs(grid - cfg.energy_estimate) <= cfg.gap_bound / 2.0
         self._weight = np.sum(np.abs(kernel[window, :]) ** 2, axis=0)
 

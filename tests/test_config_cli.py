@@ -107,15 +107,6 @@ class TestConfigParsing:
         Path(changed).write_text(Path(changed).read_text().replace("bare_mass = 0.2", "bare_mass = 0.3"))
         assert load_config(changed).config_hash != a.config_hash
 
-    def test_grid_fallback(self, tmp_path):
-        text = BASE_CONFIG.format(out=tmp_path).replace(
-            "points = 0.2:1.5", "m0_values = 0.2\ng0_sq_values = 0.5,1.0"
-        )
-        path = tmp_path / "grid.ini"
-        path.write_text(text)
-        cfg = load_config(path)
-        assert cfg.analysis.points == ((0.2, 0.5), (0.2, 1.0))
-
 
 class TestCliCommands:
     def test_solve_writes_energies_and_checkpoints(self, config_file, tmp_path):
@@ -127,7 +118,7 @@ class TestCliCommands:
         spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         dense = ground_state_dense(build_hamiltonian(spec))
         assert float(rows[1]["energy"]) == pytest.approx(dense.ground_energy, rel=1e-9)
-        assert (out / "state_N3_m0.2_g1.5.mps").exists()
+        assert (out / "state_N3_a0.25_m0.2_g1.5_r1.0_f1_dirichlet.mps").exists()
 
     def test_dense_engine_writes_matching_energies(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -153,8 +144,9 @@ class TestCliCommands:
         a = (tmp_path / "a" / "energies.csv").read_bytes()
         b = (tmp_path / "b" / "energies.csv").read_bytes()
         assert a == b
-        chk_a = (tmp_path / "a" / "state_N4_m0.2_g1.5.mps").read_bytes()
-        chk_b = (tmp_path / "b" / "state_N4_m0.2_g1.5.mps").read_bytes()
+        name = "state_N4_a0.25_m0.2_g1.5_r1.0_f1_dirichlet.mps"
+        chk_a = (tmp_path / "a" / name).read_bytes()
+        chk_b = (tmp_path / "b" / name).read_bytes()
         assert chk_a == chk_b
 
     def test_overlap_emits_both_pads_and_summary(self, config_file, tmp_path):
@@ -265,7 +257,7 @@ class TestCliCommands:
             "boundary = periodic\n[analysis]\nsizes_max = 4\n"
         )
         for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n", "[prep]\nrepetitions = 3\n",
-                     periodic):
+                     "[analysis]\nm0_values = 0.2\n", "[analysis]\ng0_sq_values = 0.5,1.0\n", periodic):
             bad.write_text(text)
             assert main(["solve", "--config", str(bad)]) == 2
 
@@ -280,6 +272,47 @@ class TestCliCommands:
         path.write_text(path.read_text().replace("n_sites = 4", f"n_sites = {n_sites}"))
         assert main(["correlate", "--config", str(path)]) == 2
         assert not list((tmp_path / "out").glob("*.mps"))
+
+    def test_overlap_beyond_dense_cap_is_config_error(self, config_file, tmp_path):
+        # size 8 needs 16 qubits: refuse before solving rather than write a truncated series
+        cfg_path = config_file({"solver": "dense_cap = 8"})
+        assert main(["overlap", "--config", cfg_path, "--engine", "dense", "--sizes", "2..8"]) == 2
+        assert not list((tmp_path / "out").glob("overlaps*.csv"))
+
+    def test_truncated_overlap_series_is_numerical_failure(self, config_file, tmp_path, monkeypatch):
+        import gnlab.overlaps
+        from gnlab.exact import ConvergenceError
+
+        solve = gnlab.overlaps.ground_state_dense
+
+        def fail_at_four_sites(op, dense_cap):
+            if op.n_qubits == 8:
+                raise ConvergenceError("no convergence at 4 sites")
+            return solve(op, dense_cap=dense_cap)
+
+        monkeypatch.setattr(gnlab.overlaps, "ground_state_dense", fail_at_four_sites)
+        assert main(["overlap", "--config", config_file(), "--engine", "dense", "--sizes", "2..5"]) == 3
+        assert not list((tmp_path / "out").glob("overlaps*.csv"))
+
+    def test_correlate_ignores_checkpoint_of_another_spacing(self, tmp_path):
+        # a checkpoint solved at a = 0.25 must not be reloaded for a = 0.2
+        window = "fit_window_min = 0.4\nfit_window_max = 1.0\n"
+
+        def config(name, spacing, out):
+            text = BASE_CONFIG.format(out=out).replace("n_sites = 4", "n_sites = 10")
+            text = text.replace("spacing = 0.25", f"spacing = {spacing}")
+            path = tmp_path / name
+            path.write_text(text.replace("[analysis]\n", "[analysis]\n" + window))
+            return str(path)
+
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["solve", "--config", config("coarse.ini", 0.25, shared), "--sizes", "10..10"]) == 0
+        fine = config("fine.ini", 0.2, shared)
+        assert main(["correlate", "--config", fine]) == 0
+        assert main(["correlate", "--config", fine, "--out", str(fresh)]) == 0
+        for name in ("correlators.csv", "corr_fits.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert len(list(shared.glob("*.mps"))) == 2
 
     def test_bad_sizes_flag(self, config_file):
         assert main(["solve", "--config", config_file(), "--sizes", "xx"]) == 2

@@ -4,9 +4,12 @@ import pytest
 from gnlab import dmrg
 from gnlab.dmrg import DegenerateEnergyError, dmrg_ground_state, epsilon_measure
 from gnlab.exact import ground_state_dense, ground_state_lanczos
-from gnlab.model import ModelSpec, build_hamiltonian
+from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
 from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
+from gnlab.observables import centered_pairs, two_point_correlator
 from gnlab.pauli import PauliSumOperator
+
+from oracles import free_fermion_correlations
 
 
 def solve(spec, epsilon_goal=1e-10, max_bond=64, seed=3):
@@ -156,3 +159,40 @@ class TestEpsilonMeasure:
         state = MatrixProductState.product_state([zero, zero])
         with pytest.raises(DegenerateEnergyError):
             epsilon_measure(state, mpo)
+
+
+class TestFreeTheoryYardstick:
+    """g0^2 = 0 is quadratic, so the 50-site vacuum is known exactly: E0 is the
+    sum of the negative one-body eigenvalues (no identity term at g0^2 = 0) and
+    every correlator block comes from the determinant oracle."""
+
+    def test_fifty_sites_against_exact_free_solution(self):
+        spec = ModelSpec(n_sites=50, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
+        goal = 1e-10
+        state, report = solve(spec, epsilon_goal=goal, max_bond=64, seed=3)
+        assert report.converged
+        assert report.epsilon <= goal
+
+        one_body = np.linalg.eigvalsh(free_quadratic_form(spec))
+        e0 = float(np.sum(one_body[one_body < 0]))
+        gap = float(np.min(np.abs(one_body)))         # E1 - E0
+        e = report.energy
+        # Temple: E - E0 <= sigma^2 / (E1 - E), with sigma^2 = epsilon E^2
+        assert 0.0 <= e - e0 <= report.epsilon * e**2 / (e0 + gap - e)
+
+        series = two_point_correlator(state, spec, epsilon=report.epsilon)
+        correl = free_fermion_correlations(free_quadratic_form(spec))
+        gamma0 = majorana_gammas().gamma0
+        for idx, (_k, i, j) in enumerate(centered_pairs(spec.n_sites)):
+            block = np.array([[correl[spec.mode_index(i, 0, a), spec.mode_index(j, 0, c)]
+                               for c in range(2)] for a in range(2)])
+            expected = (block @ gamma0 / spec.spacing)[0, 0].real
+            assert abs(series.values[idx] - expected) <= series.error_bars[idx]
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    def test_free_energy_formula_matches_dense(self, n_sites):
+        spec = ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
+        one_body = np.linalg.eigvalsh(free_quadratic_form(spec))
+        dense = ground_state_dense(build_hamiltonian(spec))
+        assert float(np.sum(one_body[one_body < 0])) == pytest.approx(dense.ground_energy, abs=1e-10)
+        assert float(np.min(np.abs(one_body))) == pytest.approx(dense.gap, abs=1e-10)

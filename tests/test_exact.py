@@ -8,7 +8,6 @@ from gnlab.exact import (
     ConvergenceError,
     ExactPropagator,
     _invariant_blocks,
-    evolve_exact,
     fix_phase,
     ground_state_dense,
     ground_state_lanczos,
@@ -19,7 +18,7 @@ from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 from gnlab.stateprep import _embed_left, projector_pauli_expansion
 
-from oracles import dense_hamiltonian, taylor_evolve
+from oracles import dense_hamiltonian
 
 
 def random_hermitian_pauli_sum(n, n_terms, rng):
@@ -47,7 +46,7 @@ class TestDense:
         assert result.first_excited_energy == pytest.approx(oracle[1], abs=1e-10)
 
     def test_degenerate_ground_space_reports_zero_gap(self):
-        result = ground_state_dense(PauliSumOperator.zero(2))
+        result = ground_state_dense(PauliSumOperator.from_terms(2, []))
         assert result.gap == 0.0
 
     def test_cap_enforced(self):
@@ -109,7 +108,6 @@ class TestDense:
         monkeypatch.setattr(gnlab.exact.np.random, "default_rng", no_start_vectors)
         with pytest.raises(ValueError, match="physical memory"):
             ground_state_lanczos(op)
-
 
 
 def _unitary_eigensystem_residuals(mat, prop):
@@ -237,44 +235,6 @@ class TestLanczos:
         exact = np.linalg.eigvalsh(mat)[0]
         assert abs(theta - exact) <= 1e-10 * abs(exact)
         assert np.linalg.norm(mat @ vec - theta * vec) <= rtol * abs(theta)
-
-
-class TestEvolveExact:
-    def test_time_zero_is_identity(self, rng):
-        op = random_hermitian_pauli_sum(4, 6, rng)
-        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state /= np.linalg.norm(state)
-        assert np.allclose(evolve_exact(op, 0.0, state), state)
-
-    def test_eigenstate_acquires_pure_phase(self, small_spec):
-        ham = build_hamiltonian(small_spec)
-        ground = ground_state_dense(ham)
-        out = evolve_exact(ham, 0.37, ground.ground_vector)
-        expected = np.exp(-1j * ground.ground_energy * 0.37) * ground.ground_vector
-        assert np.allclose(out, expected, atol=1e-10)
-        assert abs(abs(np.vdot(ground.ground_vector, out)) - 1) < 1e-12
-
-    def test_norm_preserved_and_matches_taylor(self, rng):
-        op = random_hermitian_pauli_sum(6, 8, rng)
-        state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        state /= np.linalg.norm(state)
-        out = evolve_exact(op, 0.7, state)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        oracle = taylor_evolve(op.to_matrix(), 0.7, state)
-        assert np.max(np.abs(out - oracle)) < 1e-8
-
-    def test_composition_property(self, rng):
-        op = random_hermitian_pauli_sum(5, 6, rng)
-        state = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        state /= np.linalg.norm(state)
-        once = evolve_exact(op, 0.9, state)
-        twice = evolve_exact(op, 0.4, evolve_exact(op, 0.5, state))
-        assert np.max(np.abs(once - twice)) < 1e-10
-
-    def test_requires_normalized_state(self, small_spec):
-        ham = build_hamiltonian(small_spec)
-        with pytest.raises(ValueError):
-            evolve_exact(ham, 0.1, np.ones(1 << ham.n_qubits))
 
 
 def test_fix_phase_leading_amplitude_real_positive(rng):

@@ -8,10 +8,8 @@ from gnlab.fits import (
     CASIMIR_HARMONICS,
     CorrelationFit,
     EnergyModel,
-    ErrorBudget,
     _casimir_sum,
     default_fit_window,
-    error_budget,
     fit_correlation_length,
     fit_energy_extrapolation,
     window_mask,
@@ -178,26 +176,6 @@ class TestEnergyExtrapolation:
 
 
 class TestErrorBudget:
-    def test_zero_epsilon(self):
-        assert error_budget(0.0).delta_bound == 0.0
-
-    def test_square_root_relation(self):
-        budget = error_budget(1e-6)
-        assert budget.delta_bound == pytest.approx(1e-3)
-
-    def test_sharper_bound_with_energies(self):
-        budget = error_budget(1e-6, e_ground=-10.0, e_max=9.0)
-        kappa_signed = 9.0 / -10.0
-        denom = abs(kappa_signed**2 - 2 * kappa_signed)
-        assert budget.condition_kappa == pytest.approx(0.9)
-        assert budget.delta_bound_sharp == pytest.approx(1e-3 / denom)
-        assert budget.active_bound == "kappa"
-
-    def test_degenerate_kappa_returns_only_sqrt_bound(self):
-        budget = error_budget(1e-6, e_ground=1.0, e_max=2.0)
-        assert budget.delta_bound_sharp is None
-        assert budget.active_bound == "sqrt_epsilon"
-
     def test_constructed_state_consistency(self):
         """Recovered delta consistent with measured eps within |kappa^2 - 2 kappa|."""
         from gnlab.model import ModelSpec, build_hamiltonian
@@ -217,9 +195,3 @@ class TestErrorBudget:
         # for this construction sqrt(eps)/delta = |kappa - 1| = sqrt(factor + 1)
         assert delta <= recovered <= delta * (1.0 + factor)
         assert recovered / delta == pytest.approx(abs(kappa_signed - 1.0), rel=1e-3)
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            error_budget(-1.0)
-        with pytest.raises(ValueError):
-            ErrorBudget(epsilon=1e-4, delta_bound=0.5)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gnlab.model import (
     Boundary,
@@ -12,9 +11,7 @@ from gnlab.model import (
     free_dispersion,
     free_quadratic_form,
     lattice_momenta,
-    lattice_spacing_for,
     majorana_gammas,
-    site_order,
 )
 from gnlab.pauli import PauliSumOperator
 
@@ -49,7 +46,9 @@ class TestModelSpec:
             wilson_r=0.75, flavors=2, boundary=Boundary.PERIODIC,
         )
         parser = configparser.ConfigParser()
-        spec.to_config_section(parser)
+        parser["model"] = {"n_sites": "6", "spacing": "0.125", "bare_mass": "0.3",
+                           "coupling_sq": "1.25", "wilson_r": "0.75", "flavors": "2",
+                           "boundary": "periodic"}
         assert ModelSpec.from_config_section(parser["model"]) == spec
 
     def test_config_section_rejects_unknown_key(self):
@@ -179,52 +178,3 @@ class TestFreeDispersion:
         spec = ModelSpec(n_sites=8, spacing=0.3, bare_mass=0.5, coupling_sq=0.0)
         for p in (0.1, 0.7, 2.0):
             assert free_dispersion(spec, p) == free_dispersion(spec, -p)
-
-
-class TestSiteOrder:
-    def test_one_dimension_is_linear(self):
-        assert site_order([5]).order == ((0,), (1,), (2,), (3,), (4,))
-
-    def test_two_by_two_canonical_order(self):
-        assert site_order([2, 2]).order == ((0, 0), (1, 0), (0, 1), (1, 1))
-
-    def test_three_by_three_prefix_boxes(self):
-        order = site_order([3, 3]).order
-        for prefix_len in range(1, len(order) + 1):
-            prefix = order[:prefix_len]
-            spans = [max(p[d] for p in prefix) - min(p[d] for p in prefix) + 1 for d in range(2)]
-            assert max(spans) - min(spans) <= 1
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            site_order([])
-        with pytest.raises(ValueError):
-            site_order([3, 0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    def test_visits_each_point_once_and_stays_connected(self, dims):
-        result = site_order(dims)
-        order = result.order
-        assert len(set(order)) == len(order) == int(np.prod(dims))
-        seen = {order[0]}
-        for point in order[1:]:
-            assert any(
-                sum(abs(a - b) for a, b in zip(point, q)) == 1 for q in seen
-            ), f"{point} disconnected in prefix"
-            seen.add(point)
-
-
-class TestLatticeSpacing:
-    def test_definitional_values(self):
-        assert lattice_spacing_for(0.1, 1.0) == pytest.approx(0.1)
-        assert lattice_spacing_for(0.1, 2.0) == pytest.approx(0.05)
-
-    def test_linear_in_precision(self):
-        assert lattice_spacing_for(0.05, 1.3) == pytest.approx(lattice_spacing_for(0.1, 1.3) / 2)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lattice_spacing_for(0.0, 1.0)
-        with pytest.raises(ValueError):
-            lattice_spacing_for(0.1, -1.0)

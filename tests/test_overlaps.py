@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from gnlab.exact import ground_state_dense
-from gnlab.fits import CorrelationFit
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import (
     Engine,
-    OverlapSeries,
     PadKind,
     consecutive_overlaps,
-    eta_vs_correlation,
     pad_state,
     plateau_estimate,
 )
@@ -125,36 +122,3 @@ class TestPlateauAndTable:
         eta, spread = plateau_estimate(overlaps)
         assert eta == pytest.approx(0.8)
         assert spread == pytest.approx(0.0)
-
-    def test_table_for_reference_points(self, reference_points):
-        series = {
-            pt: OverlapSeries(
-                sizes=(2, 3), overlaps=(0.5, 0.5), pad_label=PadKind.UNIFORM,
-                eta_estimate=0.5, eta_spread=0.0,
-            )
-            for pt in reference_points
-        }
-        fits = {
-            pt: CorrelationFit(
-                amplitude_b=1.0, corr_length_chi=0.1 * (i + 1),
-                fit_window=(0.0, 1.0), residual_norm=0.01,
-            )
-            for i, pt in enumerate(reference_points)
-        }
-        rows = eta_vs_correlation(series, fits, spacing=0.02)
-        assert len(rows) == 2
-        assert all(0 < r["eta"] <= 1 for r in rows)
-        assert rows[0]["chi_over_a"] == pytest.approx(5.0)
-
-    def test_empty_map_gives_empty_table(self):
-        assert eta_vs_correlation({}, {}, spacing=0.1) == []
-
-    def test_missing_fit_raises(self):
-        series = {
-            (0.2, 1.5): OverlapSeries(
-                sizes=(2,), overlaps=(0.5,), pad_label=PadKind.UNIFORM,
-                eta_estimate=0.5, eta_spread=0.0,
-            )
-        }
-        with pytest.raises(KeyError):
-            eta_vs_correlation(series, {}, spacing=0.1)
