@@ -59,14 +59,16 @@ def read_csv(path: Path) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def _state_slug(spec: ModelSpec) -> str:
-    """Checkpoint name: every parameter of the Hamiltonian, none of the solver's."""
+def _state_slug(cfg: ExperimentConfig, spec: ModelSpec) -> str:
+    """Checkpoint name: every parameter of the Hamiltonian and every solver setting that shapes the state."""
+    solver = cfg.solver
     return (f"state_N{spec.n_sites}_a{spec.spacing!r}_m{spec.bare_mass!r}_g{spec.coupling_sq!r}"
-            f"_r{spec.wilson_r!r}_f{spec.flavors}_{spec.boundary.value}.mps")
+            f"_r{spec.wilson_r!r}_f{spec.flavors}_{spec.boundary.value}_{solver.engine.value}"
+            f"_s{solver.seed}_e{solver.epsilon_goal!r}_b{solver.max_bond}_w{solver.max_sweeps}.mps")
 
 
 def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
-    """Ground state for one spec: (mps, report); dense states become exact MPSs."""
+    """Converged ground state for one spec: (mps, report); dense states become exact MPSs."""
     op = build_hamiltonian(spec)
     if cfg.solver.engine is Engine.DENSE:
         result = ground_state_dense(op, dense_cap=cfg.solver.dense_cap)
@@ -78,14 +80,27 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
         report = DmrgReport(energy=result.ground_energy, epsilon=eps, sweeps=0,
                             max_bond=max(mps.bond_dims), converged=True)
         return mps, report
-    mpo = compile_mpo(op)
-    return dmrg_ground_state(
-        mpo,
+    mps, report = dmrg_ground_state(
+        compile_mpo(op),
         epsilon_goal=cfg.solver.epsilon_goal,
         max_bond=cfg.solver.max_bond,
         seed=cfg.solver.seed,
         max_sweeps=cfg.solver.max_sweeps,
     )
+    if not report.converged:
+        raise ConvergenceError(f"DMRG did not converge at {spec.n_sites} sites in {report.sweeps} sweep(s): "
+                               f"epsilon {report.epsilon:.3e}, goal {cfg.solver.epsilon_goal:.3e}")
+    return mps, report
+
+
+def _ground_state(cfg: ExperimentConfig, spec: ModelSpec) -> tuple[MatrixProductState, DmrgReport | None]:
+    """`spec`'s converged ground state: its checkpoint if one exists (report None), else solved and saved."""
+    chk = cfg.out_dir / _state_slug(cfg, spec)
+    if chk.exists():
+        return MatrixProductState.load(chk), None
+    state, report = _solve_point(cfg, spec)
+    state.save(chk)
+    return state, report
 
 
 def _require_model(cfg: ExperimentConfig) -> ModelSpec:
@@ -101,7 +116,7 @@ def cmd_solve(cfg: ExperimentConfig) -> None:
     for n in range(lo, hi + 1):
         spec = model.with_sites(n)
         mps, report = _solve_point(cfg, spec)
-        mps.save(cfg.out_dir / _state_slug(spec))
+        mps.save(cfg.out_dir / _state_slug(cfg, spec))
         rows.append((n, report.energy, report.epsilon, report.sweeps, report.max_bond))
     name = "energies.csv" if cfg.solver.engine is Engine.DMRG else "energies_dense.csv"
     _write(cfg.out_dir / name, cfg, "N,energy,epsilon,sweeps,max_bond", rows)
@@ -118,15 +133,8 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
     fit_rows: list[tuple] = []
     for m0, g0_sq in cfg.analysis.parameter_points():
         spec = replace(model, bare_mass=m0, coupling_sq=g0_sq)
-        chk = cfg.out_dir / _state_slug(spec)
-        if chk.exists():
-            state = MatrixProductState.load(chk)
-            op = build_hamiltonian(spec)
-            eps = epsilon_measure(state, compile_mpo(op))
-        else:
-            state, report = _solve_point(cfg, spec)
-            state.save(chk)
-            eps = report.epsilon
+        state, report = _ground_state(cfg, spec)
+        eps = report.epsilon if report else epsilon_measure(state, compile_mpo(build_hamiltonian(spec)))
         series = two_point_correlator(state, spec, epsilon=eps)
         corr_rows.extend((m0, g0_sq, *point)
                          for point in zip(series.separations, series.values, series.error_bars))
@@ -148,21 +156,16 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
     if cfg.analysis.pad_kind is PadKind.UNIFORM:
         kinds.append(PadKind.SYMMETRY_ADAPTED)
     for m0, g0_sq in cfg.analysis.parameter_points():
-        spec = replace(model, n_sites=max(lo, 2), bare_mass=m0, coupling_sq=g0_sq)
+        family = replace(model, bare_mass=m0, coupling_sq=g0_sq)
+        states = {}
+        for n in range(lo, hi + 1):
+            spec = family.with_sites(n)
+            if cfg.solver.engine is Engine.DENSE:
+                states[n] = ground_state_dense(build_hamiltonian(spec), cfg.solver.dense_cap).ground_vector
+            else:
+                states[n] = _ground_state(cfg, spec)[0]
         for kind in kinds:
-            pad = pad_state(kind, spec.flavors)
-            series = consecutive_overlaps(
-                spec, range(lo, hi + 1), pad,
-                engine=cfg.solver.engine,
-                epsilon_goal=cfg.solver.epsilon_goal,
-                max_bond=cfg.solver.max_bond,
-                seed=cfg.solver.seed,
-                dense_cap=cfg.solver.dense_cap,
-                pad_label=kind,
-            )
-            if not series.complete:
-                raise ConvergenceError(f"the {kind.value} overlap series at (m0, g0^2) = ({m0}, {g0_sq}) "
-                                       f"stopped after {len(series.overlaps)} of {hi - lo} pairs")
+            series = consecutive_overlaps(states, pad_state(kind, model.flavors), pad_label=kind)
             rows.extend((m0, g0_sq, j, o, kind) for j, o in zip(series.sizes, series.overlaps))
             summary.append((m0, g0_sq, series.eta_estimate, series.eta_spread, kind))
     _write(cfg.out_dir / "overlaps.csv", cfg, "m0,g0_sq,j,overlap,pad_kind", rows)

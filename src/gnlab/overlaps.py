@@ -14,10 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dmrg import dmrg_ground_state
-from .exact import ConvergenceError, ground_state_dense
-from .model import ModelSpec, build_hamiltonian
-from .mps import MatrixProductState, append_site, compile_mpo, mps_overlap
+from .dmrg import dmrg_ground_state  # noqa: F401  (bench/tests/test_bench.py checks tracing rebinds it here)
+from .mps import MatrixProductState, append_site, mps_overlap
 
 
 class PadKind(str, Enum):
@@ -65,8 +63,7 @@ class OverlapSeries:
     """|<g_j (x) pad | g_{j+1}>| for consecutive sizes, with plateau estimate.
 
     `eta_estimate` is the mean over the final quarter of the series (at
-    least one point) and `eta_spread` its max-min spread.  `complete` is
-    False when a solver failure truncated the series.
+    least one point) and `eta_spread` its max-min spread.
     """
 
     sizes: tuple[int, ...]
@@ -74,7 +71,6 @@ class OverlapSeries:
     pad_label: PadKind
     eta_estimate: float
     eta_spread: float
-    complete: bool = True
 
 
 def plateau_estimate(overlaps: list[float]) -> tuple[float, float]:
@@ -86,66 +82,33 @@ def plateau_estimate(overlaps: list[float]) -> tuple[float, float]:
 
 
 def consecutive_overlaps(
-    spec_family: ModelSpec,
-    sizes: list[int] | range,
+    states: dict[int, MatrixProductState | np.ndarray],
     pad: np.ndarray,
-    engine: Engine | str = Engine.DENSE,
-    epsilon_goal: float = 1e-10,
-    max_bond: int = 64,
-    seed: int = 3,
-    dense_cap: int = 14,
     pad_label: PadKind = PadKind.CUSTOM,
 ) -> OverlapSeries:
-    """Solve ground states at each size and form padded consecutive overlaps.
+    """Padded overlaps between the ground states of consecutive sizes.
 
-    Sizes must increase by one.  On a solver failure the partial series is
-    returned with complete=False.
+    `states` maps each size to its solved ground state, an MPS or a dense
+    vector; the sizes must increase by one.
     """
-    engine = Engine(engine)
-    sizes = list(sizes)
+    sizes = sorted(states)
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
     if any(b - a != 1 for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must increase by exactly 1")
-
-    states: dict[int, MatrixProductState | np.ndarray] = {}
-    complete = True
-    solved: list[int] = []
-    for n in sizes:
-        spec = spec_family.with_sites(n)
-        try:
-            op = build_hamiltonian(spec)
-            if engine is Engine.DENSE:
-                states[n] = ground_state_dense(op, dense_cap=dense_cap).ground_vector
-            else:
-                mpo = compile_mpo(op)
-                state, report = dmrg_ground_state(
-                    mpo, epsilon_goal=epsilon_goal, max_bond=max_bond, seed=seed
-                )
-                if not report.converged:
-                    raise ConvergenceError(f"DMRG did not converge at size {n}")
-                states[n] = state
-        except (ConvergenceError, ValueError):
-            complete = False
-            break
-        solved.append(n)
-
-    pair_sizes: list[int] = []
     overlaps: list[float] = []
-    for a, b in zip(solved, solved[1:]):
-        if engine is Engine.DENSE:
-            padded = np.kron(states[a], pad)
-            value = abs(np.vdot(padded, states[b]))
+    for a, b in zip(sizes, sizes[1:]):
+        small, large = states[a], states[b]
+        if isinstance(small, MatrixProductState):
+            value = abs(mps_overlap(append_site(small, pad), large))
         else:
-            value = abs(mps_overlap(append_site(states[a], pad), states[b]))
-        pair_sizes.append(a)
+            value = abs(np.vdot(np.kron(small, pad), large))
         overlaps.append(float(value))
     eta, spread = plateau_estimate(overlaps)
     return OverlapSeries(
-        sizes=tuple(pair_sizes),
+        sizes=tuple(sizes[:-1]),
         overlaps=tuple(overlaps),
         pad_label=pad_label,
         eta_estimate=eta,
         eta_spread=spread,
-        complete=complete,
     )

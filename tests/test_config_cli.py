@@ -53,6 +53,14 @@ def config_file(tmp_path):
     return write
 
 
+def one_sweep_config(tmp_path):
+    # one sweep misses a 1e-12 goal from 4 sites on
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace("n_sites = 4", "n_sites = 6")
+    path = tmp_path / "one_sweep.ini"
+    path.write_text(text.replace("epsilon_goal = 1e-10", "epsilon_goal = 1e-12\nmax_sweeps = 1"))
+    return str(path)
+
+
 class TestConfigParsing:
     def test_round_trip_values(self, config_file):
         cfg = load_config(config_file())
@@ -118,7 +126,7 @@ class TestCliCommands:
         spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         dense = ground_state_dense(build_hamiltonian(spec))
         assert float(rows[1]["energy"]) == pytest.approx(dense.ground_energy, rel=1e-9)
-        assert (out / "state_N3_a0.25_m0.2_g1.5_r1.0_f1_dirichlet.mps").exists()
+        assert (out / "state_N3_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40.mps").exists()
 
     def test_dense_engine_writes_matching_energies(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -144,7 +152,7 @@ class TestCliCommands:
         a = (tmp_path / "a" / "energies.csv").read_bytes()
         b = (tmp_path / "b" / "energies.csv").read_bytes()
         assert a == b
-        name = "state_N4_a0.25_m0.2_g1.5_r1.0_f1_dirichlet.mps"
+        name = "state_N4_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40.mps"
         chk_a = (tmp_path / "a" / name).read_bytes()
         chk_b = (tmp_path / "b" / name).read_bytes()
         assert chk_a == chk_b
@@ -280,17 +288,17 @@ class TestCliCommands:
         assert not list((tmp_path / "out").glob("overlaps*.csv"))
 
     def test_truncated_overlap_series_is_numerical_failure(self, config_file, tmp_path, monkeypatch):
-        import gnlab.overlaps
+        import gnlab.cli
         from gnlab.exact import ConvergenceError
 
-        solve = gnlab.overlaps.ground_state_dense
+        solve = gnlab.cli.ground_state_dense
 
         def fail_at_four_sites(op, dense_cap):
             if op.n_qubits == 8:
                 raise ConvergenceError("no convergence at 4 sites")
             return solve(op, dense_cap=dense_cap)
 
-        monkeypatch.setattr(gnlab.overlaps, "ground_state_dense", fail_at_four_sites)
+        monkeypatch.setattr(gnlab.cli, "ground_state_dense", fail_at_four_sites)
         assert main(["overlap", "--config", config_file(), "--engine", "dense", "--sizes", "2..5"]) == 3
         assert not list((tmp_path / "out").glob("overlaps*.csv"))
 
@@ -313,6 +321,69 @@ class TestCliCommands:
         for name in ("correlators.csv", "corr_fits.csv"):
             assert (shared / name).read_bytes() == (fresh / name).read_bytes()
         assert len(list(shared.glob("*.mps"))) == 2
+
+    def test_overlap_honours_max_sweeps(self, tmp_path):
+        assert main(["overlap", "--config", one_sweep_config(tmp_path), "--sizes", "2..6"]) == 3
+        assert not list((tmp_path / "out").glob("overlaps*.csv"))
+
+    def test_solve_refuses_unconverged_energies(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", one_sweep_config(tmp_path), "--sizes", "2..6"]) == 3
+        assert not (out / "energies.csv").exists()
+        assert sorted(p.name.split("_")[1] for p in out.glob("*.mps")) == ["N2", "N3"]
+
+    def test_overlap_reuses_solved_states(self, config_file, tmp_path, monkeypatch):
+        import gnlab.cli
+
+        solves = []
+        solve = gnlab.cli.dmrg_ground_state
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gnlab.cli, "dmrg_ground_state", counted)
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        cfg_path = config_file()
+        assert main(["solve", "--config", cfg_path, "--sizes", "2..5", "--out", str(shared)]) == 0
+        solves.clear()
+        assert main(["overlap", "--config", cfg_path, "--sizes", "2..5", "--out", str(shared)]) == 0
+        assert len(solves) == 0
+        assert main(["overlap", "--config", cfg_path, "--sizes", "2..5", "--out", str(fresh)]) == 0
+        assert len(solves) == 4
+        for name in ("overlaps.csv", "overlaps_summary.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        cfg_path = config_file()
+        assert main(["solve", "--config", cfg_path, "--seed", "5", "--out", str(shared)]) == 0
+        assert main(["overlap", "--config", cfg_path, "--seed", "3", "--out", str(shared)]) == 0
+        assert main(["overlap", "--config", cfg_path, "--seed", "3", "--out", str(fresh)]) == 0
+        for name in ("overlaps.csv", "overlaps_summary.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        seeds = sorted(p.name.split("_")[9] for p in shared.glob("*.mps"))
+        assert seeds == ["s3"] * 3 + ["s5"] * 3
+
+    def test_correlate_ignores_checkpoint_of_another_bond_cap(self, tmp_path):
+        window = "fit_window_min = 0.4\nfit_window_max = 1.0\n"
+
+        def config(name, max_bond):
+            text = BASE_CONFIG.format(out=tmp_path / "unused").replace("n_sites = 4", "n_sites = 10")
+            text = text.replace("spacing = 0.25", "spacing = 0.2").replace("max_bond = 32", f"max_bond = {max_bond}")
+            path = tmp_path / name
+            path.write_text(text.replace("[analysis]\n", "[analysis]\n" + window))
+            return str(path)
+
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["solve", "--config", config("capped.ini", 8), "--sizes", "10..10",
+                     "--out", str(shared)]) == 0
+        wide = config("wide.ini", 32)
+        assert main(["correlate", "--config", wide, "--out", str(shared)]) == 0
+        assert main(["correlate", "--config", wide, "--out", str(fresh)]) == 0
+        for name in ("correlators.csv", "corr_fits.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert sorted(p.name.split("_")[11] for p in shared.glob("*.mps")) == ["b32", "b8"]
 
     def test_bad_sizes_flag(self, config_file):
         assert main(["solve", "--config", config_file(), "--sizes", "xx"]) == 2

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian
-from gnlab.overlaps import (
-    Engine,
-    PadKind,
-    consecutive_overlaps,
-    pad_state,
-    plateau_estimate,
-)
+from gnlab.mps import compile_mpo
+from gnlab.overlaps import PadKind, consecutive_overlaps, pad_state, plateau_estimate
+
+
+def dense_states(spec, sizes):
+    return {n: ground_state_dense(build_hamiltonian(spec.with_sites(n))).ground_vector for n in sizes}
+
+
+def dmrg_states(spec, sizes, epsilon_goal):
+    states = {}
+    for n in sizes:
+        mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
+        states[n], report = dmrg_ground_state(mpo, epsilon_goal=epsilon_goal, max_bond=64, seed=3)
+        assert report.converged
+    return states
 
 
 class TestPadState:
@@ -41,7 +50,7 @@ class TestConsecutiveOverlaps:
         """Deep product-like regime, dense solves vs direct statevector math."""
         spec = ModelSpec(n_sites=2, spacing=0.5, bare_mass=5.0, coupling_sq=0.0)
         pad = pad_state(PadKind.UNIFORM, 1)
-        series = consecutive_overlaps(spec, range(2, 6), pad, engine=Engine.DENSE)
+        series = consecutive_overlaps(dense_states(spec, range(2, 6)), pad)
         for j, value in zip(series.sizes, series.overlaps):
             g_small = ground_state_dense(build_hamiltonian(spec.with_sites(j))).ground_vector
             g_large = ground_state_dense(build_hamiltonian(spec.with_sites(j + 1))).ground_vector
@@ -52,21 +61,16 @@ class TestConsecutiveOverlaps:
         spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         pad = pad_state(PadKind.UNIFORM, 1)
         eps_goal = 1e-10
-        dense = consecutive_overlaps(spec, range(2, 6), pad, engine=Engine.DENSE)
-        dmrg = consecutive_overlaps(
-            spec, range(2, 6), pad, engine=Engine.DMRG, epsilon_goal=eps_goal
-        )
+        dense = consecutive_overlaps(dense_states(spec, range(2, 6)), pad)
+        dmrg = consecutive_overlaps(dmrg_states(spec, range(2, 6), eps_goal), pad)
         for a, b in zip(dense.overlaps, dmrg.overlaps):
             assert abs(a - b) <= 10 * np.sqrt(eps_goal)
 
     def test_symmetry_adapted_gains_sqrt_two(self):
         spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
-        uniform = consecutive_overlaps(
-            spec, range(2, 5), pad_state(PadKind.UNIFORM, 1), engine=Engine.DENSE
-        )
-        adapted = consecutive_overlaps(
-            spec, range(2, 5), pad_state(PadKind.SYMMETRY_ADAPTED, 1), engine=Engine.DENSE
-        )
+        states = dense_states(spec, range(2, 5))
+        uniform = consecutive_overlaps(states, pad_state(PadKind.UNIFORM, 1))
+        adapted = consecutive_overlaps(states, pad_state(PadKind.SYMMETRY_ADAPTED, 1))
         for u, s in zip(uniform.overlaps, adapted.overlaps):
             assert s / u == pytest.approx(np.sqrt(2), abs=1e-6)
 
@@ -74,22 +78,21 @@ class TestConsecutiveOverlaps:
         spec = ModelSpec(n_sites=2, spacing=0.5, bare_mass=0.3, coupling_sq=1.0)
         pad = pad_state(PadKind.UNIFORM, 1)
         rotated = np.exp(1j * 0.83) * pad
-        a = consecutive_overlaps(spec, range(2, 5), pad, engine=Engine.DENSE)
-        b = consecutive_overlaps(spec, range(2, 5), rotated, engine=Engine.DENSE)
+        states = dense_states(spec, range(2, 5))
+        a = consecutive_overlaps(states, pad)
+        b = consecutive_overlaps(states, rotated)
         assert np.allclose(a.overlaps, b.overlaps, atol=1e-12)
 
     def test_overlaps_lie_in_unit_interval(self):
         spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.4, coupling_sq=1.0)
-        series = consecutive_overlaps(
-            spec, range(2, 6), pad_state(PadKind.UNIFORM, 1), engine=Engine.DENSE
-        )
+        series = consecutive_overlaps(dense_states(spec, range(2, 6)), pad_state(PadKind.UNIFORM, 1))
         assert all(0.0 <= o <= 1.0 for o in series.overlaps)
 
     def test_decoupled_sites_give_constant_overlap(self):
         """With hopping suppressed (huge mass), overlap = |<site ground|pad>|."""
         spec = ModelSpec(n_sites=2, spacing=0.5, bare_mass=400.0, coupling_sq=0.0)
         pad = pad_state(PadKind.UNIFORM, 1)
-        series = consecutive_overlaps(spec, range(2, 6), pad, engine=Engine.DENSE)
+        series = consecutive_overlaps(dense_states(spec, range(2, 6)), pad)
         spread = max(series.overlaps) - min(series.overlaps)
         assert spread < 1e-3
         site_spec = spec.with_sites(2)
@@ -102,18 +105,9 @@ class TestConsecutiveOverlaps:
         assert series.overlaps[-1] == pytest.approx(expected, abs=1e-3)
 
     def test_sizes_must_be_consecutive(self):
-        spec = ModelSpec(n_sites=2, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)
+        pad = pad_state(PadKind.UNIFORM, 1)
         with pytest.raises(ValueError):
-            consecutive_overlaps(spec, [2, 4, 6], pad_state(PadKind.UNIFORM, 1))
-
-    def test_solver_failure_returns_partial_flagged_series(self):
-        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
-        series = consecutive_overlaps(
-            spec, range(2, 8), pad_state(PadKind.UNIFORM, 1),
-            engine=Engine.DENSE, dense_cap=8,
-        )
-        assert not series.complete
-        assert series.sizes == (2, 3)
+            consecutive_overlaps(dict.fromkeys([2, 4, 6], pad), pad)
 
 
 class TestPlateauAndTable:
