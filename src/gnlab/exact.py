@@ -75,6 +75,13 @@ def lanczos_lowest(
     max(tol, rtol * |theta|).  Raises ConvergenceError if it stays above
     that; with strict=False the best pair found is returned instead
     (inner-loop use).
+
+    The basis stops growing at the first step j whose Ritz estimate
+    beta_j |y_j| (Paige) meets that goal.  The estimate alone never
+    certifies convergence, since it drops below the rounding floor at
+    large |theta|: one explicit product A v of the Ritz vector confirms
+    it, and a restart from that vector reuses the product as its first
+    Krylov product.
     """
     locked = locked or []
     dim = start.shape[0]
@@ -92,6 +99,7 @@ def lanczos_lowest(
     if nrm < 1e-14:
         raise ValueError("start vector lies in the locked subspace")
     v = v / nrm
+    product = project_out(matvec(v))   # A v of each restart vector, formed once
 
     basis = np.empty((m_cap, dim), dtype=complex)
     theta = 0.0
@@ -100,7 +108,7 @@ def lanczos_lowest(
         alphas: list[float] = []
         betas: list[float] = []
         for j in range(m_cap):
-            w = project_out(matvec(basis[j]))
+            w = product if j == 0 else project_out(matvec(basis[j]))
             alpha = float(np.real(np.vdot(basis[j], w)))
             alphas.append(alpha)
             w = w - alpha * basis[j]
@@ -112,22 +120,17 @@ def lanczos_lowest(
             for _pass in range(2):
                 w -= (q @ w.conj()).conj() @ q
             beta = float(np.linalg.norm(w))
-            if beta < 1e-14 or j == m_cap - 1:
+            tvals, tvecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = float(tvals[0])
+            goal = max(tol, rtol * abs(theta))
+            if beta * abs(tvecs[-1, 0]) <= goal or beta < 1e-14 or j == m_cap - 1:
                 break
             betas.append(beta)
             basis[j + 1] = w / beta
-        k = len(alphas)
-        tmat = np.diag(alphas)
-        for i, b in enumerate(betas[: k - 1]):
-            tmat[i, i + 1] = b
-            tmat[i + 1, i] = b
-        tvals, tvecs = np.linalg.eigh(tmat)
-        theta = float(tvals[0])
-        v_new = project_out(tvecs[:, 0] @ basis[:k])
-        v_new = v_new / np.linalg.norm(v_new)
-        residual = float(np.linalg.norm(project_out(matvec(v_new)) - theta * v_new))
-        v = v_new
-        if residual <= max(tol, rtol * abs(theta)):
+        v = project_out(tvecs[:, 0] @ basis[: len(alphas)])
+        v = v / np.linalg.norm(v)
+        product = project_out(matvec(v))
+        if np.linalg.norm(product - theta * v) <= goal:
             return theta, v
     if not strict:
         return theta, v

@@ -17,6 +17,26 @@ def solve(spec, epsilon_goal=1e-10, max_bond=64, seed=3):
     return dmrg_ground_state(mpo, epsilon_goal=epsilon_goal, max_bond=max_bond, seed=seed)
 
 
+@pytest.fixture
+def local_solve_counts(monkeypatch):
+    """Count the local solves (two-site matvecs built) and the products they take."""
+    counts = {"solves": 0, "matvecs": 0}
+    build = dmrg._two_site_matvec
+
+    def counting_matvec(*args):
+        matvec = build(*args)
+        counts["solves"] += 1
+
+        def counted(vec):
+            counts["matvecs"] += 1
+            return matvec(vec)
+
+        return counted
+
+    monkeypatch.setattr(dmrg, "_two_site_matvec", counting_matvec)
+    return counts
+
+
 class TestDmrgGroundState:
     def test_reference_point_matches_dense(self):
         spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
@@ -73,23 +93,10 @@ class TestDmrgGroundState:
                 np.sqrt(report.epsilon), 1e-12
             ) * abs(report.energy)
 
-    def test_local_solves_stop_early_at_large_energy(self, monkeypatch):
+    def test_local_solves_stop_early_at_large_energy(self, local_solve_counts):
         """At |E| ~ 560 an absolute residual of 1e-12 is out of reach; the
         relative local tolerance lets each solve stop well inside its budget."""
-        counts = {"solves": 0, "matvecs": 0}
-        build = dmrg._two_site_matvec
-
-        def counting_matvec(*args):
-            matvec = build(*args)
-            counts["solves"] += 1
-
-            def counted(vec):
-                counts["matvecs"] += 1
-                return matvec(vec)
-
-            return counted
-
-        monkeypatch.setattr(dmrg, "_two_site_matvec", counting_matvec)
+        counts = local_solve_counts
         spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
         _state, report = solve(spec, epsilon_goal=1e-10)
         # matrix-free reference: a dense 4096-dim eigensolve takes minutes on one core
@@ -97,6 +104,18 @@ class TestDmrgGroundState:
         assert abs(report.energy - exact) <= 1e-10 * abs(exact)
         assert report.converged
         assert counts["matvecs"] / counts["solves"] < 40
+
+    def test_local_solves_stop_at_ritz_estimate(self, local_solve_counts):
+        """Same run as above: each local Lanczos stops growing its basis at
+        the step whose Ritz estimate meets the goal; filling the whole
+        KRYLOV_DIM = 16 basis on every restart takes about 25 products per
+        solve at these settings."""
+        counts = local_solve_counts
+        spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        _state, report = solve(spec, epsilon_goal=1e-10)
+        assert report.converged
+        assert report.epsilon < 1e-10
+        assert counts["matvecs"] / counts["solves"] < 20
 
     def test_validates_arguments(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))

@@ -236,6 +236,27 @@ class TestLanczos:
         assert abs(theta - exact) <= 1e-10 * abs(exact)
         assert np.linalg.norm(mat @ vec - theta * vec) <= rtol * abs(theta)
 
+    def test_converged_start_stops_early_with_honest_residual(self):
+        """The Ritz estimate ends the expansion long before the full basis;
+        the returned pair still meets tol by an explicit residual."""
+        rng = np.random.default_rng(5)
+        dim = 200
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mat = (a + a.conj().T) / 2
+        lowest = np.linalg.eigh(mat)[1][:, 0]
+        start = lowest + 1e-9 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        products = []
+
+        def matvec(v):
+            products.append(1)
+            return mat @ v
+
+        tol = 1e-8
+        theta, vec = lanczos_lowest(matvec, start, tol=tol)
+        # a full basis of KRYLOV_DIM_DEFAULT = 30 plus the residual check is 31
+        assert len(products) < 10
+        assert np.linalg.norm(mat @ vec - theta * vec) <= tol
+
 
 def test_fix_phase_leading_amplitude_real_positive(rng):
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -63,7 +63,8 @@ class TestFreeTheory:
         The state comes from a short DMRG warm-up densified and refined by
         warm-started Lanczos iterations, which certifies the residual; the
         correlator machinery under test then runs on the raw state vector.
-        Takes a couple of minutes; this is the largest statevector check.
+        About 40 s on a 2-CPU machine with BLAS on one thread; this is the
+        largest statevector check.
         """
         from gnlab.dmrg import dmrg_ground_state
         from gnlab.exact import lanczos_lowest
