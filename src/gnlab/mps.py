@@ -28,6 +28,9 @@ _PAULI_MATS = {
 
 QUBITS_PER_SITE = 2
 
+# the operator of every two-letter site string; shared, so never mutate an entry
+_SITE_OPS = {a + b: np.kron(pa, pb) for a, pa in _PAULI_MATS.items() for b, pb in _PAULI_MATS.items()}
+
 _DENSE_GUARD = 1 << 22
 
 
@@ -35,13 +38,6 @@ def grouped_dims(n_qubits: int) -> tuple[int, ...]:
     if n_qubits % QUBITS_PER_SITE != 0:
         raise ValueError(f"{n_qubits} qubits cannot be grouped in blocks of {QUBITS_PER_SITE}")
     return tuple([2**QUBITS_PER_SITE] * (n_qubits // QUBITS_PER_SITE))
-
-
-def _site_operator(letters: str) -> np.ndarray:
-    mat = _PAULI_MATS[letters[0]]
-    for ch in letters[1:]:
-        mat = np.kron(mat, _PAULI_MATS[ch])
-    return mat
 
 
 def truncated_svd(
@@ -338,16 +334,15 @@ def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixPro
     supports = []
     site_ops = []
     for coeff, string in op.terms:
-        active = [k for k in range(n_sites)
-                  if any(ch != "I" for ch in string[group * k: group * (k + 1)])]
-        lo, hi = (active[0], active[-1]) if active else (0, 0)
+        first, last = len(string) - len(string.lstrip("I")), len(string.rstrip("I")) - 1
+        lo, hi = (first // group, last // group) if last >= 0 else (0, 0)
         if hi - lo + 1 > max_span:
             raise MpoRangeError(
                 f"term {string} spans {hi - lo + 1} sites, beyond the configured range {max_span}"
             )
         supports.append((lo, hi))
-        ops = {k: _site_operator(string[group * k: group * (k + 1)]) for k in range(lo, hi + 1)}
-        ops[lo] = coeff * ops[lo]
+        ops = {k: _SITE_OPS[string[group * k: group * (k + 1)]] for k in range(lo, hi + 1)}
+        ops[lo] = coeff * ops[lo]   # a new array: the table entry stays as it is
         site_ops.append(ops)
 
     # channel layout per bond: 0 = idle, 1 = done, then one per crossing term

@@ -117,6 +117,16 @@ class TestDmrgGroundState:
         assert report.epsilon < 1e-10
         assert counts["matvecs"] / counts["solves"] < 20
 
+    def test_sixteen_sites_converge_at_tight_goal(self):
+        """A truncated H|psi> inflated epsilon above 1e-12 here, so the run
+        never met its goal; the exact variance meets it within two sweeps."""
+        spec = ModelSpec(n_sites=16, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        mpo = compile_mpo(build_hamiltonian(spec))
+        _state, report = dmrg_ground_state(mpo, epsilon_goal=1e-12, max_bond=64, seed=3, max_sweeps=8)
+        assert report.converged
+        assert report.epsilon < 1e-12
+        assert report.sweeps <= 5
+
     def test_validates_arguments(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))
         with pytest.raises(ValueError):
@@ -170,6 +180,25 @@ class TestEpsilonMeasure:
         h2_val = np.vdot(dense @ vec, dense @ vec)
         expected = (abs(h2_val) - abs(h_val) ** 2) / abs(h_val) ** 2
         assert eps == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("n_sites", [4, 5])
+    @pytest.mark.parametrize("spacing", [0.25, 1 / 50])
+    def test_matches_statevector_oracle(self, n_sites, spacing):
+        """Ground state plus delta (first excited + top state): epsilon within
+        5 % of ||(H - E) v||^2 / E^2 wherever that is at least 1e-13."""
+        spec = ModelSpec(n_sites=n_sites, spacing=spacing, bare_mass=0.2, coupling_sq=1.5)
+        op = build_hamiltonian(spec)
+        mpo = compile_mpo(op)
+        dense = op.to_matrix()
+        _evals, evecs = np.linalg.eigh(dense)
+        for delta in (1e-5, 1e-6):
+            vec = evecs[:, 0] + delta * (evecs[:, 1] + evecs[:, -1])
+            vec /= np.linalg.norm(vec)
+            energy = np.vdot(vec, dense @ vec).real
+            oracle = np.linalg.norm(dense @ vec - energy * vec) ** 2 / energy**2
+            assert oracle >= 1e-13
+            mps = MatrixProductState.from_dense(vec, grouped_dims(op.n_qubits))
+            assert epsilon_measure(mps, mpo) == pytest.approx(oracle, rel=0.05, abs=0.0)
 
     def test_zero_energy_rejected(self):
         op = PauliSumOperator.from_terms(4, [(1.0, "XXII"), (1.0, "IIXX")])

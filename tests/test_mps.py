@@ -177,6 +177,14 @@ class TestCompileMpo:
         with pytest.raises(MpoRangeError):
             compile_mpo(op, max_span=2)
 
+    def test_support_runs_from_first_to_last_letter(self):
+        # first letter on the second qubit of site 0, last on the second qubit of site 2
+        op = PauliSumOperator.from_terms(8, [(3.0, "IXIIIZII"), (0.5, "IIIIIIYI")])
+        with pytest.raises(MpoRangeError):
+            compile_mpo(op, max_span=2)
+        for _ in range(2):   # the shared site operators survive the coefficient scaling
+            assert np.max(np.abs(compile_mpo(op, max_span=3).to_matrix() - op.to_matrix())) < 1e-12
+
     def test_mirrored_transfer_right_to_left(self, small_spec):
         op = build_hamiltonian(small_spec)
         mpo = compile_mpo(op)
