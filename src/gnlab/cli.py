@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -182,11 +182,8 @@ def cmd_energy_fit(cfg: ExperimentConfig) -> None:
     if cfg.analysis.gap is None:
         raise ConfigError("[analysis] gap is required for energy-fit")
     fit = fit_energy_extrapolation(data, cfg.analysis.energy_model, gap=cfg.analysis.gap)
-    rows = [
-        (size, energy, fit.model, math.nan if math.isnan(err) else fit.predict_causal(size),
-         err, fit.half_gap)
-        for size, energy, err in zip(fit.sizes, fit.energies, fit.prediction_errors)
-    ]
+    columns = zip(fit.sizes, fit.energies, fit.predictions, fit.prediction_errors)
+    rows = [(size, energy, fit.model, pred, err, fit.half_gap) for size, energy, pred, err in columns]
     _write(cfg.out_dir / "energy_fit.csv", cfg, "N,E,model,prediction,abs_error,half_gap", rows)
 
 
@@ -204,7 +201,6 @@ def cmd_prepare(cfg: ExperimentConfig) -> None:
     state, trace = prepare_vacuum(
         model, prep.n0, prep.n_final, pad, fit,
         eps=prep.eps, mode=prep.oracle, eta_floor=prep.eta_floor,
-        ancilla_bits=prep.ancilla_bits, window_cells=prep.window_cells,
         dense_cap=cfg.solver.dense_cap,
     )
     _write(
@@ -227,13 +223,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> None:
         f"final_fidelity = {trace.final_fidelity!r}",
         f"oracle_calls_total = {trace.oracle_calls_total}",
         "model:",
-        f"  n_sites = {model.n_sites}",
-        f"  spacing = {model.spacing!r}",
-        f"  bare_mass = {model.bare_mass!r}",
-        f"  coupling_sq = {model.coupling_sq!r}",
-        f"  wilson_r = {model.wilson_r!r}",
-        f"  flavors = {model.flavors}",
-        f"  boundary = {model.boundary.value}",
+        *(f"  {f.name} = {_cell(getattr(model, f.name))}" for f in fields(model)),
     ]
     (cfg.out_dir / f"prep_manifest_{prep.oracle.value}.txt").write_text("\n".join(manifest) + "\n")
 

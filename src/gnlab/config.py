@@ -1,17 +1,21 @@
 """Experiment configuration: strict INI parsing with fail-fast key checking.
 
 Every section owns a fixed key set; unknown sections or keys abort with the
-offending name, so typos never silently fall back to defaults.  Values
-given on the command line win over the file.
+offending name, so typos never silently fall back to defaults.  The
+[model], [solver] and [prep] keys, types and defaults are the fields of
+`ModelSpec`, `SolverConfig` and `PrepConfig`.  Values given on the command
+line win over the file.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
+from .exact import DENSE_CAP_DEFAULT
 from .model import Boundary, ModelSpec
 from .fits import EnergyModel
 from .mps import MPO_MAX_SPAN
@@ -23,17 +27,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-_KNOWN_KEYS = {
-    "model": {"n_sites", "spacing", "bare_mass", "coupling_sq", "wilson_r", "flavors", "boundary"},
-    "solver": {"engine", "epsilon_goal", "max_bond", "dense_cap", "seed", "max_sweeps"},
-    "analysis": {
-        "fit_window_min", "fit_window_max", "pad_kind", "sizes_min", "sizes_max",
-        "points", "energy_model", "gap",
-    },
-    "prep": {"n0", "n_final", "eps", "oracle", "eta_floor", "ancilla_bits", "window_cells"},
-    "output": {"directory"},
-}
-
 DEFAULT_CORRELATE_M0 = (0.2, 0.4)
 DEFAULT_CORRELATE_G0_SQ = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -43,7 +36,7 @@ class SolverConfig:
     engine: Engine = Engine.DMRG
     epsilon_goal: float = 1e-8
     max_bond: int = 64
-    dense_cap: int = 14
+    dense_cap: int = DENSE_CAP_DEFAULT
     seed: int = 3
     max_sweeps: int = 40
 
@@ -70,8 +63,6 @@ class PrepConfig:
     eps: float = 1e-3
     oracle: OracleMode = OracleMode.IDEAL
     eta_floor: float = 0.4
-    ancilla_bits: int | None = None
-    window_cells: int = 32
 
 
 @dataclass(frozen=True)
@@ -87,6 +78,19 @@ class ExperimentConfig:
         from . import __version__
 
         return f"# manifest config_sha={self.config_hash} seed={self.solver.seed} version={__version__}"
+
+
+#: Sections read field by field into their dataclass.
+_DATACLASS_SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "prep": PrepConfig}
+
+_KNOWN_KEYS = {
+    **{name: {f.name for f in fields(cls)} for name, cls in _DATACLASS_SECTIONS.items()},
+    "analysis": {
+        "fit_window_min", "fit_window_max", "pad_kind", "sizes_min", "sizes_max",
+        "points", "energy_model", "gap",
+    },
+    "output": {"directory"},
+}
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
@@ -116,6 +120,22 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
             )
 
 
+def _read_section(parser: configparser.ConfigParser, name: str, given: dict[str, object]):
+    """Section `name` as its dataclass: keys cast by their field types, absent keys default, `given` wins."""
+    cls = _DATACLASS_SECTIONS[name]
+    types = get_type_hints(cls)
+    values = {**(parser[name] if name in parser else {}), **given}
+    for key, value in values.items():
+        try:
+            values[key] = types[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # TypeError: a required field has no key
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
 def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> ExperimentConfig:
     """Parse the INI file at `path`, applying `overrides` (flag-wins).
 
@@ -140,48 +160,27 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
         return default
 
-    model = None
-    if "model" in parser:
-        try:
-            model = ModelSpec.from_config_section(parser["model"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
+    given = {key: overrides[key] for key in ("engine", "seed") if overrides.get(key) is not None}
+    model = _read_section(parser, "model", {}) if "model" in parser else None
+    solver = _read_section(parser, "solver", given)
+    prep = _read_section(parser, "prep", {})
     try:
-        solver = SolverConfig(
-            engine=Engine(overrides.get("engine") or _get("solver", "engine", str, "dmrg")),
-            epsilon_goal=_get("solver", "epsilon_goal", float, 1e-8),
-            max_bond=_get("solver", "max_bond", int, 64),
-            dense_cap=_get("solver", "dense_cap", int, 14),
-            seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                     else _get("solver", "seed", int, 3)),
-            max_sweeps=_get("solver", "max_sweeps", int, 40),
-        )
         window_min = _get("analysis", "fit_window_min", float, None)
         window_max = _get("analysis", "fit_window_max", float, None)
         if (window_min is None) != (window_max is None):
             raise ConfigError("fit_window_min and fit_window_max must be set together")
         sizes = overrides.get("sizes") or (
-            _get("analysis", "sizes_min", int, 2),
-            _get("analysis", "sizes_max", int, 10),
+            _get("analysis", "sizes_min", int, AnalysisConfig.sizes[0]),
+            _get("analysis", "sizes_max", int, AnalysisConfig.sizes[1]),
         )
         points_text = _get("analysis", "points", str, None)
         analysis = AnalysisConfig(
             fit_window=None if window_min is None else (window_min, window_max),
-            pad_kind=PadKind(_get("analysis", "pad_kind", str, "uniform")),
+            pad_kind=PadKind(_get("analysis", "pad_kind", str, AnalysisConfig.pad_kind)),
             sizes=(int(sizes[0]), int(sizes[1])),
             points=None if points_text is None else _parse_points(points_text),
-            energy_model=EnergyModel(_get("analysis", "energy_model", str, "linear")),
+            energy_model=EnergyModel(_get("analysis", "energy_model", str, AnalysisConfig.energy_model)),
             gap=_get("analysis", "gap", float, None),
-        )
-        prep = PrepConfig(
-            n0=_get("prep", "n0", int, 2),
-            n_final=_get("prep", "n_final", int, 4),
-            eps=_get("prep", "eps", float, 1e-3),
-            oracle=OracleMode(_get("prep", "oracle", str, "ideal")),
-            eta_floor=_get("prep", "eta_floor", float, 0.4),
-            ancilla_bits=_get("prep", "ancilla_bits", int, None),
-            window_cells=_get("prep", "window_cells", int, 32),
         )
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):

@@ -244,20 +244,24 @@ def _evaluate(model: EnergyModel, coeffs: Sequence[float], size: float) -> float
 
 @dataclass(frozen=True)
 class EnergyFit:
-    """Finite-size energy model with strictly causal prediction errors.
+    """Finite-size energy model with strictly causal predictions.
 
-    `prediction_errors[k]` is |model fitted to sizes < sizes[k], evaluated
-    at sizes[k], minus energies[k]|, and NaN where fewer prior points exist
-    than the model has coefficients.  `coefficients` come from the fit to
-    the full data set.
+    `predictions[k]` is the model fitted to sizes < sizes[k], evaluated at
+    sizes[k], and NaN where fewer prior points exist than the model has
+    coefficients.  `coefficients` come from the fit to the full data set.
     """
 
     model: EnergyModel
     coefficients: tuple[float, ...]
     sizes: tuple[float, ...]
     energies: tuple[float, ...]
-    prediction_errors: tuple[float, ...]
+    predictions: tuple[float, ...]
     half_gap: float
+
+    @property
+    def prediction_errors(self) -> tuple[float, ...]:
+        """|predictions[k] - energies[k]|, NaN where no causal prediction exists."""
+        return tuple(abs(p - e) for p, e in zip(self.predictions, self.energies))
 
     def predict(self, size: float) -> float:
         return _evaluate(self.model, self.coefficients, size)
@@ -276,24 +280,13 @@ class EnergyFit:
                 ok_from = None
         return ok_from
 
-    def predict_causal(self, size: float) -> float:
-        """Prediction at `size` from the fit to strictly smaller recorded sizes."""
-        sizes = np.asarray(self.sizes)
-        energies = np.asarray(self.energies)
-        mask = sizes < size
-        need = _N_COEFFS[self.model]
-        if int(mask.sum()) < need:
-            raise ValueError(f"fewer than {need} sizes below {size}")
-        coeffs = _fit_coefficients(self.model, sizes[mask], energies[mask])
-        return _evaluate(self.model, coeffs, size)
-
 
 def fit_energy_extrapolation(
     energies: Sequence[tuple[float, float]],
     model: EnergyModel | str,
     gap: float,
 ) -> EnergyFit:
-    """Fit the chosen finite-size model and record causal prediction errors.
+    """Fit the chosen finite-size model and record causal predictions.
 
     For each recorded size the model is refit to all strictly smaller sizes
     and evaluated there; the global coefficients come from the full data.
@@ -310,13 +303,10 @@ def fit_energy_extrapolation(
     if len(sizes) < need + 1:
         raise ValueError(f"{model.value} model needs at least {need + 1} points, got {len(sizes)}")
 
-    errors = []
-    for k in range(len(sizes)):
-        if k < need:
-            errors.append(float("nan"))
-            continue
-        coeffs = _fit_coefficients(model, sizes[:k], vals[:k])
-        errors.append(float(abs(_evaluate(model, coeffs, sizes[k]) - vals[k])))
+    predictions = [
+        _evaluate(model, _fit_coefficients(model, sizes[:k], vals[:k]), sizes[k]) if k >= need else math.nan
+        for k in range(len(sizes))
+    ]
 
     global_coeffs = _fit_coefficients(model, sizes, vals)
     return EnergyFit(
@@ -324,6 +314,6 @@ def fit_energy_extrapolation(
         coefficients=global_coeffs,
         sizes=tuple(float(s) for s in sizes),
         energies=tuple(float(v) for v in vals),
-        prediction_errors=tuple(errors),
+        predictions=tuple(float(p) for p in predictions),
         half_gap=gap / 2.0,
     )

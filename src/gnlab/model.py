@@ -20,7 +20,6 @@ mapped through the Jordan-Wigner transformation.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import sin, sqrt
@@ -94,28 +93,6 @@ class ModelSpec:
         if component not in (0, 1):
             raise ValueError(f"component must be 0 or 1, got {component}")
         return 2 * (self.flavors * site + flavor) + component
-
-    # -- config-section parsing ----------------------------------------------
-
-    _CONFIG_KEYS = ("n_sites", "spacing", "bare_mass", "coupling_sq", "wilson_r", "flavors", "boundary")
-
-    @classmethod
-    def from_config_section(cls, section: configparser.SectionProxy) -> "ModelSpec":
-        unknown = set(section.keys()) - set(cls._CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown model keys: {sorted(unknown)}")
-        missing = [k for k in cls._CONFIG_KEYS[:4] if k not in section]
-        if missing:
-            raise ValueError(f"missing model keys: {missing}")
-        return cls(
-            n_sites=section.getint("n_sites"),
-            spacing=section.getfloat("spacing"),
-            bare_mass=section.getfloat("bare_mass"),
-            coupling_sq=section.getfloat("coupling_sq"),
-            wilson_r=section.getfloat("wilson_r", 1.0),
-            flavors=section.getint("flavors", 1),
-            boundary=Boundary(section.get("boundary", "dirichlet")),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,8 @@ class MatrixProductState:
         cls,
         vector: np.ndarray,
         phys_dims: tuple[int, ...],
-        max_bond: int | None = None,
-        cutoff: float = 0.0,
     ) -> "MatrixProductState":
-        """Exact (up to `cutoff`) MPS factorization of a dense state vector."""
+        """Exact MPS factorization of a dense state vector; drops singular values <= 5e-16 of the largest."""
         total = int(np.prod(phys_dims))
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         if vec.shape[0] != total:
@@ -140,10 +138,7 @@ class MatrixProductState:
         for k, d in enumerate(phys_dims[:-1]):
             m = rest.reshape(left * d, -1)
             u, s, vh = np.linalg.svd(m, full_matrices=False)
-            keep = int(np.sum(s > max(cutoff, 5e-16) * s[0])) if s[0] > 0 else 1
-            if max_bond is not None:
-                keep = min(keep, max_bond)
-            keep = max(keep, 1)
+            keep = max(int(np.sum(s > 5e-16 * s[0])), 1)
             tensors.append(u[:, :keep].reshape(left, d, keep))
             rest = (s[:keep, None] * vh[:keep]).reshape(keep, -1)
             left = keep

@@ -34,6 +34,9 @@ from .model import ModelSpec, build_hamiltonian
 from .pauli import PAULI_CHARS, PauliSumOperator
 
 _SPAN_MARGIN = 0.125
+#: Decision-window width, in grid cells, of every register `prepare_vacuum` sizes;
+#: reflections need a wide window to keep kernel leakage inside the error budget.
+_WINDOW_CELLS = 32
 
 
 class Decision(str, Enum):
@@ -380,8 +383,6 @@ def prepare_vacuum(
     eps: float,
     mode: OracleMode | str = OracleMode.IDEAL,
     eta_floor: float = 0.4,
-    ancilla_bits: int | None = None,
-    window_cells: int = 32,
     dense_cap: int = DENSE_CAP_DEFAULT,
 ) -> tuple[np.ndarray, PrepTrace]:
     """Grow the vacuum from n0 to n_final sites, one padded site at a time.
@@ -390,10 +391,8 @@ def prepare_vacuum(
     the pad and amplifies onto the next ground state, budgeting the target
     trace-distance `eps` uniformly across steps.  The per-step energy
     estimates come from `energy_predictor` and must satisfy the half-gap
-    promise (validated here against the exact spectra).  When ancilla_bits
-    is not forced, the register is sized so the decision window spans
-    `window_cells` grid cells; reflections need a wide window (the default)
-    to keep kernel leakage well inside the error budget.
+    promise (validated here against the exact spectra).  Each register is
+    sized so the decision window spans `_WINDOW_CELLS` grid cells.
     """
     mode = OracleMode(mode)
     if n0 < 2:
@@ -434,11 +433,8 @@ def prepare_vacuum(
                 f"overlap {overlap:.4f} at size {target} fell below the floor {eta_floor}",
                 PrepTrace(tuple(steps), total_calls, float(overlap**2)),
             )
-        bits = ancilla_bits if ancilla_bits is not None else ancilla_bits_for(
-            ops[target], gap_bound, window_cells
-        )
         pe_cfg = PhaseEstimationConfig(
-            ancilla_bits=bits,
+            ancilla_bits=ancilla_bits_for(ops[target], gap_bound, _WINDOW_CELLS),
             energy_estimate=e_pred,
             gap_bound=gap_bound,
             failure_prob=eps_step,
@@ -462,8 +458,7 @@ def prepare_vacuum(
             )
             start_op = extended + penalty_op
             start_cfg = PhaseEstimationConfig(
-                ancilla_bits=ancilla_bits if ancilla_bits is not None
-                else ancilla_bits_for(start_op, min(spectra[prev].gap, penalty), window_cells),
+                ancilla_bits=ancilla_bits_for(start_op, min(spectra[prev].gap, penalty), _WINDOW_CELLS),
                 energy_estimate=energy_predictor.predict(prev),
                 gap_bound=min(spectra[prev].gap, penalty),
                 failure_prob=eps_step,

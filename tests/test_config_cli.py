@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gnlab.cli import main, read_csv
-from gnlab.config import ConfigError, load_config
+from gnlab.config import AnalysisConfig, ConfigError, PrepConfig, SolverConfig, load_config
 from gnlab.exact import ground_state_dense
 from gnlab.fits import EnergyModel
-from gnlab.model import ModelSpec, build_hamiltonian
+from gnlab.model import Boundary, ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind
 
 BASE_CONFIG = """\
@@ -79,6 +79,51 @@ class TestConfigParsing:
         assert load_config(periodic, {"sizes": (2, 9), "engine": "dense"}).analysis.sizes == (2, 9)
         with pytest.raises(ConfigError, match="periodic"):
             load_config(periodic, {"sizes": (2, 9)})
+
+    def test_every_model_key_round_trips(self, tmp_path):
+        path = tmp_path / "model.ini"
+        path.write_text("[model]\nn_sites = 6\nspacing = 0.125\nbare_mass = 0.3\ncoupling_sq = 1.25\n"
+                        "wilson_r = 0.75\nflavors = 2\nboundary = periodic\n")
+        assert load_config(path, {"engine": "dense"}).model == ModelSpec(
+            n_sites=6, spacing=0.125, bare_mass=0.3, coupling_sq=1.25,
+            wilson_r=0.75, flavors=2, boundary=Boundary.PERIODIC,
+        )
+
+    def test_unknown_model_key_is_named(self, config_file, capsys):
+        path = config_file({"model": "colour = blue"})
+        with pytest.raises(ConfigError, match="colour"):
+            load_config(path)
+        assert main(["solve", "--config", path]) == 2
+        assert "colour" in capsys.readouterr().err
+
+    def test_missing_model_key_is_named(self, config_file, capsys):
+        path = Path(config_file())
+        path.write_text(path.read_text().replace("spacing = 0.25\n", ""))
+        with pytest.raises(ConfigError, match="spacing"):
+            load_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "spacing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["ancilla_bits = 12", "window_cells = 8"])
+    def test_removed_prep_keys_are_unknown(self, config_file, key):
+        path = config_file({"prep": key})
+        with pytest.raises(ConfigError, match=key.split()[0]):
+            load_config(path)
+        assert main(["prepare", "--config", path]) == 2
+
+    def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "model_only.ini"
+        path.write_text("[model]\nn_sites = 4\nspacing = 0.25\nbare_mass = 0.2\ncoupling_sq = 1.5\n")
+        cfg = load_config(path)
+        assert cfg.solver == SolverConfig()
+        assert cfg.prep == PrepConfig()
+        assert cfg.analysis == AnalysisConfig()
+
+    def test_bad_value_is_named(self, config_file):
+        for section, key in (("solver", "dense_cap = many"), ("prep", "eta_floor = high"),
+                             ("model", "boundary = round")):
+            with pytest.raises(ConfigError, match=rf"bad value for \[{section}\] {key.split()[0]}"):
+                load_config(config_file({section: key}))
 
     def test_unknown_section_rejected(self, config_file, tmp_path):
         path = tmp_path / "extra.ini"

@@ -75,7 +75,7 @@ class TestDense:
         # basis state instead of |1>|->
         op = PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")])
         result = ground_state_dense(op)
-        assert result.gap == pytest.approx(2e-13, rel=1e-3)
+        assert result.gap == pytest.approx(2e-13, rel=1e-3, abs=0.0)
         expected = np.kron([0.0, 1.0], [1.0, -1.0]) / np.sqrt(2.0)
         assert abs(np.vdot(expected, result.ground_vector)) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,4 +1,3 @@
-import configparser
 import math
 
 import numpy as np
@@ -39,24 +38,6 @@ class TestModelSpec:
         for m0, g0_sq in reference_points:
             spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=m0, coupling_sq=g0_sq)
             assert spec.coupling_sq == g0_sq
-
-    def test_config_section_roundtrip(self):
-        spec = ModelSpec(
-            n_sites=6, spacing=0.125, bare_mass=0.3, coupling_sq=1.25,
-            wilson_r=0.75, flavors=2, boundary=Boundary.PERIODIC,
-        )
-        parser = configparser.ConfigParser()
-        parser["model"] = {"n_sites": "6", "spacing": "0.125", "bare_mass": "0.3",
-                           "coupling_sq": "1.25", "wilson_r": "0.75", "flavors": "2",
-                           "boundary": "periodic"}
-        assert ModelSpec.from_config_section(parser["model"]) == spec
-
-    def test_config_section_rejects_unknown_key(self):
-        parser = configparser.ConfigParser()
-        parser["model"] = {"n_sites": "4", "spacing": "0.5", "bare_mass": "0.1",
-                           "coupling_sq": "1.0", "colour": "blue"}
-        with pytest.raises(ValueError, match="colour"):
-            ModelSpec.from_config_section(parser["model"])
 
 
 class TestGammaMatrices:
