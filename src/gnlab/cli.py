@@ -147,6 +147,8 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
 def cmd_overlap(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     lo, hi = cfg.analysis.sizes
+    if hi <= lo:
+        raise ConfigError(f"overlap needs at least two sizes, got sizes_min = {lo}, sizes_max = {hi}")
     need = model.with_sites(hi).n_qubits
     if cfg.solver.engine is Engine.DENSE and need > cfg.solver.dense_cap:
         raise ConfigError(f"sizes_max = {hi} needs {need} qubits, beyond dense_cap = {cfg.solver.dense_cap}")

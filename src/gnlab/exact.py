@@ -46,7 +46,10 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
 def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumResult:
     """Full diagonalization; lowest two eigenpairs with the fixed phase convention."""
-    evals, evecs = _eigensystem(op, dense_cap)
+    return _lowest_pair(*_eigensystem(op, dense_cap))
+
+
+def _lowest_pair(evals: np.ndarray, evecs: np.ndarray) -> SpectrumResult:
     ground = fix_phase(evecs[:, 0])
     e0, e1 = float(evals[0]), float(evals[1])
     return SpectrumResult(
@@ -237,10 +240,15 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, np.n
 
 
 class ExactPropagator:
-    """Eigendecomposition of one fixed operator, with basis changes to and from it."""
+    """Eigendecomposition of one fixed operator `op`, with basis changes to and from it."""
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
+        self.op = op
         self.evals, self.evecs = _eigensystem(op, dense_cap)
+
+    def spectrum(self) -> SpectrumResult:
+        """The lowest two eigenpairs, exactly as `ground_state_dense` reports them."""
+        return _lowest_pair(self.evals, self.evecs)
 
     def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:
         return self.evecs.conj().T @ state

@@ -15,6 +15,12 @@ Three layers:
   amplification with the Chebyshev phase schedule, and the driver that
   grows the lattice one padded site at a time.
 
+No ancilla register is stored: the membership test and the reflection
+read one closed-form kernel, `_estimation_kernel`.  With M ancilla values
+and delta = phi_k - 2 pi y / M, eigencomponent k with eigenphase phi_k
+reaches outcome y with probability sin^2(M delta / 2) / (M^2 sin^2(delta / 2))
+(the Fejer kernel), evaluated on the outcome rows a caller needs only.
+
 The evolution-time normalization maps the full spectral range (bounded by
 the Pauli coefficient 1-norm) into [0, 2pi) with a 1/8 safety margin, so
 eigenphases never wrap.
@@ -28,12 +34,17 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import DENSE_CAP_DEFAULT, ExactPropagator, ground_state_dense
+from .exact import DENSE_CAP_DEFAULT, ExactPropagator, _require_memory
 from .fits import EnergyFit
 from .model import ModelSpec, build_hamiltonian
 from .pauli import PAULI_CHARS, PauliSumOperator
 
 _SPAN_MARGIN = 0.125
+#: 2 pi = _TWO_PI_HI + _TWO_PI_LO.  The high part has 32 significant bits, so
+#: _TWO_PI_HI y / M is exact for every outcome y < 2^21; the low part holds
+#: the rest, float(2 pi)'s own rounding error -sin(float(2 pi)) included.
+_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 29)), -29)
+_TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) - math.sin(2.0 * math.pi)
 #: Decision-window width, in grid cells, of every register `prepare_vacuum` sizes;
 #: reflections need a wide window to keep kernel leakage inside the error budget.
 _WINDOW_CELLS = 32
@@ -104,27 +115,46 @@ def ancilla_bits_for(op: PauliSumOperator, gap_bound: float, window_cells: int =
     return max(1, math.ceil(math.log2(need)))
 
 
-def _estimation_kernel(
-    op: PauliSumOperator, cfg: PhaseEstimationConfig, dense_cap: int
-) -> tuple[ExactPropagator, np.ndarray, np.ndarray]:
-    """(prop, kick, grid) of textbook phase estimation on `op`.
+def _estimation_register(prop: ExactPropagator, cfg: PhaseEstimationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, grid) of textbook phase estimation on `prop.op`.
 
-    kick[a, k] is the phase exp(+i a (E_k - e_lo) t) that ancilla value a
-    kicks back on eigencomponent E_k (controlled powers of
-    exp(+i (H - e_lo) t)); grid[a] is the energy that ancilla outcome a reads.
+    Ancilla value a puts the phase exp(+i a phases[k]) on eigencomponent E_k,
+    phases[k] = (E_k - e_lo) t (controlled powers of exp(+i (H - e_lo) t));
+    grid[y] is the energy that ancilla outcome y reads.
     """
-    e_lo, t, span = _time_scaling(op)
+    e_lo, t, span = _time_scaling(prop.op)
     resolution = span / (1 << cfg.ancilla_bits)
     if resolution > cfg.gap_bound / 2.0:
         raise ValueError(
             f"ancilla resolution {resolution:.3e} exceeds half the gap bound "
             f"{cfg.gap_bound / 2.0:.3e}; increase ancilla_bits"
         )
-    prop = ExactPropagator(op, dense_cap)
     m_dim = 1 << cfg.ancilla_bits
-    kick = np.exp(1j * np.outer(np.arange(m_dim), (prop.evals - e_lo) * t))
     grid = e_lo + 2.0 * math.pi * np.arange(m_dim) / (m_dim * t)
-    return prop, kick, grid
+    return (prop.evals - e_lo) * t, grid
+
+
+def _estimation_kernel(phases: np.ndarray, rows: np.ndarray, m_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, ratio), each (len(rows), len(phases)): the Dirichlet kernel on outcome rows only.
+
+    After the inverse QFT on M = m_dim values, eigencomponent k leaves
+    outcome y the amplitude (1/M) sum_a exp(i a delta) =
+    exp(i (M-1) delta / 2) ratio, with delta = phases[k] - 2 pi y / M and
+    ratio = sin(M delta / 2) / (M sin(delta / 2)), 1 where sin(delta / 2) = 0
+    (|delta| < 2 pi, since phases lie in [0, 2 pi)).  ratio**2 is the Fejer
+    kernel, the probability of outcome y on eigencomponent k.
+    """
+    _require_memory(  # delta, half, ratio and one temporary, 8 bytes an entry each
+        4 * 8 * len(rows) * len(phases),
+        f"a phase-estimation table of {len(rows)} outcomes by {len(phases)} eigenstates",
+    )
+    cycles = rows[:, None] / m_dim  # y / M, exact for M a power of two
+    delta = (phases[None, :] - _TWO_PI_HI * cycles) - _TWO_PI_LO * cycles
+    half = np.sin(0.5 * delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin((0.5 * m_dim) * delta) / (m_dim * half)
+    ratio[half == 0.0] = 1.0
+    return delta, ratio
 
 
 def phase_estimate(
@@ -139,21 +169,25 @@ def phase_estimate(
     Runs cfg.repetitions sequential phase estimations on the collapsing
     register, votes on the per-run decisions |E_hat - energy_estimate| <=
     gap_bound / 2, and returns the voted decision, the post-measurement
-    system state, and the median energy sample.
+    system state, and the median energy sample.  Outcomes are drawn from
+    the Fejer kernel of all M outcomes; the state collapses by the
+    Dirichlet amplitude of the drawn one.
     """
-    prop, kick, grid = _estimation_kernel(op, cfg, dense_cap)
-    rng = np.random.default_rng(seed)
+    prop = ExactPropagator(op, dense_cap)
+    phases, grid = _estimation_register(prop, cfg)
     m_dim = len(grid)
+    fejer = _estimation_kernel(phases, np.arange(m_dim), m_dim)[1] ** 2
+    rng = np.random.default_rng(seed)
     psi = prop.to_eigenbasis(np.asarray(state, dtype=complex))
+    psi = psi / np.linalg.norm(psi)
 
     votes = []
     samples = []
     for _ in range(cfg.repetitions):
-        joint = np.fft.fft(kick * psi[None, :], axis=0) / m_dim
-        probs = np.sum(np.abs(joint) ** 2, axis=1)
-        probs = probs / probs.sum()
+        probs = fejer @ np.abs(psi) ** 2
         outcome = int(rng.choice(m_dim, p=probs))
-        psi = joint[outcome] / math.sqrt(probs[outcome])
+        delta, ratio = _estimation_kernel(phases, np.array([outcome]), m_dim)
+        psi = np.exp(0.5j * (m_dim - 1) * delta[0]) * ratio[0] * psi / math.sqrt(probs[outcome])
         e_hat = float(grid[outcome])
         samples.append(e_hat)
         votes.append(abs(e_hat - cfg.energy_estimate) <= cfg.gap_bound / 2.0)
@@ -190,16 +224,18 @@ class ProjectorReflection(_Reflection):
 
 class PhaseEstimationReflection(_Reflection):
     """Coherent estimation -> in-window phase -> inverse estimation, with the
-    ancillas postselected back to |0>.  Exactly diagonal in the eigenbasis:
-    the factor on eigencomponent E is 1 + w(E) (e^{i phi} - 1), where w(E)
-    is the in-window probability mass of the estimation kernel at E."""
+    ancillas postselected back to |0>.  Exactly diagonal in the eigenbasis of
+    `prop`: the factor on eigencomponent E_k is 1 + w_k (e^{i phi} - 1), where
+    w_k = sum over window rows y of sin^2(M delta / 2) / (M^2 sin^2(delta / 2)),
+    delta = phases[k] - 2 pi y / M, is the in-window mass of the Fejer kernel."""
 
-    def __init__(self, op: PauliSumOperator, cfg: PhaseEstimationConfig, dense_cap: int):
+    def __init__(self, prop: ExactPropagator, cfg: PhaseEstimationConfig):
         super().__init__()
-        self._prop, kick, grid = _estimation_kernel(op, cfg, dense_cap)
-        kernel = np.fft.fft(kick, axis=0) / len(grid)
-        window = np.abs(grid - cfg.energy_estimate) <= cfg.gap_bound / 2.0
-        self._weight = np.sum(np.abs(kernel[window, :]) ** 2, axis=0)
+        self._prop = prop
+        phases, grid = _estimation_register(prop, cfg)
+        window = np.flatnonzero(np.abs(grid - cfg.energy_estimate) <= cfg.gap_bound / 2.0)
+        ratio = _estimation_kernel(phases, window, len(grid))[1]
+        self._weight = np.sum(ratio**2, axis=0)
 
     def apply(self, state: np.ndarray, phase: float) -> np.ndarray:
         self.calls += 1
@@ -216,19 +252,17 @@ def state_reflection(vector: np.ndarray) -> ProjectorReflection:
 
 
 def ground_oracle_reflection(
-    op: PauliSumOperator,
+    prop: ExactPropagator,
     cfg: PhaseEstimationConfig,
     mode: OracleMode | str = OracleMode.IDEAL,
-    dense_cap: int = DENSE_CAP_DEFAULT,
 ) -> _Reflection:
-    """Reflection through the ground space of `op`, ideal or via estimation."""
+    """Reflection through the ground space of `prop.op`, ideal or via estimation."""
     mode = OracleMode(mode)
     if mode is OracleMode.IDEAL:
-        prop = ExactPropagator(op, dense_cap)
         e0 = prop.evals[0]
         members = prop.evals <= e0 + 1e-9 * (1.0 + abs(e0))
         return ProjectorReflection(prop.evecs[:, members])
-    return PhaseEstimationReflection(op, cfg, dense_cap)
+    return PhaseEstimationReflection(prop, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +426,9 @@ def prepare_vacuum(
     trace-distance `eps` uniformly across steps.  The per-step energy
     estimates come from `energy_predictor` and must satisfy the half-gap
     promise (validated here against the exact spectra).  Each register is
-    sized so the decision window spans `_WINDOW_CELLS` grid cells.
+    sized so the decision window spans `_WINDOW_CELLS` grid cells.  Each
+    size is diagonalised once: its propagator gives both the spectrum and
+    the target oracle.
     """
     mode = OracleMode(mode)
     if n0 < 2:
@@ -402,11 +438,11 @@ def prepare_vacuum(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
 
-    spectra = {}
-    ops = {}
+    ops, props, spectra = {}, {}, {}
     for n in range(n0, n_final + 1):
         ops[n] = build_hamiltonian(spec_family.with_sites(n))
-        spectra[n] = ground_state_dense(ops[n], dense_cap=dense_cap)
+        props[n] = ExactPropagator(ops[n], dense_cap)
+        spectra[n] = props[n].spectrum()
 
     state = spectra[n0].ground_vector.copy()
     steps: list[PrepStep] = []
@@ -439,7 +475,7 @@ def prepare_vacuum(
             gap_bound=gap_bound,
             failure_prob=eps_step,
         )
-        target_oracle = ground_oracle_reflection(ops[target], pe_cfg, mode, dense_cap)
+        target_oracle = ground_oracle_reflection(props[target], pe_cfg, mode)
         if mode is OracleMode.IDEAL:
             start_oracle = state_reflection(state)
         else:
@@ -463,7 +499,7 @@ def prepare_vacuum(
                 gap_bound=min(spectra[prev].gap, penalty),
                 failure_prob=eps_step,
             )
-            start_oracle = ground_oracle_reflection(start_op, start_cfg, mode, dense_cap)
+            start_oracle = ground_oracle_reflection(ExactPropagator(start_op, dense_cap), start_cfg, mode)
         fp_cfg = FixedPointConfig.from_targets(eta_floor, eps_step)
         state, calls = fixed_point_amplify(state, target_oracle, start_oracle, fp_cfg)
         fidelity = float(abs(np.vdot(spectra[target].ground_vector, state)) ** 2)

@@ -104,3 +104,15 @@ def taylor_evolve(matrix: np.ndarray, time: float, state: np.ndarray, terms: int
         term = (-1j * time / k) * (matrix @ term)
         out = out + term
     return out
+
+
+def phase_estimation_probabilities(phases: np.ndarray, m_dim: int) -> np.ndarray:
+    """Outcome probabilities of textbook phase estimation from the explicit register.
+
+    kick[a, k] = exp(i a phases[k]) is the phase ancilla value a picks up on
+    eigencomponent k (controlled powers of the unitary), and the inverse QFT
+    over the M = m_dim ancilla values is an FFT.  Returns the (M, len(phases))
+    table |fft(kick) / M|^2 of outcome y's probability on eigencomponent k.
+    """
+    kick = np.exp(1j * np.outer(np.arange(m_dim), phases))
+    return np.abs(np.fft.fft(kick, axis=0) / m_dim) ** 2

@@ -332,6 +332,17 @@ class TestCliCommands:
         assert main(["overlap", "--config", cfg_path, "--engine", "dense", "--sizes", "2..8"]) == 2
         assert not list((tmp_path / "out").glob("overlaps*.csv"))
 
+    @pytest.mark.parametrize("sizes", ["4..4", "5..3"])
+    def test_overlap_of_fewer_than_two_sizes_is_config_error(self, config_file, tmp_path, monkeypatch, sizes):
+        import gnlab.cli
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("ground state solved before the size range was checked")
+
+        monkeypatch.setattr(gnlab.cli, "_ground_state", no_solve)
+        assert main(["overlap", "--config", config_file(), "--sizes", sizes]) == 2
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_truncated_overlap_series_is_numerical_failure(self, config_file, tmp_path, monkeypatch):
         import gnlab.cli
         from gnlab.exact import ConvergenceError

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gnlab.exact import ground_state_dense
+import gnlab.exact
+import gnlab.stateprep
+from gnlab.exact import ExactPropagator, ground_state_dense
 from gnlab.fits import EnergyModel, fit_energy_extrapolation
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind, pad_state
@@ -10,6 +12,7 @@ from gnlab.stateprep import (
     FixedPointConfig,
     OracleMode,
     PhaseEstimationConfig,
+    PhaseEstimationReflection,
     PreparationError,
     ancilla_bits_for,
     fixed_point_amplify,
@@ -21,6 +24,8 @@ from gnlab.stateprep import (
     repetitions_for,
     state_reflection,
 )
+from gnlab.stateprep import _WINDOW_CELLS, _estimation_kernel, _estimation_register
+from oracles import phase_estimation_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +118,101 @@ class TestPhaseEstimate:
         assert r2 >= r1
 
 
+def in_window(grid, cfg):
+    return np.flatnonzero(np.abs(grid - cfg.energy_estimate) <= cfg.gap_bound / 2.0)
+
+
+def no_table(*_args, **_kwargs):
+    raise AssertionError("kernel table evaluated despite the memory guard")
+
+
+class TestEstimationKernel:
+    @pytest.fixture(scope="class")
+    def five_site_instance(self):
+        # the largest register prepare_vacuum sizes in the statevector workload: M = 2048, 1024 dims
+        op = build_hamiltonian(ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        prop = ExactPropagator(op)
+        result = prop.spectrum()
+        cfg = PhaseEstimationConfig(
+            ancilla_bits=ancilla_bits_for(op, result.gap, _WINDOW_CELLS),
+            energy_estimate=result.ground_energy + 0.1 * result.gap,
+            gap_bound=result.gap,
+        )
+        assert cfg.ancilla_bits == 11
+        return prop, cfg
+
+    @pytest.mark.parametrize("instance", ["own bits", "4 more bits", "five sites"])
+    def test_fejer_weights_match_fft_reference(self, four_qubit_instance, five_site_instance, instance):
+        if instance == "five sites":
+            prop, cfg = five_site_instance
+        else:
+            op, result, *_ = four_qubit_instance
+            prop, cfg = ExactPropagator(op), pe_config(op, result, extra_bits=4 * (instance == "4 more bits"))
+        phases, grid = _estimation_register(prop, cfg)
+        m_dim = len(grid)
+        # eigenphases on grid points: at y = 0 delta is exactly 0 (the limit), at M/4 within rounding
+        phases = np.concatenate([phases, [0.0, 2 * np.pi * (m_dim // 4) / m_dim]])
+        reference = phase_estimation_probabilities(phases, m_dim)
+        fejer = _estimation_kernel(phases, np.arange(m_dim), m_dim)[1] ** 2
+        assert np.max(np.abs(fejer - reference)) <= 1e-12
+        assert fejer[0, -2] == 1.0 and fejer[m_dim // 4, -1] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(fejer.sum(axis=0) - 1.0)) <= 1e-12
+        # the in-window sums are as exact as the FFT's only with 2 pi split into
+        # high and low parts: with float(2 pi) alone they differ by 5e-15 to 2.2e-14
+        window = in_window(grid, cfg)
+        weight = PhaseEstimationReflection(prop, cfg)._weight
+        assert np.max(np.abs(weight - reference[window, :-2].sum(axis=0))) <= 4e-15
+
+    def test_outcome_probabilities_sum_to_one(self, four_qubit_instance, monkeypatch):
+        op, result, *_ = four_qubit_instance
+        cfg = pe_config(op, result, extra_bits=4)
+        default_rng = np.random.default_rng
+        state = default_rng(5).standard_normal(16) + 1j * default_rng(6).standard_normal(16)
+        sums = []
+
+        class SpyRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def choice(self, n, p):
+                sums.append(p.sum())
+                return self._rng.choice(n, p=p)
+
+        monkeypatch.setattr(gnlab.stateprep.np.random, "default_rng", SpyRng)
+        phase_estimate(op, state, cfg, seed=0)
+        assert len(sums) == cfg.repetitions
+        assert max(abs(total - 1.0) for total in sums) <= 1e-12
+
+    def test_memory_guard_before_the_outcome_table(self, four_qubit_instance, monkeypatch):
+        op, result, *_ = four_qubit_instance
+        cfg = pe_config(op, result)
+        need = 4 * 8 * (1 << cfg.ancilla_bits) * 16  # four float tables of M outcomes by 16 eigenstates
+        assert need > 2 * 16 * 16**2  # above the eigensystem's own guard
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
+        phase_estimate(op, result.ground_vector, cfg, seed=0)
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(gnlab.stateprep.np, "sin", no_table)
+        with pytest.raises(ValueError, match="phase-estimation table .* physical memory"):
+            phase_estimate(op, result.ground_vector, cfg, seed=0)
+
+    def test_memory_guard_before_the_window_table(self, four_qubit_instance, monkeypatch):
+        op, result, *_ = four_qubit_instance
+        cfg = pe_config(op, result)
+        prop = ExactPropagator(op)
+        need = 4 * 8 * len(in_window(_estimation_register(prop, cfg)[1], cfg)) * 16
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
+        PhaseEstimationReflection(prop, cfg)
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(gnlab.stateprep.np, "sin", no_table)
+        with pytest.raises(ValueError, match="phase-estimation table .* physical memory"):
+            PhaseEstimationReflection(prop, cfg)
+
+
 class TestReflections:
     def test_ideal_reflection_phases_ground_only(self, four_qubit_instance):
         op, result, evals, evecs = four_qubit_instance
         cfg = pe_config(op, result)
-        oracle = ground_oracle_reflection(op, cfg, OracleMode.IDEAL)
+        oracle = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
         flipped = oracle.apply(result.ground_vector, np.pi)
         assert np.allclose(flipped, -result.ground_vector, atol=1e-10)
         untouched = oracle.apply(evecs[:, 3], np.pi)
@@ -127,7 +222,7 @@ class TestReflections:
     def test_opposite_phases_cancel(self, four_qubit_instance):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result)
-        oracle = ground_oracle_reflection(op, cfg, OracleMode.IDEAL)
+        oracle = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
         rng = np.random.default_rng(0)
         state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state /= np.linalg.norm(state)
@@ -139,8 +234,8 @@ class TestReflections:
         op, result, *_ = four_qubit_instance
         eps = 0.01
         cfg = pe_config(op, result, failure_prob=eps, extra_bits=4)
-        ideal = ground_oracle_reflection(op, cfg, OracleMode.IDEAL)
-        estimated = ground_oracle_reflection(op, cfg, OracleMode.PHASE_ESTIMATION)
+        ideal = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
+        estimated = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.PHASE_ESTIMATION)
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(50):
@@ -285,6 +380,21 @@ class TestPrepareVacuum:
         )
         with pytest.raises(ValueError, match="half-gap"):
             prepare_vacuum(spec, 2, 4, pad, bad, eps=1e-3)
+
+    @pytest.mark.parametrize(("mode", "eigensystems"), [("ideal", 3), ("phase-estimation", 5)])
+    def test_each_hamiltonian_diagonalised_once(self, prep_setup, monkeypatch, mode, eigensystems):
+        # one per size 2..4, plus one per step for the phase-estimation start operator
+        spec, fit, pad = prep_setup
+        solved = []
+        eigensystem = gnlab.exact._eigensystem
+
+        def counted(op, dense_cap):
+            solved.append(op.n_qubits)
+            return eigensystem(op, dense_cap)
+
+        monkeypatch.setattr(gnlab.exact, "_eigensystem", counted)
+        prepare_vacuum(spec, 2, 4, pad, fit, eps=1e-3, mode=mode)
+        assert len(solved) == eigensystems
 
     def test_trace_csv(self, prep_setup):
         spec, fit, pad = prep_setup
