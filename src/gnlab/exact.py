@@ -1,5 +1,11 @@
 """Ground-truth engines: dense and matrix-free eigensolvers.
 
+The dense solver works on the invariant blocks of the Pauli action
+(`PauliSumOperator._actions`) and never forms a dim x dim array: it finds
+the blocks by label propagation over the actions, fills each block's
+matrix from them, diagonalises each block with `eigh`, and keeps the
+eigenvectors per block.
+
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
 1e-12 times the largest is rotated to the positive real axis.
@@ -34,6 +40,10 @@ class SpectrumResult:
     ground_vector: np.ndarray
 
 
+#: Per invariant block: (basis indices, eigenvalue columns, eigenvectors).
+Blocks = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 def fix_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first significant amplitude is real > 0."""
     mags = np.abs(vector)
@@ -49,8 +59,10 @@ def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT)
     return _lowest_pair(*_eigensystem(op, dense_cap))
 
 
-def _lowest_pair(evals: np.ndarray, evecs: np.ndarray) -> SpectrumResult:
-    ground = fix_phase(evecs[:, 0])
+def _lowest_pair(evals: np.ndarray, blocks: Blocks) -> SpectrumResult:
+    lowest = np.zeros(len(evals), dtype=complex)
+    lowest[0] = 1.0
+    ground = fix_phase(_from_eigenbasis(blocks, lowest))
     e0, e1 = float(evals[0]), float(evals[1])
     return SpectrumResult(
         ground_energy=e0,
@@ -186,21 +198,28 @@ def _require_memory(need: int, what: str) -> None:
         raise ValueError(f"{what} needs {need} bytes, more than the {have} bytes of physical memory")
 
 
-def _invariant_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis indices of each connected component of the exact non-zero pattern.
+def _invariant_blocks(op: PauliSumOperator) -> list[np.ndarray]:
+    """Basis indices of each connected component of the Pauli action's exact non-zeros.
 
-    Every entry between two components is exactly zero, so each component
-    spans an invariant subspace (fermion-number sectors, for instance).
-    Labels start as the indices themselves, take the minimum over the
-    neighbours in both directions, then jump to their label's label, until
-    nothing changes.
+    Each flip-mask action links i and perm[i] wherever either coefficient
+    is non-zero, so every matrix entry between two components is exactly
+    zero and each component spans an invariant subspace (fermion-number
+    sectors, for instance).  Labels start as the indices themselves, take
+    the minimum over the linked indices, then jump to their label's label,
+    until nothing changes.  Each component's indices are ascending, and the
+    components are ordered by their smallest index.
     """
-    rows, cols = np.nonzero(mat)
-    labels = np.arange(mat.shape[0])
+    links = []
+    for perm, diag in op._actions():
+        # perm is an involution, so the linked set is closed under it and
+        # one gather covers both directions
+        nz = np.flatnonzero((diag != 0) | (diag[perm] != 0))
+        links.append((nz, perm[nz]))
+    labels = np.arange(1 << op.n_qubits)
     while True:
         new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
+        for nz, partner in links:
+            new[nz] = np.minimum(new[nz], labels[partner])
         new = new[new]
         if np.array_equal(new, labels):
             break
@@ -210,48 +229,87 @@ def _invariant_blocks(mat: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(counts)[:-1])
 
 
-def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs, eigenvalues ascending, one `eigh` per invariant block.
+def _block_matrices(op: PauliSumOperator, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The matrix of `op` restricted to each block, filled from the Pauli action.
 
-    Block eigenvalues are merged by a stable sort and each block's
-    eigenvectors are written straight into their columns of the full
-    eigenvector matrix.  An operator with no invariant split is one block,
+    Entry (perm[i], i) is the coefficient diag[i] of the one flip mask that
+    maps i to perm[i], so each entry equals the full matrix's bit for bit.
+    All blocks share one flat buffer of sum |block|^2 entries.
+    """
+    sizes = np.array([len(idx) for idx in blocks])
+    offsets = np.cumsum(sizes**2) - sizes**2
+    members = np.concatenate(blocks)
+    block_of = np.empty(len(members), dtype=np.intp)
+    block_of[members] = np.repeat(np.arange(len(blocks)), sizes)
+    pos = np.empty(len(members), dtype=np.intp)
+    pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
+    for perm, diag in op._actions():
+        cols = np.flatnonzero(diag)
+        b = block_of[cols]
+        flat[offsets[b] + pos[perm[cols]] * sizes[b] + pos[cols]] = diag[cols]
+    return [flat[o:o + s * s].reshape(s, s) for o, s in zip(offsets, sizes)]
+
+
+def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:
+    """All eigenvalues ascending, and one `eigh` eigensystem per invariant block.
+
+    Block eigenvalues are merged by a stable sort; each block records the
+    columns its eigenvalues took.  No dim x dim array is formed: the memory
+    guard counts the block matrices and their eigenvectors, 2 x 16 x
+    sum |block|^2 bytes.  An operator with no invariant split is one block,
     which is a plain full `eigh`.
     """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
     if not op.is_hermitian(1e-10):
         raise ValueError("operator must be Hermitian")
-    dim = 1 << op.n_qubits
-    _require_memory(2 * 16 * dim * dim, f"the complex matrix and eigenvectors of {op.n_qubits} qubits")
-    mat = op.to_matrix()
-    solved = [(idx, *np.linalg.eigh(mat[np.ix_(idx, idx)])) for idx in _invariant_blocks(mat)]
-    del mat
-    evals = np.concatenate([w for _, w, _ in solved])
+    blocks = _invariant_blocks(op)
+    _require_memory(
+        2 * 16 * sum(len(idx) ** 2 for idx in blocks),
+        f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
+    )
+    solved = [np.linalg.eigh(mat) for mat in _block_matrices(op, blocks)]
+    evals = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals, kind="stable")
-    column = np.empty(dim, dtype=np.intp)
-    column[order] = np.arange(dim)
-    evecs = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    for idx, w, v in solved:
-        evecs[np.ix_(idx, column[start:start + len(w)])] = v
-        start += len(w)
-    return evals[order], evecs
+    column = np.empty(len(evals), dtype=np.intp)
+    column[order] = np.arange(len(evals))
+    columns = np.split(column, np.cumsum([len(idx) for idx in blocks])[:-1])
+    return evals[order], [(idx, cols, v) for idx, cols, (_, v) in zip(blocks, columns, solved)]
+
+
+def _from_eigenbasis(blocks: Blocks, amps: np.ndarray) -> np.ndarray:
+    """Computational-basis vector(s) of eigenbasis amplitudes, shape (dim,) or (dim, k)."""
+    out = np.empty(amps.shape, dtype=complex)
+    for idx, cols, vecs in blocks:
+        out[idx] = vecs @ amps[cols]
+    return out
 
 
 class ExactPropagator:
-    """Eigendecomposition of one fixed operator `op`, with basis changes to and from it."""
+    """Eigendecomposition of one fixed operator `op`, with basis changes to and from it.
+
+    `evals` holds every eigenvalue in ascending order; `blocks` holds, per
+    invariant block, its basis indices, the columns of its eigenvalues in
+    `evals` and its eigenvectors.  Each basis change is one small matmul
+    per block.
+    """
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
         self.op = op
-        self.evals, self.evecs = _eigensystem(op, dense_cap)
+        self.evals, self.blocks = _eigensystem(op, dense_cap)
 
     def spectrum(self) -> SpectrumResult:
         """The lowest two eigenpairs, exactly as `ground_state_dense` reports them."""
-        return _lowest_pair(self.evals, self.evecs)
+        return _lowest_pair(self.evals, self.blocks)
 
     def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:
-        return self.evecs.conj().T @ state
+        """Eigenbasis amplitudes of `state`, shape (dim,) or (dim, k)."""
+        out = np.empty(state.shape, dtype=complex)
+        for idx, cols, vecs in self.blocks:
+            # V^H x as conj(V^T conj(x)): no conjugated copy of V
+            out[cols] = (vecs.T @ state[idx].conj()).conj()
+        return out
 
-    def from_eigenbasis(self, state: np.ndarray) -> np.ndarray:
-        return self.evecs @ state
+    def from_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
+        return _from_eigenbasis(self.blocks, amps)

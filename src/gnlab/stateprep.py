@@ -158,13 +158,12 @@ def _estimation_kernel(phases: np.ndarray, rows: np.ndarray, m_dim: int) -> tupl
 
 
 def phase_estimate(
-    op: PauliSumOperator,
+    prop: ExactPropagator,
     state: np.ndarray,
     cfg: PhaseEstimationConfig,
     seed: int,
-    dense_cap: int = DENSE_CAP_DEFAULT,
 ) -> tuple[Decision, np.ndarray, float]:
-    """Decide whether `state` is the ground state of `op`.
+    """Decide whether `state` is the ground state of `prop.op`.
 
     Runs cfg.repetitions sequential phase estimations on the collapsing
     register, votes on the per-run decisions |E_hat - energy_estimate| <=
@@ -173,7 +172,6 @@ def phase_estimate(
     the Fejer kernel of all M outcomes; the state collapses by the
     Dirichlet amplitude of the drawn one.
     """
-    prop = ExactPropagator(op, dense_cap)
     phases, grid = _estimation_register(prop, cfg)
     m_dim = len(grid)
     fejer = _estimation_kernel(phases, np.arange(m_dim), m_dim)[1] ** 2
@@ -260,8 +258,10 @@ def ground_oracle_reflection(
     mode = OracleMode(mode)
     if mode is OracleMode.IDEAL:
         e0 = prop.evals[0]
-        members = prop.evals <= e0 + 1e-9 * (1.0 + abs(e0))
-        return ProjectorReflection(prop.evecs[:, members])
+        members = np.flatnonzero(prop.evals <= e0 + 1e-9 * (1.0 + abs(e0)))
+        columns = np.zeros((len(prop.evals), len(members)), dtype=complex)
+        columns[members, np.arange(len(members))] = 1.0
+        return ProjectorReflection(prop.from_eigenbasis(columns))
     return PhaseEstimationReflection(prop, cfg)
 
 

@@ -15,6 +15,15 @@ SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def block_eigh(matrix: np.ndarray, blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`eigh` of each diagonal block matrix[idx, idx] of an assembled dense matrix.
+
+    The plain route to block eigensystems: slice the full matrix, then
+    diagonalise each slice.
+    """
+    return [np.linalg.eigh(matrix[np.ix_(idx, idx)]) for idx in blocks]
+
+
 def ladder_operators(n_modes: int) -> list[np.ndarray]:
     """Dense annihilation operators with Jordan-Wigner parity strings."""
     lower = np.array([[0, 1], [0, 0]], dtype=complex)

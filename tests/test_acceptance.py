@@ -13,7 +13,7 @@ import pytest
 
 from gnlab.cli import main
 from gnlab.dmrg import dmrg_ground_state, epsilon_measure
-from gnlab.exact import ground_state_dense
+from gnlab.exact import ExactPropagator, ground_state_dense
 from gnlab.fits import EnergyModel, fit_correlation_length, fit_energy_extrapolation
 from gnlab.model import (
     Boundary,
@@ -244,7 +244,8 @@ def test_criterion_07_membership_test_contract(failure_prob):
     for m0, g0_sq in REFERENCE_POINTS:
         spec = ModelSpec(n_sites=2, spacing=0.5, bare_mass=m0, coupling_sq=g0_sq)
         op = build_hamiltonian(spec)
-        dense = ground_state_dense(op)
+        prop = ExactPropagator(op)
+        dense = prop.spectrum()
         evecs = np.linalg.eigh(op.to_matrix())[1]
         cfg = PhaseEstimationConfig(
             ancilla_bits=ancilla_bits_for(op, dense.gap),
@@ -254,9 +255,9 @@ def test_criterion_07_membership_test_contract(failure_prob):
             failure_prob=failure_prob,
         )
         for seed in range(trials_per_case):
-            decision, _post, _e = phase_estimate(op, dense.ground_vector, cfg, seed=seed)
+            decision, _post, _e = phase_estimate(prop, dense.ground_vector, cfg, seed=seed)
             wrong += decision is not Decision.GROUND
-            decision, _post, _e = phase_estimate(op, evecs[:, 1], cfg, seed=trials_per_case + seed)
+            decision, _post, _e = phase_estimate(prop, evecs[:, 1], cfg, seed=trials_per_case + seed)
             wrong += decision is not Decision.NOT_GROUND
             total += 2
     rate = wrong / total

@@ -18,7 +18,11 @@ from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 from gnlab.stateprep import _embed_left, projector_pauli_expansion
 
-from oracles import dense_hamiltonian
+from oracles import block_eigh, dense_hamiltonian
+
+
+def no_matrix(_self):
+    raise AssertionError("to_matrix called by the dense solver")
 
 
 def random_hermitian_pauli_sum(n, n_terms, rng):
@@ -81,19 +85,43 @@ class TestDense:
 
     def test_memory_guard_raises_before_building_the_matrix(self, monkeypatch):
         op = PauliSumOperator.from_terms(3, [(1.0, "XZY")])
-        need = 2 * 16 * 4**3  # the complex matrix and its eigenvectors
+        need = 2 * 16 * 4 * 2**2  # four blocks {i, i ^ 0b101}: their matrices and eigenvectors
+        monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
         assert ground_state_dense(op).gap == 0.0
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
 
-        def no_matrix(_self):
-            raise AssertionError("to_matrix called despite the memory guard")
+        def no_blocks(*_args, **_kwargs):
+            raise AssertionError("block matrix or eigh despite the memory guard")
 
-        monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
+        monkeypatch.setattr(gnlab.exact, "_block_matrices", no_blocks)
+        monkeypatch.setattr(gnlab.exact.np.linalg, "eigh", no_blocks)
         with pytest.raises(ValueError, match="physical memory"):
             ground_state_dense(op)
         with pytest.raises(ValueError, match="physical memory"):
             ExactPropagator(op)
+
+    def test_fourteen_qubits_in_seven_gigabytes(self, monkeypatch):
+        # the full matrix and eigenvectors, 2 x 16 x 4^14 bytes = 8.6 GB, exceed
+        # 7 GB; the XX pair splits the basis into 8192 blocks of two states
+        fields = 0.1 * np.arange(1, 15)
+        coupling = 0.3
+        terms = [(h, "I" * q + "Z" + "I" * (13 - q)) for q, h in enumerate(fields)]
+        op = PauliSumOperator.from_terms(14, terms + [(coupling, "XX" + "I" * 12)])
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: 7 * 2**30)
+        monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
+        prop = ExactPropagator(op)
+        assert max(len(idx) for idx, _cols, _vecs in prop.blocks) == 2
+        # the XX pair mixes |00> with |11> and |01> with |10>; Z_q adds +-h_q
+        pair = np.array([1.0, -1.0])[:, None] * np.hypot(
+            [fields[0] + fields[1], fields[0] - fields[1]], coupling
+        )
+        rest = np.zeros(1)
+        for h in fields[2:]:
+            rest = np.concatenate([rest + h, rest - h])
+        expected = np.sort((pair.reshape(-1, 1) + rest).ravel())
+        assert np.max(np.abs(prop.evals - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert ground_state_dense(op).ground_energy == pytest.approx(expected[0], rel=1e-12, abs=0.0)
 
     def test_lanczos_memory_guard_raises_before_drawing_start_vectors(self, monkeypatch):
         op = PauliSumOperator.from_terms(3, [(1.0, "XZY"), (0.5, "ZII")])
@@ -112,8 +140,9 @@ class TestDense:
 
 def _unitary_eigensystem_residuals(mat, prop):
     scale = np.linalg.norm(mat)
-    unitarity = np.linalg.norm(prop.evecs.conj().T @ prop.evecs - np.eye(len(mat)))
-    residual = np.linalg.norm(mat @ prop.evecs - prop.evecs * prop.evals) / scale
+    evecs = prop.from_eigenbasis(np.eye(len(mat)))
+    unitarity = np.linalg.norm(evecs.conj().T @ evecs - np.eye(len(mat)))
+    residual = np.linalg.norm(mat @ evecs - evecs * prop.evals) / scale
     return unitarity, residual
 
 
@@ -122,7 +151,7 @@ class TestBlockEigensystem:
         spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         ham = build_hamiltonian(spec)
         mat = ham.to_matrix()
-        blocks = _invariant_blocks(mat)
+        blocks = _invariant_blocks(ham)
         popcounts = [{bin(int(i)).count("1") for i in idx} for idx in blocks]
         assert all(len(p) == 1 for p in popcounts)
         assert sorted(p.pop() for p in popcounts) == list(range(9))
@@ -148,7 +177,7 @@ class TestBlockEigensystem:
         )
         start_op = _embed_left(h_prev, n_qubits) + penalty_op
         mat = start_op.to_matrix()
-        blocks = _invariant_blocks(mat)
+        blocks = _invariant_blocks(start_op)
         assert max(len(idx) for idx in blocks) <= 4 * comb(6, 3)
 
         prop = ExactPropagator(start_op)
@@ -161,12 +190,31 @@ class TestBlockEigensystem:
     def test_random_pauli_sum_is_one_block_and_matches_eigh(self, rng):
         op = random_hermitian_pauli_sum(5, 10, rng)
         mat = op.to_matrix()
-        assert len(_invariant_blocks(mat)) == 1
+        assert len(_invariant_blocks(op)) == 1
         evals, evecs = np.linalg.eigh(mat)
         prop = ExactPropagator(op)
         assert np.max(np.abs(prop.evals - evals)) <= 1e-12 * np.max(np.abs(evals))
-        overlaps = np.abs(np.sum(evecs.conj() * prop.evecs, axis=0))
+        overlaps = np.abs(np.sum(evecs.conj() * prop.from_eigenbasis(np.eye(len(mat))), axis=0))
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
+
+
+    def test_block_eigensystems_equal_eigh_of_matrix_blocks(self):
+        ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        prop = ExactPropagator(ham)
+        reference = block_eigh(ham.to_matrix(), [idx for idx, _cols, _vecs in prop.blocks])
+        assert len(reference) == len(prop.blocks) == 9
+        for (_idx, cols, vecs), (evals, evecs) in zip(prop.blocks, reference):
+            assert np.array_equal(prop.evals[cols], evals)
+            assert np.array_equal(vecs, evecs)
+
+    @pytest.mark.parametrize("shape", [(256,), (256, 3)])
+    def test_eigenbasis_round_trip(self, rng, shape):
+        ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        prop = ExactPropagator(ham)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        amps = prop.to_eigenbasis(state)
+        assert amps.shape == shape
+        assert np.max(np.abs(prop.from_eigenbasis(amps) - state)) <= 1e-13
 
 
 class TestLanczos:

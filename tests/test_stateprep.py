@@ -37,6 +37,11 @@ def four_qubit_instance():
     return op, result, evals, evecs
 
 
+@pytest.fixture(scope="module")
+def four_qubit_prop(four_qubit_instance):
+    return ExactPropagator(four_qubit_instance[0])
+
+
 def pe_config(op, result, repetitions=5, failure_prob=0.01, extra_bits=0):
     bits = ancilla_bits_for(op, result.gap) + extra_bits
     return PhaseEstimationConfig(
@@ -49,32 +54,32 @@ def pe_config(op, result, repetitions=5, failure_prob=0.01, extra_bits=0):
 
 
 class TestPhaseEstimate:
-    def test_ground_state_accepted(self, four_qubit_instance):
+    def test_ground_state_accepted(self, four_qubit_instance, four_qubit_prop):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result)
         wrong = 0
         for seed in range(200):
-            decision, _post, _e = phase_estimate(op, result.ground_vector, cfg, seed=seed)
+            decision, _post, _e = phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=seed)
             wrong += decision is Decision.NOT_GROUND
         assert wrong / 200 <= cfg.failure_prob
 
-    def test_excited_state_rejected(self, four_qubit_instance):
+    def test_excited_state_rejected(self, four_qubit_instance, four_qubit_prop):
         op, result, evals, evecs = four_qubit_instance
         cfg = pe_config(op, result)
         wrong = 0
         for seed in range(200):
-            decision, _post, _e = phase_estimate(op, evecs[:, 1], cfg, seed=seed)
+            decision, _post, _e = phase_estimate(four_qubit_prop, evecs[:, 1], cfg, seed=seed)
             wrong += decision is Decision.GROUND
         assert wrong / 200 <= cfg.failure_prob
 
-    def test_superposition_collapses_by_born_rule(self, four_qubit_instance):
+    def test_superposition_collapses_by_born_rule(self, four_qubit_instance, four_qubit_prop):
         op, result, evals, evecs = four_qubit_instance
         cfg = pe_config(op, result)
         mix = (result.ground_vector + evecs[:, 1]) / np.sqrt(2)
         trials = 600
         ground_count = 0
         for seed in range(trials):
-            decision, post, _e = phase_estimate(op, mix, cfg, seed=seed)
+            decision, post, _e = phase_estimate(four_qubit_prop, mix, cfg, seed=seed)
             if decision is Decision.GROUND:
                 ground_count += 1
                 assert abs(np.vdot(result.ground_vector, post)) ** 2 >= 1 - cfg.failure_prob
@@ -82,26 +87,26 @@ class TestPhaseEstimate:
         # Born probability 1/2 with a 4-sigma (binomial) sampling allowance
         assert abs(freq - 0.5) <= 4 * 0.5 / np.sqrt(trials)
 
-    def test_eigenstate_input_unchanged(self, four_qubit_instance):
+    def test_eigenstate_input_unchanged(self, four_qubit_instance, four_qubit_prop):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result)
-        _d, post, _e = phase_estimate(op, result.ground_vector, cfg, seed=0)
+        _d, post, _e = phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=0)
         assert abs(abs(np.vdot(result.ground_vector, post)) - 1) < 1e-10
 
-    def test_energy_sample_near_truth(self, four_qubit_instance):
+    def test_energy_sample_near_truth(self, four_qubit_instance, four_qubit_prop):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result)
-        _d, _post, sample = phase_estimate(op, result.ground_vector, cfg, seed=3)
+        _d, _post, sample = phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=3)
         assert abs(sample - result.ground_energy) <= result.gap / 2
 
-    def test_resolution_validation(self, four_qubit_instance):
+    def test_resolution_validation(self, four_qubit_instance, four_qubit_prop):
         op, result, *_ = four_qubit_instance
         cfg = PhaseEstimationConfig(
             ancilla_bits=2, energy_estimate=result.ground_energy,
             gap_bound=result.gap, repetitions=3, failure_prob=0.1,
         )
         with pytest.raises(ValueError, match="resolution"):
-            phase_estimate(op, result.ground_vector, cfg, seed=0)
+            phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +168,7 @@ class TestEstimationKernel:
         weight = PhaseEstimationReflection(prop, cfg)._weight
         assert np.max(np.abs(weight - reference[window, :-2].sum(axis=0))) <= 4e-15
 
-    def test_outcome_probabilities_sum_to_one(self, four_qubit_instance, monkeypatch):
+    def test_outcome_probabilities_sum_to_one(self, four_qubit_instance, four_qubit_prop, monkeypatch):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result, extra_bits=4)
         default_rng = np.random.default_rng
@@ -179,21 +184,20 @@ class TestEstimationKernel:
                 return self._rng.choice(n, p=p)
 
         monkeypatch.setattr(gnlab.stateprep.np.random, "default_rng", SpyRng)
-        phase_estimate(op, state, cfg, seed=0)
+        phase_estimate(four_qubit_prop, state, cfg, seed=0)
         assert len(sums) == cfg.repetitions
         assert max(abs(total - 1.0) for total in sums) <= 1e-12
 
-    def test_memory_guard_before_the_outcome_table(self, four_qubit_instance, monkeypatch):
+    def test_memory_guard_before_the_outcome_table(self, four_qubit_instance, four_qubit_prop, monkeypatch):
         op, result, *_ = four_qubit_instance
         cfg = pe_config(op, result)
         need = 4 * 8 * (1 << cfg.ancilla_bits) * 16  # four float tables of M outcomes by 16 eigenstates
-        assert need > 2 * 16 * 16**2  # above the eigensystem's own guard
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
-        phase_estimate(op, result.ground_vector, cfg, seed=0)
+        phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=0)
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(gnlab.stateprep.np, "sin", no_table)
         with pytest.raises(ValueError, match="phase-estimation table .* physical memory"):
-            phase_estimate(op, result.ground_vector, cfg, seed=0)
+            phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=0)
 
     def test_memory_guard_before_the_window_table(self, four_qubit_instance, monkeypatch):
         op, result, *_ = four_qubit_instance
