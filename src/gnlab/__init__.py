@@ -9,7 +9,6 @@ from .model import (
     Boundary,
     GammaRep,
     ModelSpec,
-    REFERENCE_PARAMETER_POINTS,
     build_hamiltonian,
     free_dispersion,
     free_quadratic_form,
@@ -21,7 +20,6 @@ from .exact import (
     ConvergenceError,
     SpectrumResult,
     ground_state_dense,
-    ground_state_lanczos,
 )
 from .mps import (
     MatrixProductOperator,
@@ -34,7 +32,7 @@ from .mps import (
 )
 from .dmrg import DmrgReport, dmrg_ground_state, epsilon_measure
 from .bessel import bessel_k
-from .observables import CorrelatorSeries, continuum_free_correlator, two_point_correlator
+from .observables import CorrelatorSeries, two_point_correlator
 from .fits import (
     CorrelationFit,
     EnergyFit,

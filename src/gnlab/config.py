@@ -186,6 +186,8 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    if analysis.pad_kind is PadKind.CUSTOM:
+        raise ConfigError("[analysis] pad_kind = custom needs a pad vector, which no config key supplies")
     if (model is not None and model.boundary is Boundary.PERIODIC and solver.engine is Engine.DMRG
             and max(model.n_sites, analysis.sizes[1]) > MPO_MAX_SPAN):
         raise ConfigError(

@@ -1,4 +1,4 @@
-"""Ground-truth engines: dense and matrix-free eigensolvers.
+"""Exact diagonalisation, and the restarted Lanczos solver of DMRG's local problems.
 
 The dense solver works on the invariant blocks of the Pauli action
 (`PauliSumOperator._actions`) and never forms a dim x dim array: it finds
@@ -22,8 +22,6 @@ import numpy as np
 from .pauli import PauliSumOperator
 
 DENSE_CAP_DEFAULT = 14
-LANCZOS_CAP_DEFAULT = 24
-KRYLOV_DIM_DEFAULT = 30
 
 
 class ConvergenceError(RuntimeError):
@@ -77,19 +75,16 @@ def lanczos_lowest(
     start: np.ndarray,
     tol: float,
     max_restarts: int = 400,
-    krylov_dim: int = KRYLOV_DIM_DEFAULT,
-    locked: list[np.ndarray] | None = None,
+    krylov_dim: int = 30,
     strict: bool = True,
     rtol: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Restarted Lanczos with full reorthogonalization for the lowest eigenpair.
 
-    `locked` vectors are projected out of the Krylov space, which targets the
-    lowest eigenpair orthogonal to them.  Deterministic given `start`.
-    Converged once the residual norm ||A v - theta v|| is at most
-    max(tol, rtol * |theta|).  Raises ConvergenceError if it stays above
-    that; with strict=False the best pair found is returned instead
-    (inner-loop use).
+    Deterministic given `start`.  Converged once the residual norm
+    ||A v - theta v|| is at most max(tol, rtol * |theta|).  Raises
+    ConvergenceError if it stays above that; with strict=False the best
+    pair found is returned instead (inner-loop use).
 
     The basis stops growing at the first step j whose Ritz estimate
     beta_j |y_j| (Paige) meets that goal.  The estimate alone never
@@ -98,23 +93,14 @@ def lanczos_lowest(
     it, and a restart from that vector reuses the product as its first
     Krylov product.
     """
-    locked = locked or []
     dim = start.shape[0]
-    m_cap = min(krylov_dim, dim - len(locked))
-    if m_cap < 1:
-        raise ValueError("Krylov space is empty after deflation")
-
-    def project_out(w: np.ndarray) -> np.ndarray:
-        for u in locked:
-            w = w - np.vdot(u, w) * u
-        return w
-
-    v = project_out(start.astype(complex))
+    m_cap = min(krylov_dim, dim)
+    v = start.astype(complex)
     nrm = np.linalg.norm(v)
     if nrm < 1e-14:
-        raise ValueError("start vector lies in the locked subspace")
+        raise ValueError("start vector is zero")
     v = v / nrm
-    product = project_out(matvec(v))   # A v of each restart vector, formed once
+    product = matvec(v)   # A v of each restart vector, formed once
 
     basis = np.empty((m_cap, dim), dtype=complex)
     theta = 0.0
@@ -123,7 +109,7 @@ def lanczos_lowest(
         alphas: list[float] = []
         betas: list[float] = []
         for j in range(m_cap):
-            w = product if j == 0 else project_out(matvec(basis[j]))
+            w = product if j == 0 else matvec(basis[j])
             alpha = float(np.real(np.vdot(basis[j], w)))
             alphas.append(alpha)
             w = w - alpha * basis[j]
@@ -142,9 +128,9 @@ def lanczos_lowest(
                 break
             betas.append(beta)
             basis[j + 1] = w / beta
-        v = project_out(tvecs[:, 0] @ basis[: len(alphas)])
+        v = tvecs[:, 0] @ basis[: len(alphas)]
         v = v / np.linalg.norm(v)
-        product = project_out(matvec(v))
+        product = matvec(v)
         if np.linalg.norm(product - theta * v) <= goal:
             return theta, v
     if not strict:
@@ -152,33 +138,6 @@ def lanczos_lowest(
     raise ConvergenceError(
         f"Lanczos did not reach residual max({tol:.2e}, {rtol:.2e}*|theta|) "
         f"after {max_restarts} restarts"
-    )
-
-
-def ground_state_lanczos(
-    op: PauliSumOperator,
-    tol: float = 1e-10,
-    seed: int = 0,
-    lanczos_cap: int = LANCZOS_CAP_DEFAULT,
-    max_restarts: int = 400,
-) -> SpectrumResult:
-    """Matrix-free Krylov solver for the lowest two eigenpairs."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if op.n_qubits > lanczos_cap:
-        raise ValueError(f"{op.n_qubits} qubits exceeds Lanczos cap {lanczos_cap}")
-    dim = 1 << op.n_qubits
-    _require_memory(16 * min(KRYLOV_DIM_DEFAULT, dim) * dim, f"a Lanczos basis of {op.n_qubits} qubits")
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    e0, v0 = lanczos_lowest(op.apply, start, tol, max_restarts=max_restarts)
-    start2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    e1, _v1 = lanczos_lowest(op.apply, start2, tol, max_restarts=max_restarts, locked=[v0])
-    return SpectrumResult(
-        ground_energy=e0,
-        first_excited_energy=e1,
-        gap=max(e1 - e0, 0.0),
-        ground_vector=fix_phase(v0),
     )
 
 

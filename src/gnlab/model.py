@@ -28,11 +28,6 @@ import numpy as np
 
 from .pauli import PauliSumOperator, jordan_wigner
 
-#: Parameter points with correlation lengths that fit comfortably between the
-#: lattice spacing and desk-scale system sizes; used as benchmark defaults.
-REFERENCE_PARAMETER_POINTS = ((0.2, 1.5), (0.4, 1.0))
-
-
 class Boundary(str, Enum):
     DIRICHLET = "dirichlet"
     PERIODIC = "periodic"

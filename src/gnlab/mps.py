@@ -117,11 +117,6 @@ class MatrixProductState:
         return mps
 
     @classmethod
-    def product_state(cls, vectors: list[np.ndarray]) -> "MatrixProductState":
-        tensors = [np.asarray(v, dtype=complex).reshape(1, -1, 1) for v in vectors]
-        return cls(tensors, center=0)
-
-    @classmethod
     def from_dense(
         cls,
         vector: np.ndarray,
@@ -176,14 +171,6 @@ class MatrixProductState:
         for k in range(self.n_sites - 1, center, -1):
             self._push_left(k)
         self.center = center
-
-    def move_center_to(self, k: int) -> None:
-        while self.center < k:
-            self._push_right(self.center)
-            self.center += 1
-        while self.center > k:
-            self._push_left(self.center)
-            self.center -= 1
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.tensors[self.center]))

@@ -120,12 +120,3 @@ def two_point_correlator(
         error_bars=(2.0 * float(np.sqrt(epsilon)) / a,) * len(pairs),
         blocks=blocks,
     )
-
-
-def continuum_free_correlator(m0: float, separation: float) -> float:
-    """Noninteracting continuum value (m0 / 2 pi) K0(m0 |dx|)."""
-    from .bessel import bessel_k
-
-    if separation <= 0:
-        raise ValueError("separation must be positive")
-    return m0 / (2.0 * np.pi) * bessel_k(0, m0 * separation)

@@ -131,11 +131,6 @@ class PauliSumOperator:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
-    def max_weight(self) -> int:
-        """Largest number of non-identity letters in any term."""
-        return max((sum(ch != "I" for ch in s) for _, s in self.terms), default=0)
-
     def identity_coefficient(self) -> complex:
         ident = "I" * self.n_qubits
         for c, s in self.terms:
@@ -143,32 +138,10 @@ class PauliSumOperator:
                 return c
         return 0j
 
-    def coefficient_one_norm(self, include_identity: bool = False) -> float:
-        """Sum of |coefficients|; bounds the spectral radius of H - c_I."""
+    def coefficient_one_norm(self) -> float:
+        """Sum of |coefficients| of the non-identity terms; bounds the spectral radius of H - c_I."""
         ident = "I" * self.n_qubits
-        return float(
-            sum(abs(c) for c, s in self.terms if include_identity or s != ident)
-        )
-
-    def support(self, term_index: int) -> tuple[int, int]:
-        """(first, last) non-identity qubit of a term; identity maps to (0, 0)."""
-        s = self.terms[term_index][1]
-        qubits = [q for q, ch in enumerate(s) if ch != "I"]
-        if not qubits:
-            return (0, 0)
-        return (qubits[0], qubits[-1])
-
-    def permute_qubits(self, mapping: list[int]) -> "PauliSumOperator":
-        """Relabel qubits: letter at qubit q moves to qubit mapping[q]."""
-        if sorted(mapping) != list(range(self.n_qubits)):
-            raise ValueError("mapping must be a permutation of all qubit indices")
-        raw = []
-        for c, s in self.terms:
-            out = ["I"] * self.n_qubits
-            for q, ch in enumerate(s):
-                out[mapping[q]] = ch
-            raw.append((c, "".join(out)))
-        return PauliSumOperator.from_terms(self.n_qubits, raw)
+        return float(sum(abs(c) for c, s in self.terms if s != ident))
 
     # -- action on state vectors --------------------------------------------
 

@@ -65,15 +65,14 @@ class PhaseEstimationConfig:
     """Knobs of the boosted membership test.
 
     The promise |energy_estimate - E0| < gap_bound / 2 is the caller's
-    responsibility; `failure_prob` is the decision error the boosted test
-    should meet.
+    responsibility, and so is a repetition count that meets the decision
+    error it needs (`repetitions_for`).
     """
 
     ancilla_bits: int
     energy_estimate: float
     gap_bound: float
     repetitions: int = 3
-    failure_prob: float = 0.01
 
     def __post_init__(self) -> None:
         if self.ancilla_bits < 1:
@@ -82,26 +81,23 @@ class PhaseEstimationConfig:
             raise ValueError("gap_bound must be positive")
         if self.repetitions < 1 or self.repetitions % 2 == 0:
             raise ValueError("repetitions must be a positive odd integer")
-        if not 0 < self.failure_prob < 1:
-            raise ValueError("failure_prob must lie in (0, 1)")
 
 
-def repetitions_for(failure_prob: float, single_error: float = 0.25) -> int:
-    """Smallest odd repetition count whose majority vote meets `failure_prob`.
+def repetitions_for(decision_error: float) -> int:
+    """Smallest odd repetition count whose majority vote meets `decision_error`.
 
-    Uses the additive Chernoff bound exp(-2 R (1/2 - single_error)^2) on the
-    probability that more than half of R votes err.
+    Uses the additive Chernoff bound exp(-2 R (1/2 - 1/4)^2) on the
+    probability that more than half of R votes err, each with probability
+    at most 1/4.
     """
-    if not 0 < single_error < 0.5:
-        raise ValueError("single_error must lie in (0, 0.5)")
-    reps = max(1, math.ceil(math.log(1.0 / failure_prob) / (2.0 * (0.5 - single_error) ** 2)))
+    reps = max(1, math.ceil(math.log(1.0 / decision_error) / (2.0 * 0.25**2)))
     return reps if reps % 2 == 1 else reps + 1
 
 
 def _time_scaling(op: PauliSumOperator) -> tuple[float, float, float]:
     """(e_lo, t, span) such that (E - e_lo) * t covers [0, 2pi) with margin."""
     center = op.identity_coefficient().real
-    radius = op.coefficient_one_norm(include_identity=False)
+    radius = op.coefficient_one_norm()
     radius = max(radius, 1e-9)
     e_lo = center - radius
     span = 2.0 * radius * (1.0 + _SPAN_MARGIN)
@@ -383,12 +379,17 @@ class PreparationError(RuntimeError):
         self.trace = trace
 
 
-def _embed_left(op: PauliSumOperator, n_qubits: int) -> PauliSumOperator:
-    if n_qubits < op.n_qubits:
-        raise ValueError("target register smaller than the operator")
-    padding = "I" * (n_qubits - op.n_qubits)
+def _start_operator(prev_op: PauliSumOperator, pad: np.ndarray, penalty: float) -> PauliSumOperator:
+    """H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), whose ground state is |g_prev> (x) |pad>."""
+    complement = PauliSumOperator.identity(int(math.log2(len(pad)))) - projector_pauli_expansion(pad)
+    padding = "I" * complement.n_qubits
+    prev_ident = "I" * prev_op.n_qubits
     return PauliSumOperator.from_terms(
-        n_qubits, ((c, s + padding) for c, s in op.terms)
+        prev_op.n_qubits + complement.n_qubits,
+        [
+            *((c, s + padding) for c, s in prev_op.terms),
+            *((penalty * c, prev_ident + s) for c, s in complement.terms),
+        ],
     )
 
 
@@ -473,7 +474,6 @@ def prepare_vacuum(
             ancilla_bits=ancilla_bits_for(ops[target], gap_bound, _WINDOW_CELLS),
             energy_estimate=e_pred,
             gap_bound=gap_bound,
-            failure_prob=eps_step,
         )
         target_oracle = ground_oracle_reflection(props[target], pe_cfg, mode)
         if mode is OracleMode.IDEAL:
@@ -481,23 +481,11 @@ def prepare_vacuum(
         else:
             prev = target - 1
             penalty = max(1.0, 2.0 * spectra[prev].gap)
-            extended = _embed_left(ops[prev], ops[target].n_qubits)
-            pad_qubits = int(math.log2(len(pad)))
-            pad_proj = projector_pauli_expansion(pad)
-            complement = PauliSumOperator.identity(pad_qubits) - pad_proj
-            penalty_op = PauliSumOperator.from_terms(
-                ops[target].n_qubits,
-                (
-                    (penalty * c, "I" * ops[prev].n_qubits + s)
-                    for c, s in complement.terms
-                ),
-            )
-            start_op = extended + penalty_op
+            start_op = _start_operator(ops[prev], pad, penalty)
             start_cfg = PhaseEstimationConfig(
                 ancilla_bits=ancilla_bits_for(start_op, min(spectra[prev].gap, penalty), _WINDOW_CELLS),
                 energy_estimate=energy_predictor.predict(prev),
                 gap_bound=min(spectra[prev].gap, penalty),
-                failure_prob=eps_step,
             )
             start_oracle = ground_oracle_reflection(ExactPropagator(start_op, dense_cap), start_cfg, mode)
         fp_cfg = FixedPointConfig.from_targets(eta_floor, eps_step)

@@ -2,14 +2,18 @@
 
 Everything here is built directly from dense matrices and textbook
 formulas, bypassing the package's Pauli/MPS machinery, so agreement is a
-genuine cross-check rather than a tautology.
+genuine cross-check rather than a tautology.  The exception is
+`arpack_lowest`, which runs scipy's ARPACK, an eigensolver independent of
+the package's, on the package's matrix-free Pauli action.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from gnlab.bessel import bessel_k
 from gnlab.model import Boundary, ModelSpec
+from gnlab.pauli import PauliSumOperator
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -22,6 +26,20 @@ def block_eigh(matrix: np.ndarray, blocks: list[np.ndarray]) -> list[tuple[np.nd
     diagonalise each slice.
     """
     return [np.linalg.eigh(matrix[np.ix_(idx, idx)]) for idx in blocks]
+
+
+def arpack_lowest(op: PauliSumOperator, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of `op`, ascending, from ARPACK on the matrix-free `op.apply`."""
+    import scipy.sparse.linalg as spla
+
+    dim = 1 << op.n_qubits
+    lin = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
+    return np.sort(spla.eigsh(lin, k=k, which="SA", v0=np.ones(dim), tol=1e-12)[0])
+
+
+def continuum_free_correlator(m0: float, separation: float) -> float:
+    """Noninteracting continuum value (m0 / 2 pi) K0(m0 |dx|)."""
+    return m0 / (2.0 * np.pi) * bessel_k(0, m0 * separation)
 
 
 def ladder_operators(n_modes: int) -> list[np.ndarray]:

@@ -252,7 +252,6 @@ def test_criterion_07_membership_test_contract(failure_prob):
             energy_estimate=dense.ground_energy + 0.1 * dense.gap,
             gap_bound=dense.gap,
             repetitions=repetitions_for(failure_prob),
-            failure_prob=failure_prob,
         )
         for seed in range(trials_per_case):
             decision, _post, _e = phase_estimate(prop, dense.ground_vector, cfg, seed=seed)

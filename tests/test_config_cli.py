@@ -343,6 +343,19 @@ class TestCliCommands:
         assert main(["overlap", "--config", config_file(), "--sizes", sizes]) == 2
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("command", ["overlap", "prepare"])
+    def test_custom_pad_kind_is_config_error(self, config_file, tmp_path, monkeypatch, command):
+        # no config key supplies the custom pad's vector: refuse before solving
+        import gnlab.cli
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("ground state solved before the pad kind was checked")
+
+        monkeypatch.setattr(gnlab.cli, "ground_state_dense", no_solve)
+        cfg_path = config_file({"analysis": "pad_kind = custom"})
+        assert main([command, "--config", cfg_path, "--engine", "dense", "--sizes", "2..3"]) == 2
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_truncated_overlap_series_is_numerical_failure(self, config_file, tmp_path, monkeypatch):
         import gnlab.cli
         from gnlab.exact import ConvergenceError

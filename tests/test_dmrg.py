@@ -3,13 +3,13 @@ import pytest
 
 from gnlab import dmrg
 from gnlab.dmrg import DegenerateEnergyError, dmrg_ground_state, epsilon_measure
-from gnlab.exact import ground_state_dense, ground_state_lanczos
+from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
 from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
 from gnlab.observables import centered_pairs, two_point_correlator
 from gnlab.pauli import PauliSumOperator
 
-from oracles import free_fermion_correlations
+from oracles import arpack_lowest, free_fermion_correlations
 
 
 def solve(spec, epsilon_goal=1e-10, max_bond=64, seed=3):
@@ -76,8 +76,6 @@ class TestDmrgGroundState:
         The exact reference is full diagonalization up to N = 5 and a
         matrix-free ARPACK solve at N = 6 (same spectrum, far cheaper).
         """
-        import scipy.sparse.linalg as spla
-
         for n in (4, 5, 6):
             spec = ModelSpec(n_sites=n, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)
             state, report = solve(spec, epsilon_goal=1e-9)
@@ -85,10 +83,7 @@ class TestDmrgGroundState:
             if n <= 5:
                 e_exact = ground_state_dense(op).ground_energy
             else:
-                dim = 1 << op.n_qubits
-                lin = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
-                v0 = np.ones(dim)
-                e_exact = float(spla.eigsh(lin, k=1, which="SA", v0=v0, tol=1e-12)[0][0])
+                e_exact = float(arpack_lowest(op, 1)[0])
             assert abs(report.energy - e_exact) <= max(
                 np.sqrt(report.epsilon), 1e-12
             ) * abs(report.energy)
@@ -100,7 +95,7 @@ class TestDmrgGroundState:
         spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
         _state, report = solve(spec, epsilon_goal=1e-10)
         # matrix-free reference: a dense 4096-dim eigensolve takes minutes on one core
-        exact = ground_state_lanczos(build_hamiltonian(spec), tol=1e-9, seed=0).ground_energy
+        exact = float(arpack_lowest(build_hamiltonian(spec), 1)[0])
         assert abs(report.energy - exact) <= 1e-10 * abs(exact)
         assert report.converged
         assert counts["matvecs"] / counts["solves"] < 40
@@ -204,7 +199,7 @@ class TestEpsilonMeasure:
         op = PauliSumOperator.from_terms(4, [(1.0, "XXII"), (1.0, "IIXX")])
         mpo = compile_mpo(op)
         zero = np.array([1, 0, 0, 0], dtype=complex)
-        state = MatrixProductState.product_state([zero, zero])
+        state = MatrixProductState([zero.reshape(1, -1, 1)] * 2, center=0)
         with pytest.raises(DegenerateEnergyError):
             epsilon_measure(state, mpo)
 

@@ -10,15 +10,14 @@ from gnlab.exact import (
     _invariant_blocks,
     fix_phase,
     ground_state_dense,
-    ground_state_lanczos,
     lanczos_lowest,
 )
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
-from gnlab.stateprep import _embed_left, projector_pauli_expansion
+from gnlab.stateprep import _start_operator
 
-from oracles import block_eigh, dense_hamiltonian
+from oracles import arpack_lowest, block_eigh, dense_hamiltonian
 
 
 def no_matrix(_self):
@@ -66,12 +65,12 @@ class TestDense:
         lead = a[np.argmax(np.abs(a) > 1e-12 * np.abs(a).max())]
         assert lead.real > 0 and abs(lead.imag) < 1e-12
 
-    def test_six_sites_matches_lanczos(self):
+    def test_six_sites_matches_arpack(self):
         ham = build_hamiltonian(ModelSpec(n_sites=6, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         dense = ground_state_dense(ham)
-        krylov = ground_state_lanczos(ham, tol=1e-10, seed=3)
-        assert dense.ground_energy == pytest.approx(krylov.ground_energy, rel=1e-9)
-        assert dense.first_excited_energy == pytest.approx(krylov.first_excited_energy, rel=1e-9)
+        reference = arpack_lowest(ham, 2)
+        assert dense.ground_energy == pytest.approx(reference[0], rel=1e-9)
+        assert dense.first_excited_energy == pytest.approx(reference[1], rel=1e-9)
 
     def test_tiny_coupling_between_blocks_is_kept(self):
         # 1e-13 X on the second qubit splits the degenerate ground pair of Z on
@@ -123,20 +122,6 @@ class TestDense:
         assert np.max(np.abs(prop.evals - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert ground_state_dense(op).ground_energy == pytest.approx(expected[0], rel=1e-12, abs=0.0)
 
-    def test_lanczos_memory_guard_raises_before_drawing_start_vectors(self, monkeypatch):
-        op = PauliSumOperator.from_terms(3, [(1.0, "XZY"), (0.5, "ZII")])
-        need = 16 * 8 * 8  # the complex (min(krylov_dim, 2^n), 2^n) basis
-        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
-        assert ground_state_lanczos(op).ground_energy == pytest.approx(-np.sqrt(1.25))  # anticommuting terms
-        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
-
-        def no_start_vectors(*_args, **_kwargs):
-            raise AssertionError("random generator created despite the memory guard")
-
-        monkeypatch.setattr(gnlab.exact.np.random, "default_rng", no_start_vectors)
-        with pytest.raises(ValueError, match="physical memory"):
-            ground_state_lanczos(op)
-
 
 def _unitary_eigensystem_residuals(mat, prop):
     scale = np.linalg.norm(mat)
@@ -169,13 +154,8 @@ class TestBlockEigensystem:
         h_prev = build_hamiltonian(spec)
         e_prev = np.linalg.eigvalsh(h_prev.to_matrix())
         penalty = max(1.0, 2.0 * (e_prev[1] - e_prev[0]))
-        n_qubits = build_hamiltonian(spec.with_sites(4)).n_qubits
-        pad = pad_state(PadKind.UNIFORM, 1)
-        complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
-        penalty_op = PauliSumOperator.from_terms(
-            n_qubits, ((penalty * c, "I" * h_prev.n_qubits + s) for c, s in complement.terms)
-        )
-        start_op = _embed_left(h_prev, n_qubits) + penalty_op
+        start_op = _start_operator(h_prev, pad_state(PadKind.UNIFORM, 1), penalty)
+        assert start_op.n_qubits == build_hamiltonian(spec.with_sites(4)).n_qubits
         mat = start_op.to_matrix()
         blocks = _invariant_blocks(start_op)
         assert max(len(idx) for idx in blocks) <= 4 * comb(6, 3)
@@ -217,35 +197,32 @@ class TestBlockEigensystem:
         assert np.max(np.abs(prop.from_eigenbasis(amps) - state)) <= 1e-13
 
 
+def seeded_lanczos(op, tol, seed, **kwargs):
+    """`lanczos_lowest` on the Pauli action of `op` from a seeded complex Gaussian start."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << op.n_qubits
+    return lanczos_lowest(op.apply, rng.standard_normal(dim) + 1j * rng.standard_normal(dim), tol, **kwargs)
+
+
 class TestLanczos:
     def test_agrees_with_dense_to_ten_tol(self, small_spec):
         ham = build_hamiltonian(small_spec)
         tol = 1e-10
         dense = ground_state_dense(ham)
-        krylov = ground_state_lanczos(ham, tol=tol, seed=11)
-        assert abs(krylov.ground_energy - dense.ground_energy) <= 10 * tol
-        assert abs(krylov.first_excited_energy - dense.first_excited_energy) <= 10 * tol
-        assert abs(abs(np.vdot(dense.ground_vector, krylov.ground_vector)) - 1) < 1e-8
+        energy, vec = seeded_lanczos(ham, tol, seed=11)
+        assert abs(energy - dense.ground_energy) <= 10 * tol
+        assert abs(abs(np.vdot(dense.ground_vector, vec)) - 1) < 1e-8
 
     def test_diagonal_operator_gives_basis_state(self):
         op = PauliSumOperator.from_terms(3, [(1.0, "ZII"), (0.5, "IZI"), (0.25, "IIZ")])
-        result = ground_state_lanczos(op, tol=1e-12, seed=2)
-        probs = np.abs(result.ground_vector) ** 2
+        _energy, vec = seeded_lanczos(op, 1e-12, seed=2)
+        probs = np.abs(vec) ** 2
         assert probs[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_positive_gap_at_reference_points(self, reference_points):
-        for m0, g0_sq in reference_points:
-            spec = ModelSpec(n_sites=5, spacing=0.5, bare_mass=m0, coupling_sq=g0_sq)
-            dense = ground_state_dense(build_hamiltonian(spec))
-            krylov = ground_state_lanczos(build_hamiltonian(spec), tol=1e-10, seed=4)
-            assert krylov.gap > 0
-            assert krylov.ground_energy == pytest.approx(dense.ground_energy, abs=1e-9)
 
     def test_energy_variance_bound(self, small_spec):
         ham = build_hamiltonian(small_spec)
         tol = 1e-8
-        result = ground_state_lanczos(ham, tol=tol, seed=1)
-        vec = result.ground_vector
+        _energy, vec = seeded_lanczos(ham, tol, seed=1)
         h_vec = ham.apply(vec)
         # ||Hv - <H>v||^2 rather than <Hv,Hv> - <H>^2, whose subtraction has a
         # rounding floor of ulp(E^2), above the bound itself
@@ -255,19 +232,22 @@ class TestLanczos:
 
     def test_deterministic_given_seed(self, small_spec):
         ham = build_hamiltonian(small_spec)
-        a = ground_state_lanczos(ham, tol=1e-10, seed=9)
-        b = ground_state_lanczos(ham, tol=1e-10, seed=9)
-        assert a.ground_energy == b.ground_energy
-        assert np.array_equal(a.ground_vector, b.ground_vector)
+        a_energy, a_vec = seeded_lanczos(ham, 1e-10, seed=9)
+        b_energy, b_vec = seeded_lanczos(ham, 1e-10, seed=9)
+        assert a_energy == b_energy
+        assert np.array_equal(a_vec, b_vec)
 
     def test_nonconvergence_raises(self, small_spec):
         ham = build_hamiltonian(small_spec)
         with pytest.raises(ConvergenceError):
-            ground_state_lanczos(ham, tol=1e-14, seed=1, max_restarts=1)
+            seeded_lanczos(ham, 1e-14, seed=1, max_restarts=1)
 
-    def test_rejects_bad_tol(self, small_spec):
-        with pytest.raises(ValueError):
-            ground_state_lanczos(build_hamiltonian(small_spec), tol=0.0, seed=1)
+    def test_zero_start_rejected_before_any_product(self):
+        def no_product(_vec):
+            raise AssertionError("matvec called on a zero start")
+
+        with pytest.raises(ValueError, match="zero"):
+            lanczos_lowest(no_product, np.zeros(8), tol=1e-10)
 
     def test_relative_tolerance_at_large_shift(self):
         rng = np.random.default_rng(7)
@@ -301,7 +281,7 @@ class TestLanczos:
 
         tol = 1e-8
         theta, vec = lanczos_lowest(matvec, start, tol=tol)
-        # a full basis of KRYLOV_DIM_DEFAULT = 30 plus the residual check is 31
+        # a full basis of the default krylov_dim = 30 plus the residual check is 31
         assert len(products) < 10
         assert np.linalg.norm(mat @ vec - theta * vec) <= tol
 

@@ -14,7 +14,9 @@ from gnlab.fits import (
     fit_energy_extrapolation,
     window_mask,
 )
-from gnlab.observables import CorrelatorSeries, continuum_free_correlator
+from gnlab.observables import CorrelatorSeries
+
+from oracles import continuum_free_correlator
 
 
 def synthetic_series(b, chi, n_sites=50, spacing=0.02, noise=0.0, rng=None):

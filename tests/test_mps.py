@@ -22,6 +22,11 @@ def random_state_vector(dim, rng):
     return vec / np.linalg.norm(vec)
 
 
+def product_state(vectors):
+    """Bond-dimension-one MPS of one local vector per site."""
+    return MatrixProductState([np.asarray(v, dtype=complex).reshape(1, -1, 1) for v in vectors], center=0)
+
+
 def transverse_field_ising(n_qubits, coupling=1.0, field=0.7):
     terms = []
     for q in range(n_qubits - 1):
@@ -48,7 +53,7 @@ class TestMatrixProductState:
     def test_norm_after_canonicalization(self):
         mps = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=7)
         assert mps.norm() == pytest.approx(1.0, abs=1e-10)
-        mps.move_center_to(2)
+        mps.canonicalize(2)
         assert mps.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_save_load_roundtrip(self, tmp_path, rng):
@@ -75,8 +80,8 @@ class TestOverlap:
     def test_product_states_factorize(self, rng):
         vecs_a = [random_state_vector(4, rng) for _ in range(4)]
         vecs_b = [random_state_vector(4, rng) for _ in range(4)]
-        a = MatrixProductState.product_state(vecs_a)
-        b = MatrixProductState.product_state(vecs_b)
+        a = product_state(vecs_a)
+        b = product_state(vecs_b)
         expected = np.prod([np.vdot(x, y) for x, y in zip(vecs_a, vecs_b)])
         assert mps_overlap(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -153,7 +158,7 @@ class TestCompileMpo:
         dense = op.to_matrix()
         for _ in range(20):
             vecs = [random_state_vector(4, rng) for _ in range(2)]
-            mps = MatrixProductState.product_state(vecs)
+            mps = product_state(vecs)
             full = mps.to_dense()
             assert expectation_value(mps, mpo) == pytest.approx(np.vdot(full, dense @ full), abs=1e-12)
 
@@ -164,7 +169,7 @@ class TestCompileMpo:
         dense = op.to_matrix()
         for _ in range(20):
             vecs = [random_state_vector(4, rng) for _ in range(4)]
-            mps = MatrixProductState.product_state(vecs)
+            mps = product_state(vecs)
             full = mps.to_dense()
             assert expectation_value(mps, mpo) == pytest.approx(np.vdot(full, dense @ full), abs=1e-10)
 

@@ -4,8 +4,7 @@ import pytest
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
 from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
-from gnlab.observables import CorrelatorSeries, centered_pairs, continuum_free_correlator, two_point_correlator
-from gnlab.bessel import bessel_k
+from gnlab.observables import CorrelatorSeries, centered_pairs, two_point_correlator
 
 from oracles import free_fermion_correlations
 
@@ -160,13 +159,3 @@ class TestMpsContraction:
             two_point_correlator(mps, small_spec)
         with pytest.raises(ValueError, match="flavor"):
             two_point_correlator(mps, small_spec.with_sites(4), flavor=1)
-
-
-def test_continuum_reference_is_bessel_shaped():
-    m0 = 1.3
-    for dx in (0.5, 1.0, 2.0):
-        assert continuum_free_correlator(m0, dx) == pytest.approx(
-            m0 / (2 * np.pi) * bessel_k(0, m0 * dx)
-        )
-    with pytest.raises(ValueError):
-        continuum_free_correlator(1.0, 0.0)

@@ -130,16 +130,7 @@ def test_jordan_wigner_matches_ladder_oracle():
         assert np.allclose(jordan_wigner(k, "create", n).to_matrix(), oracle[k].conj().T)
 
 
-def test_permute_qubits_roundtrip(rng):
-    op = PauliSumOperator.from_terms(3, [(0.5, "XYI"), (1.5, "ZZZ")])
-    mapping = [2, 0, 1]
-    moved = op.permute_qubits(mapping)
-    inverse = [mapping.index(q) for q in range(3)]
-    assert moved.permute_qubits(inverse) == op
-
-
 def test_one_norm_and_identity_coefficient():
     op = PauliSumOperator.from_terms(2, [(3.0, "II"), (-2.0, "XZ"), (1.0, "ZI")])
     assert op.identity_coefficient() == 3.0
     assert op.coefficient_one_norm() == 3.0
-    assert op.coefficient_one_norm(include_identity=True) == 6.0

@@ -42,14 +42,17 @@ def four_qubit_prop(four_qubit_instance):
     return ExactPropagator(four_qubit_instance[0])
 
 
-def pe_config(op, result, repetitions=5, failure_prob=0.01, extra_bits=0):
+#: Decision error that five repetitions at the default register must meet.
+FAILURE_PROB = 0.01
+
+
+def pe_config(op, result, repetitions=5, extra_bits=0):
     bits = ancilla_bits_for(op, result.gap) + extra_bits
     return PhaseEstimationConfig(
         ancilla_bits=bits,
         energy_estimate=result.ground_energy + 0.1 * result.gap,
         gap_bound=result.gap,
         repetitions=repetitions,
-        failure_prob=failure_prob,
     )
 
 
@@ -61,7 +64,7 @@ class TestPhaseEstimate:
         for seed in range(200):
             decision, _post, _e = phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=seed)
             wrong += decision is Decision.NOT_GROUND
-        assert wrong / 200 <= cfg.failure_prob
+        assert wrong / 200 <= FAILURE_PROB
 
     def test_excited_state_rejected(self, four_qubit_instance, four_qubit_prop):
         op, result, evals, evecs = four_qubit_instance
@@ -70,7 +73,7 @@ class TestPhaseEstimate:
         for seed in range(200):
             decision, _post, _e = phase_estimate(four_qubit_prop, evecs[:, 1], cfg, seed=seed)
             wrong += decision is Decision.GROUND
-        assert wrong / 200 <= cfg.failure_prob
+        assert wrong / 200 <= FAILURE_PROB
 
     def test_superposition_collapses_by_born_rule(self, four_qubit_instance, four_qubit_prop):
         op, result, evals, evecs = four_qubit_instance
@@ -82,7 +85,7 @@ class TestPhaseEstimate:
             decision, post, _e = phase_estimate(four_qubit_prop, mix, cfg, seed=seed)
             if decision is Decision.GROUND:
                 ground_count += 1
-                assert abs(np.vdot(result.ground_vector, post)) ** 2 >= 1 - cfg.failure_prob
+                assert abs(np.vdot(result.ground_vector, post)) ** 2 >= 1 - FAILURE_PROB
         freq = ground_count / trials
         # Born probability 1/2 with a 4-sigma (binomial) sampling allowance
         assert abs(freq - 0.5) <= 4 * 0.5 / np.sqrt(trials)
@@ -103,7 +106,7 @@ class TestPhaseEstimate:
         op, result, *_ = four_qubit_instance
         cfg = PhaseEstimationConfig(
             ancilla_bits=2, energy_estimate=result.ground_energy,
-            gap_bound=result.gap, repetitions=3, failure_prob=0.1,
+            gap_bound=result.gap, repetitions=3,
         )
         with pytest.raises(ValueError, match="resolution"):
             phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=0)
@@ -113,8 +116,6 @@ class TestPhaseEstimate:
             PhaseEstimationConfig(ancilla_bits=4, energy_estimate=0.0, gap_bound=1.0, repetitions=2)
         with pytest.raises(ValueError):
             PhaseEstimationConfig(ancilla_bits=4, energy_estimate=0.0, gap_bound=-1.0)
-        with pytest.raises(ValueError):
-            PhaseEstimationConfig(ancilla_bits=4, energy_estimate=0.0, gap_bound=1.0, failure_prob=2.0)
 
     def test_repetitions_helper_is_odd_and_monotone(self):
         r1 = repetitions_for(0.1)
@@ -237,7 +238,7 @@ class TestReflections:
         """Max output trace distance over 50 random inputs stays within 2 eps."""
         op, result, *_ = four_qubit_instance
         eps = 0.01
-        cfg = pe_config(op, result, failure_prob=eps, extra_bits=4)
+        cfg = pe_config(op, result, extra_bits=4)
         ideal = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
         estimated = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.PHASE_ESTIMATION)
         rng = np.random.default_rng(11)
