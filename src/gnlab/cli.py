@@ -109,9 +109,18 @@ def _require_model(cfg: ExperimentConfig) -> ModelSpec:
     return cfg.model
 
 
+def _require_dense_cap(cfg: ExperimentConfig, model: ModelSpec, n_sites: int, what: str) -> None:
+    """Refuse, before any solve, a dense solve of `n_sites` sites beyond `dense_cap`."""
+    need = model.with_sites(n_sites).n_qubits
+    if need > cfg.solver.dense_cap:
+        raise ConfigError(f"{what} = {n_sites} needs {need} qubits, beyond dense_cap = {cfg.solver.dense_cap}")
+
+
 def cmd_solve(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     lo, hi = cfg.analysis.sizes
+    if cfg.solver.engine is Engine.DENSE:
+        _require_dense_cap(cfg, model, hi, "sizes_max")
     rows = []
     for n in range(lo, hi + 1):
         spec = model.with_sites(n)
@@ -149,9 +158,8 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
     lo, hi = cfg.analysis.sizes
     if hi <= lo:
         raise ConfigError(f"overlap needs at least two sizes, got sizes_min = {lo}, sizes_max = {hi}")
-    need = model.with_sites(hi).n_qubits
-    if cfg.solver.engine is Engine.DENSE and need > cfg.solver.dense_cap:
-        raise ConfigError(f"sizes_max = {hi} needs {need} qubits, beyond dense_cap = {cfg.solver.dense_cap}")
+    if cfg.solver.engine is Engine.DENSE:
+        _require_dense_cap(cfg, model, hi, "sizes_max")
     rows: list[tuple] = []
     summary: list[tuple] = []
     kinds = [cfg.analysis.pad_kind]
@@ -192,6 +200,7 @@ def cmd_energy_fit(cfg: ExperimentConfig) -> None:
 def cmd_prepare(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     prep = cfg.prep
+    _require_dense_cap(cfg, model, prep.n_final + 1, "n_final + 1")
     sizes = range(prep.n0, prep.n_final + 2)
     energies = []
     for n in sizes:

@@ -4,7 +4,9 @@ The dense solver works on the invariant blocks of the Pauli action
 (`PauliSumOperator._actions`) and never forms a dim x dim array: it finds
 the blocks by label propagation over the actions, fills each block's
 matrix from them, diagonalises each block with `eigh`, and keeps the
-eigenvectors per block.
+eigenvectors per block.  A Kronecker sum A (x) 1 + 1 (x) B is not
+diagonalised at all: `ExactPropagator.kronecker_sum` pairs the factors'
+blocks and eigenpairs.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -228,7 +230,12 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Bloc
         2 * 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    solved = [np.linalg.eigh(mat) for mat in _block_matrices(op, blocks)]
+    return _merged(blocks, [np.linalg.eigh(mat) for mat in _block_matrices(op, blocks)])
+
+
+def _merged(blocks: list[np.ndarray], solved: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, Blocks]:
+    """Every block's (eigenvalues, eigenvectors) merged: eigenvalues ascending by a stable
+    sort, and per block (indices, the columns its eigenvalues took, eigenvectors)."""
     evals = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals, kind="stable")
     column = np.empty(len(evals), dtype=np.intp)
@@ -251,12 +258,44 @@ class ExactPropagator:
     `evals` holds every eigenvalue in ascending order; `blocks` holds, per
     invariant block, its basis indices, the columns of its eigenvalues in
     `evals` and its eigenvectors.  Each basis change is one small matmul
-    per block.
+    per block.  `ExactPropagator(op)` diagonalises `op`;
+    `ExactPropagator.kronecker_sum(left, right)` builds the same fields
+    from two existing propagators without an `eigh`.
     """
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
         self.op = op
         self.evals, self.blocks = _eigensystem(op, dense_cap)
+
+    @classmethod
+    def kronecker_sum(cls, left: ExactPropagator, right: ExactPropagator) -> ExactPropagator:
+        """Propagator of left.op (x) 1 + 1 (x) right.op, built from the two factors' eigensystems.
+
+        Nothing is diagonalised: each pair of factor blocks (il, ir) is one
+        invariant block with basis indices il * dim_r + ir, eigenvectors
+        kron(V_l, V_r) and eigenvalues e_l + e_r.  The memory guard counts the
+        eigenvectors, 16 x sum (|il| |ir|)^2 bytes.  There is no dense cap:
+        `prepare_vacuum`'s sums have the qubit count of a size it has
+        already diagonalised under the cap.
+        """
+        n_l, n_r = left.op.n_qubits, right.op.n_qubits
+        op = PauliSumOperator.from_terms(n_l + n_r, [
+            *((c, s + "I" * n_r) for c, s in left.op.terms),
+            *((c, "I" * n_l + s) for c, s in right.op.terms),
+        ])
+        pairs = [(bl, br) for bl in left.blocks for br in right.blocks]
+        _require_memory(
+            16 * sum((len(il) * len(ir)) ** 2 for (il, _, _), (ir, _, _) in pairs),
+            f"the complex block eigenvectors of a {n_l + n_r}-qubit Kronecker sum",
+        )
+        blocks, solved = [], []
+        for (il, cl, vl), (ir, cr, vr) in pairs:
+            blocks.append((il[:, None] * (1 << n_r) + ir[None, :]).ravel())
+            solved.append(((left.evals[cl][:, None] + right.evals[cr][None, :]).ravel(), np.kron(vl, vr)))
+        prop = cls.__new__(cls)
+        prop.op = op
+        prop.evals, prop.blocks = _merged(blocks, solved)
+        return prop
 
     def spectrum(self) -> SpectrumResult:
         """The lowest two eigenpairs, exactly as `ground_state_dense` reports them."""

@@ -379,18 +379,13 @@ class PreparationError(RuntimeError):
         self.trace = trace
 
 
-def _start_operator(prev_op: PauliSumOperator, pad: np.ndarray, penalty: float) -> PauliSumOperator:
-    """H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), whose ground state is |g_prev> (x) |pad>."""
+def _start_propagator(prev_prop: ExactPropagator, pad: np.ndarray, penalty: float) -> ExactPropagator:
+    """Eigensystem of H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), whose ground state is |g_prev> (x) |pad>.
+
+    A Kronecker sum: only the pad's penalty operator is diagonalised, next to H_prev's `prev_prop`.
+    """
     complement = PauliSumOperator.identity(int(math.log2(len(pad)))) - projector_pauli_expansion(pad)
-    padding = "I" * complement.n_qubits
-    prev_ident = "I" * prev_op.n_qubits
-    return PauliSumOperator.from_terms(
-        prev_op.n_qubits + complement.n_qubits,
-        [
-            *((c, s + padding) for c, s in prev_op.terms),
-            *((penalty * c, prev_ident + s) for c, s in complement.terms),
-        ],
-    )
+    return ExactPropagator.kronecker_sum(prev_prop, ExactPropagator(penalty * complement))
 
 
 def projector_pauli_expansion(vector: np.ndarray) -> PauliSumOperator:
@@ -429,7 +424,9 @@ def prepare_vacuum(
     promise (validated here against the exact spectra).  Each register is
     sized so the decision window spans `_WINDOW_CELLS` grid cells.  Each
     size is diagonalised once: its propagator gives both the spectrum and
-    the target oracle.
+    the target oracle.  No phase-estimation start operator is diagonalised:
+    its eigensystem is the Kronecker sum of the previous size's propagator
+    and that of the 2-qubit pad penalty.
     """
     mode = OracleMode(mode)
     if n0 < 2:
@@ -439,10 +436,9 @@ def prepare_vacuum(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
 
-    ops, props, spectra = {}, {}, {}
+    props, spectra = {}, {}
     for n in range(n0, n_final + 1):
-        ops[n] = build_hamiltonian(spec_family.with_sites(n))
-        props[n] = ExactPropagator(ops[n], dense_cap)
+        props[n] = ExactPropagator(build_hamiltonian(spec_family.with_sites(n)), dense_cap)
         spectra[n] = props[n].spectrum()
 
     state = spectra[n0].ground_vector.copy()
@@ -471,7 +467,7 @@ def prepare_vacuum(
                 PrepTrace(tuple(steps), total_calls, float(overlap**2)),
             )
         pe_cfg = PhaseEstimationConfig(
-            ancilla_bits=ancilla_bits_for(ops[target], gap_bound, _WINDOW_CELLS),
+            ancilla_bits=ancilla_bits_for(props[target].op, gap_bound, _WINDOW_CELLS),
             energy_estimate=e_pred,
             gap_bound=gap_bound,
         )
@@ -481,13 +477,13 @@ def prepare_vacuum(
         else:
             prev = target - 1
             penalty = max(1.0, 2.0 * spectra[prev].gap)
-            start_op = _start_operator(ops[prev], pad, penalty)
+            start_prop = _start_propagator(props[prev], pad, penalty)
             start_cfg = PhaseEstimationConfig(
-                ancilla_bits=ancilla_bits_for(start_op, min(spectra[prev].gap, penalty), _WINDOW_CELLS),
+                ancilla_bits=ancilla_bits_for(start_prop.op, min(spectra[prev].gap, penalty), _WINDOW_CELLS),
                 energy_estimate=energy_predictor.predict(prev),
                 gap_bound=min(spectra[prev].gap, penalty),
             )
-            start_oracle = ground_oracle_reflection(ExactPropagator(start_op, dense_cap), start_cfg, mode)
+            start_oracle = ground_oracle_reflection(start_prop, start_cfg, mode)
         fp_cfg = FixedPointConfig.from_targets(eta_floor, eps_step)
         state, calls = fixed_point_amplify(state, target_oracle, start_oracle, fp_cfg)
         fidelity = float(abs(np.vdot(spectra[target].ground_vector, state)) ** 2)

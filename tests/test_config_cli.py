@@ -332,6 +332,22 @@ class TestCliCommands:
         assert main(["overlap", "--config", cfg_path, "--engine", "dense", "--sizes", "2..8"]) == 2
         assert not list((tmp_path / "out").glob("overlaps*.csv"))
 
+    @pytest.mark.parametrize(("command", "edit"), [
+        ("solve", ("sizes_max = 4", "sizes_max = 5")),   # 5 sites, 10 qubits
+        ("prepare", ("n_final = 3", "n_final = 4")),     # solves n_final + 1 = 5 sites
+    ], ids=["solve", "prepare"])
+    def test_dense_size_beyond_dense_cap_is_config_error(self, config_file, tmp_path, monkeypatch, command, edit):
+        import gnlab.cli
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("ground state solved before the dense cap was checked")
+
+        monkeypatch.setattr(gnlab.cli, "ground_state_dense", no_solve)
+        path = Path(config_file({"solver": "dense_cap = 8"}))
+        path.write_text(path.read_text().replace(*edit))
+        assert main([command, "--config", str(path), "--engine", "dense"]) == 2
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("sizes", ["4..4", "5..3"])
     def test_overlap_of_fewer_than_two_sizes_is_config_error(self, config_file, tmp_path, monkeypatch, sizes):
         import gnlab.cli

@@ -15,7 +15,14 @@ from gnlab.exact import (
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
-from gnlab.stateprep import _start_operator
+from gnlab.stateprep import (
+    _WINDOW_CELLS,
+    PhaseEstimationConfig,
+    PhaseEstimationReflection,
+    _start_propagator,
+    ancilla_bits_for,
+    projector_pauli_expansion,
+)
 
 from oracles import arpack_lowest, block_eigh, dense_hamiltonian
 
@@ -154,13 +161,11 @@ class TestBlockEigensystem:
         h_prev = build_hamiltonian(spec)
         e_prev = np.linalg.eigvalsh(h_prev.to_matrix())
         penalty = max(1.0, 2.0 * (e_prev[1] - e_prev[0]))
-        start_op = _start_operator(h_prev, pad_state(PadKind.UNIFORM, 1), penalty)
-        assert start_op.n_qubits == build_hamiltonian(spec.with_sites(4)).n_qubits
-        mat = start_op.to_matrix()
-        blocks = _invariant_blocks(start_op)
-        assert max(len(idx) for idx in blocks) <= 4 * comb(6, 3)
+        prop = _start_propagator(ExactPropagator(h_prev), pad_state(PadKind.UNIFORM, 1), penalty)
+        assert prop.op.n_qubits == build_hamiltonian(spec.with_sites(4)).n_qubits
+        mat = prop.op.to_matrix()
+        assert max(len(idx) for idx, _cols, _vecs in prop.blocks) <= 4 * comb(6, 3)
 
-        prop = ExactPropagator(start_op)
         expected = np.sort(np.concatenate([e_prev] + 3 * [e_prev + penalty]))
         assert np.max(np.abs(prop.evals - expected)) <= 1e-12 * np.max(np.abs(expected))
         unitarity, residual = _unitary_eigensystem_residuals(mat, prop)
@@ -195,6 +200,86 @@ class TestBlockEigensystem:
         amps = prop.to_eigenbasis(state)
         assert amps.shape == shape
         assert np.max(np.abs(prop.from_eigenbasis(amps) - state)) <= 1e-13
+
+
+def term_by_term_start_operator(h_prev, pad, penalty):
+    """H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), one Pauli string at a time."""
+    complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
+    n = h_prev.n_qubits
+    return PauliSumOperator.from_terms(n + 2, [
+        *((c, s + "II") for c, s in h_prev.terms),
+        *((penalty * c, "I" * n + s) for c, s in complement.terms),
+    ])
+
+
+@pytest.fixture(scope="module", params=[(kind, n) for kind in PadKind if kind is not PadKind.CUSTOM
+                                        for n in (2, 3, 4)], ids=lambda p: f"{p[0].value}-{p[1]}")
+def kronecker_instance(request):
+    """(Kronecker-sum propagator, propagator of the term-by-term start operator, start gap bound)."""
+    kind, n = request.param
+    h_prev = build_hamiltonian(ModelSpec(n_sites=n, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+    prev = ExactPropagator(h_prev)
+    gap = prev.evals[1] - prev.evals[0]
+    penalty = max(1.0, 2.0 * gap)
+    pad = pad_state(kind, 1)
+    complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
+    prop = ExactPropagator.kronecker_sum(prev, ExactPropagator(penalty * complement))
+    reference = ExactPropagator(term_by_term_start_operator(h_prev, pad, penalty))
+    return prop, reference, min(gap, penalty)
+
+
+class TestKroneckerSum:
+    def test_operator_is_the_term_by_term_start_operator(self, kronecker_instance):
+        prop, reference, _gap = kronecker_instance
+        assert prop.op == reference.op
+
+    def test_eigenvalues_match_eigh(self, kronecker_instance):
+        prop, reference, _gap = kronecker_instance
+        scale = np.max(np.abs(reference.evals))
+        assert np.max(np.abs(prop.evals - reference.evals)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_eigenbasis_round_trip(self, kronecker_instance, rng, columns):
+        prop, _reference, _gap = kronecker_instance
+        shape = (len(prop.evals),) if columns is None else (len(prop.evals), columns)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.max(np.abs(prop.from_eigenbasis(prop.to_eigenbasis(state)) - state)) <= 1e-13
+
+    def test_every_index_in_exactly_one_block(self, kronecker_instance):
+        prop, _reference, _gap = kronecker_instance
+        members = np.concatenate([idx for idx, _cols, _vecs in prop.blocks])
+        columns = np.concatenate([cols for _idx, cols, _vecs in prop.blocks])
+        assert np.array_equal(np.sort(members), np.arange(len(prop.evals)))
+        assert np.array_equal(np.sort(columns), np.arange(len(prop.evals)))
+
+    def test_phase_estimation_reflection_agrees(self, kronecker_instance, rng):
+        prop, reference, gap = kronecker_instance
+        cfg = PhaseEstimationConfig(
+            ancilla_bits=ancilla_bits_for(prop.op, gap, _WINDOW_CELLS),
+            energy_estimate=float(reference.evals[0]) + 0.1 * gap,
+            gap_bound=gap,
+        )
+        state = rng.standard_normal(len(prop.evals)) + 1j * rng.standard_normal(len(prop.evals))
+        state /= np.linalg.norm(state)
+        ours = PhaseEstimationReflection(prop, cfg).apply(state, 0.7)
+        theirs = PhaseEstimationReflection(reference, cfg).apply(state, 0.7)
+        assert np.max(np.abs(ours - theirs)) <= 1e-12
+
+    def test_memory_guard_raises_before_any_kron(self, monkeypatch):
+        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        left = ExactPropagator(build_hamiltonian(spec))
+        right = ExactPropagator(PauliSumOperator.identity(2) - projector_pauli_expansion(pad_state(PadKind.UNIFORM, 1)))
+        need = 16 * sum((len(il) * len(ir)) ** 2 for il, _, _ in left.blocks for ir, _, _ in right.blocks)
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need)
+        assert len(ExactPropagator.kronecker_sum(left, right).evals) == 64
+        monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: need - 1)
+
+        def no_kron(*_args, **_kwargs):
+            raise AssertionError("np.kron despite the memory guard")
+
+        monkeypatch.setattr(gnlab.exact.np, "kron", no_kron)
+        with pytest.raises(ValueError, match="physical memory"):
+            ExactPropagator.kronecker_sum(left, right)
 
 
 def seeded_lanczos(op, tol, seed, **kwargs):

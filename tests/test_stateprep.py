@@ -386,9 +386,11 @@ class TestPrepareVacuum:
         with pytest.raises(ValueError, match="half-gap"):
             prepare_vacuum(spec, 2, 4, pad, bad, eps=1e-3)
 
-    @pytest.mark.parametrize(("mode", "eigensystems"), [("ideal", 3), ("phase-estimation", 5)])
+    @pytest.mark.parametrize(("mode", "eigensystems"), [("ideal", [4, 6, 8]), ("phase-estimation", [4, 6, 8, 2, 2])],
+                             ids=["ideal-3", "phase-estimation-5"])
     def test_each_hamiltonian_diagonalised_once(self, prep_setup, monkeypatch, mode, eigensystems):
-        # one per size 2..4, plus one per step for the phase-estimation start operator
+        # one per size 2..4; each phase-estimation step adds its 2-qubit pad
+        # penalty, and no 6- or 8-qubit start operator is diagonalised
         spec, fit, pad = prep_setup
         solved = []
         eigensystem = gnlab.exact._eigensystem
@@ -399,7 +401,7 @@ class TestPrepareVacuum:
 
         monkeypatch.setattr(gnlab.exact, "_eigensystem", counted)
         prepare_vacuum(spec, 2, 4, pad, fit, eps=1e-3, mode=mode)
-        assert len(solved) == eigensystems
+        assert solved == eigensystems
 
     def test_trace_csv(self, prep_setup):
         spec, fit, pad = prep_setup
