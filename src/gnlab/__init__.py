@@ -40,7 +40,8 @@ from .fits import (
     fit_correlation_length,
     fit_energy_extrapolation,
 )
-from .overlaps import Engine, OverlapSeries, PadKind, consecutive_overlaps, pad_state
+from .overlaps import OverlapSeries, PadKind, consecutive_overlaps, pad_state
+from .config import Engine
 from .stateprep import (
     Decision,
     FixedPointConfig,

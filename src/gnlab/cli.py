@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, Engine, ExperimentConfig, load_config
 from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state, epsilon_measure
 from .exact import ConvergenceError, ground_state_dense
 from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
 from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
 from .mps import MatrixProductState, compile_mpo, grouped_dims
 from .observables import centered_pairs, two_point_correlator
-from .overlaps import Engine, PadKind, consecutive_overlaps, pad_state
+from .overlaps import PadKind, consecutive_overlaps, pad_state
 from .stateprep import OracleMode, PreparationError, prepare_vacuum
 
 NUMERICAL_ERRORS = (
@@ -68,7 +68,7 @@ def _state_slug(cfg: ExperimentConfig, spec: ModelSpec) -> str:
 
 
 def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
-    """Converged ground state for one spec: (mps, report); dense states become exact MPSs."""
+    """Converged ground state for one spec by the configured engine: (mps, report); dense states become exact MPSs."""
     op = build_hamiltonian(spec)
     if cfg.solver.engine is Engine.DENSE:
         result = ground_state_dense(op, dense_cap=cfg.solver.dense_cap)
@@ -138,6 +138,8 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
         window_mask([k * model.spacing for k, _i, _j in centered_pairs(model.n_sites)], window)
     except ValueError as exc:
         raise ConfigError(f"{model.n_sites} sites: {exc}") from exc
+    if cfg.solver.engine is Engine.DENSE:
+        _require_dense_cap(cfg, model, model.n_sites, "n_sites")
     corr_rows: list[tuple] = []
     fit_rows: list[tuple] = []
     for m0, g0_sq in cfg.analysis.parameter_points():
@@ -167,15 +169,9 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
         kinds.append(PadKind.SYMMETRY_ADAPTED)
     for m0, g0_sq in cfg.analysis.parameter_points():
         family = replace(model, bare_mass=m0, coupling_sq=g0_sq)
-        states = {}
-        for n in range(lo, hi + 1):
-            spec = family.with_sites(n)
-            if cfg.solver.engine is Engine.DENSE:
-                states[n] = ground_state_dense(build_hamiltonian(spec), cfg.solver.dense_cap).ground_vector
-            else:
-                states[n] = _ground_state(cfg, spec)[0]
+        states = {n: _ground_state(cfg, family.with_sites(n))[0] for n in range(lo, hi + 1)}
         for kind in kinds:
-            series = consecutive_overlaps(states, pad_state(kind, model.flavors), pad_label=kind)
+            series = consecutive_overlaps(states, pad_state(kind, model.flavors))
             rows.extend((m0, g0_sq, j, o, kind) for j, o in zip(series.sizes, series.overlaps))
             summary.append((m0, g0_sq, series.eta_estimate, series.eta_spread, kind))
     _write(cfg.out_dir / "overlaps.csv", cfg, "m0,g0_sq,j,overlap,pad_kind", rows)

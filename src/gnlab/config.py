@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
 
@@ -19,7 +20,7 @@ from .exact import DENSE_CAP_DEFAULT
 from .model import Boundary, ModelSpec
 from .fits import EnergyModel
 from .mps import MPO_MAX_SPAN
-from .overlaps import Engine, PadKind
+from .overlaps import PadKind
 from .stateprep import OracleMode
 
 
@@ -29,6 +30,11 @@ class ConfigError(ValueError):
 
 DEFAULT_CORRELATE_M0 = (0.2, 0.4)
 DEFAULT_CORRELATE_G0_SQ = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+class Engine(str, Enum):
+    DENSE = "dense"
+    DMRG = "dmrg"
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,6 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-    if analysis.pad_kind is PadKind.CUSTOM:
-        raise ConfigError("[analysis] pad_kind = custom needs a pad vector, which no config key supplies")
     if (model is not None and model.boundary is Boundary.PERIODIC and solver.engine is Engine.DMRG
             and max(model.n_sites, analysis.sizes[1]) > MPO_MAX_SPAN):
         raise ConfigError(

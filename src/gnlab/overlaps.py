@@ -1,9 +1,10 @@
 """Padded inner products between ground states of consecutive system sizes.
 
 The pad is an unentangled per-site state appended at the growing (right)
-edge so that consecutive Hilbert spaces become comparable.  Overlaps are
-reported as absolute values, which makes them insensitive to eigensolver
-phase conventions.
+edge so that consecutive Hilbert spaces become comparable.  Every ground
+state arrives as an MPS, however it was solved, and each overlap is one
+exact MPS contraction.  Overlaps are reported as absolute values, which
+makes them insensitive to eigensolver phase conventions.
 """
 
 from __future__ import annotations
@@ -21,15 +22,9 @@ from .mps import MatrixProductState, append_site, mps_overlap
 class PadKind(str, Enum):
     UNIFORM = "uniform"
     SYMMETRY_ADAPTED = "symmetry-adapted"
-    CUSTOM = "custom"
 
 
-class Engine(str, Enum):
-    DENSE = "dense"
-    DMRG = "dmrg"
-
-
-def pad_state(kind: PadKind | str, flavors: int = 1, custom: np.ndarray | None = None) -> np.ndarray:
+def pad_state(kind: PadKind | str, flavors: int = 1) -> np.ndarray:
     """Unit-norm pad over one lattice site (two qubits per flavor).
 
     UNIFORM is the equal superposition of the 4^flavors basis states;
@@ -43,19 +38,12 @@ def pad_state(kind: PadKind | str, flavors: int = 1, custom: np.ndarray | None =
     if kind is PadKind.UNIFORM:
         dim = 4**flavors
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    if kind is PadKind.SYMMETRY_ADAPTED:
-        single = np.zeros(4, dtype=complex)
-        single[1] = single[2] = 1.0 / math.sqrt(2.0)
-        out = single
-        for _ in range(flavors - 1):
-            out = np.kron(out, single)
-        return out
-    if custom is None:
-        raise ValueError("custom pad kind requires an explicit vector")
-    vec = np.asarray(custom, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-        raise ValueError("custom pad vector must be normalized")
-    return vec
+    single = np.zeros(4, dtype=complex)
+    single[1] = single[2] = 1.0 / math.sqrt(2.0)
+    out = single
+    for _ in range(flavors - 1):
+        out = np.kron(out, single)
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,7 +56,6 @@ class OverlapSeries:
 
     sizes: tuple[int, ...]
     overlaps: tuple[float, ...]
-    pad_label: PadKind
     eta_estimate: float
     eta_spread: float
 
@@ -81,34 +68,23 @@ def plateau_estimate(overlaps: list[float]) -> tuple[float, float]:
     return float(np.mean(tail)), float(max(tail) - min(tail))
 
 
-def consecutive_overlaps(
-    states: dict[int, MatrixProductState | np.ndarray],
-    pad: np.ndarray,
-    pad_label: PadKind = PadKind.CUSTOM,
-) -> OverlapSeries:
-    """Padded overlaps between the ground states of consecutive sizes.
+def consecutive_overlaps(states: dict[int, MatrixProductState], pad: np.ndarray) -> OverlapSeries:
+    """|<g_n (x) pad | g_{n+1}>| for each pair of consecutive sizes.
 
-    `states` maps each size to its solved ground state, an MPS or a dense
-    vector; the sizes must increase by one.
+    `states` maps each size to its solved ground state as an MPS (a dense
+    vector converts exactly with `MatrixProductState.from_dense`); the sizes
+    must increase by one.
     """
     sizes = sorted(states)
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
     if any(b - a != 1 for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must increase by exactly 1")
-    overlaps: list[float] = []
-    for a, b in zip(sizes, sizes[1:]):
-        small, large = states[a], states[b]
-        if isinstance(small, MatrixProductState):
-            value = abs(mps_overlap(append_site(small, pad), large))
-        else:
-            value = abs(np.vdot(np.kron(small, pad), large))
-        overlaps.append(float(value))
+    overlaps = [abs(mps_overlap(append_site(states[a], pad), states[b])) for a, b in zip(sizes, sizes[1:])]
     eta, spread = plateau_estimate(overlaps)
     return OverlapSeries(
         sizes=tuple(sizes[:-1]),
         overlaps=tuple(overlaps),
-        pad_label=pad_label,
         eta_estimate=eta,
         eta_spread=spread,
     )

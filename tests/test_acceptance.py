@@ -174,7 +174,7 @@ def test_criterion_04_overlap_plateau():
             mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
             states[n], report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
             ok = ok and report.converged
-        series = consecutive_overlaps(states, pad_state(PadKind.UNIFORM, 1), pad_label=PadKind.UNIFORM)
+        series = consecutive_overlaps(states, pad_state(PadKind.UNIFORM, 1))
         plateau_ok = series.eta_estimate > 0 and series.eta_spread <= 0.1 * series.eta_estimate
         ok = ok and plateau_ok
         details.append(f"(m0={m0}): eta={series.eta_estimate:.4f}+-{series.eta_spread:.1e}")

@@ -8,7 +8,7 @@ from gnlab.config import AnalysisConfig, ConfigError, PrepConfig, SolverConfig, 
 from gnlab.exact import ground_state_dense
 from gnlab.fits import EnergyModel
 from gnlab.model import Boundary, ModelSpec, build_hamiltonian
-from gnlab.overlaps import PadKind
+from gnlab.overlaps import PadKind, pad_state
 
 BASE_CONFIG = """\
 [model]
@@ -335,7 +335,8 @@ class TestCliCommands:
     @pytest.mark.parametrize(("command", "edit"), [
         ("solve", ("sizes_max = 4", "sizes_max = 5")),   # 5 sites, 10 qubits
         ("prepare", ("n_final = 3", "n_final = 4")),     # solves n_final + 1 = 5 sites
-    ], ids=["solve", "prepare"])
+        ("correlate", ("n_sites = 4", "n_sites = 24")),  # 24 sites fill the fit window
+    ], ids=["solve", "prepare", "correlate"])
     def test_dense_size_beyond_dense_cap_is_config_error(self, config_file, tmp_path, monkeypatch, command, edit):
         import gnlab.cli
 
@@ -438,6 +439,26 @@ class TestCliCommands:
         assert len(solves) == 4
         for name in ("overlaps.csv", "overlaps_summary.csv"):
             assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_dense_overlap_reuses_solved_states(self, config_file, tmp_path, monkeypatch):
+        import gnlab.cli
+
+        cfg_path = config_file()
+        assert main(["solve", "--config", cfg_path, "--engine", "dense"]) == 0
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("dense ground state solved again despite its checkpoint")
+
+        monkeypatch.setattr(gnlab.cli, "ground_state_dense", no_solve)
+        assert main(["overlap", "--config", cfg_path, "--engine", "dense"]) == 0
+        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        ground = {n: ground_state_dense(build_hamiltonian(spec.with_sites(n))).ground_vector for n in (2, 3, 4)}
+        rows = read_csv(tmp_path / "out" / "overlaps.csv")
+        assert len(rows) == 4
+        for row in rows:
+            j, pad = int(row["j"]), pad_state(row["pad_kind"], 1)
+            brute = abs(np.vdot(np.kron(ground[j], pad), ground[j + 1]))
+            assert abs(float(row["overlap"]) - brute) <= 1e-12
 
     def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"

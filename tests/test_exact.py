@@ -212,8 +212,8 @@ def term_by_term_start_operator(h_prev, pad, penalty):
     ])
 
 
-@pytest.fixture(scope="module", params=[(kind, n) for kind in PadKind if kind is not PadKind.CUSTOM
-                                        for n in (2, 3, 4)], ids=lambda p: f"{p[0].value}-{p[1]}")
+@pytest.fixture(scope="module", params=[(kind, n) for kind in PadKind for n in (2, 3, 4)],
+                ids=lambda p: f"{p[0].value}-{p[1]}")
 def kronecker_instance(request):
     """(Kronecker-sum propagator, propagator of the term-by-term start operator, start gap bound)."""
     kind, n = request.param

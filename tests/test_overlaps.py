@@ -4,12 +4,17 @@ import pytest
 from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian
-from gnlab.mps import compile_mpo
+from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
 from gnlab.overlaps import PadKind, consecutive_overlaps, pad_state, plateau_estimate
 
 
 def dense_states(spec, sizes):
-    return {n: ground_state_dense(build_hamiltonian(spec.with_sites(n))).ground_vector for n in sizes}
+    """Exact ground states of `spec` at each size, as exact MPSs of the dense vectors."""
+    states = {}
+    for n in sizes:
+        op = build_hamiltonian(spec.with_sites(n))
+        states[n] = MatrixProductState.from_dense(ground_state_dense(op).ground_vector, grouped_dims(op.n_qubits))
+    return states
 
 
 def dmrg_states(spec, sizes, epsilon_goal):
@@ -34,15 +39,6 @@ class TestPadState:
     @pytest.mark.parametrize("flavors", [1, 2])
     def test_unit_norm(self, kind, flavors):
         assert np.linalg.norm(pad_state(kind, flavors)) == pytest.approx(1.0)
-
-    def test_custom_pad(self):
-        vec = np.zeros(4)
-        vec[0] = 1.0
-        assert np.allclose(pad_state(PadKind.CUSTOM, 1, custom=vec), vec)
-        with pytest.raises(ValueError):
-            pad_state(PadKind.CUSTOM, 1, custom=np.ones(4))
-        with pytest.raises(ValueError):
-            pad_state(PadKind.CUSTOM, 1)
 
 
 class TestConsecutiveOverlaps:
