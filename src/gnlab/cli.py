@@ -22,7 +22,7 @@ from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state, epsilon_me
 from .exact import ConvergenceError, ground_state_dense
 from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
 from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
-from .mps import MatrixProductState, compile_mpo, grouped_dims
+from .mps import MatrixProductState, append_site, compile_mpo, grouped_dims
 from .observables import centered_pairs, two_point_correlator
 from .overlaps import PadKind, consecutive_overlaps, pad_state
 from .stateprep import OracleMode, PreparationError, prepare_vacuum
@@ -59,16 +59,19 @@ def read_csv(path: Path) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def _state_slug(cfg: ExperimentConfig, spec: ModelSpec) -> str:
-    """Checkpoint name: every parameter of the Hamiltonian and every solver setting that shapes the state."""
+def _state_slug(cfg: ExperimentConfig, spec: ModelSpec, lo: int | None = None) -> str:
+    """Checkpoint name: every parameter of the Hamiltonian and every solver setting that shapes the state,
+    ending in `_from{lo}` for a state grown in a ladder that began at size `lo`."""
     solver = cfg.solver
+    grown = "" if lo is None else f"_from{lo}"
     return (f"state_N{spec.n_sites}_a{spec.spacing!r}_m{spec.bare_mass!r}_g{spec.coupling_sq!r}"
             f"_r{spec.wilson_r!r}_f{spec.flavors}_{spec.boundary.value}_{solver.engine.value}"
-            f"_s{solver.seed}_e{solver.epsilon_goal!r}_b{solver.max_bond}_w{solver.max_sweeps}.mps")
+            f"_s{solver.seed}_e{solver.epsilon_goal!r}_b{solver.max_bond}_w{solver.max_sweeps}{grown}.mps")
 
 
-def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
-    """Converged ground state for one spec by the configured engine: (mps, report); dense states become exact MPSs."""
+def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductState | None = None):
+    """Converged ground state for one spec by the configured engine: (mps, report); dense states become exact MPSs.
+    DMRG starts from `start` if one is given; the dense engine ignores it."""
     op = build_hamiltonian(spec)
     if cfg.solver.engine is Engine.DENSE:
         result = ground_state_dense(op, dense_cap=cfg.solver.dense_cap)
@@ -86,6 +89,7 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
         max_bond=cfg.solver.max_bond,
         seed=cfg.solver.seed,
         max_sweeps=cfg.solver.max_sweeps,
+        start=start,
     )
     if not report.converged:
         raise ConvergenceError(f"DMRG did not converge at {spec.n_sites} sites in {report.sweeps} sweep(s): "
@@ -93,14 +97,32 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec):
     return mps, report
 
 
-def _ground_state(cfg: ExperimentConfig, spec: ModelSpec) -> tuple[MatrixProductState, DmrgReport | None]:
-    """`spec`'s converged ground state: its checkpoint if one exists (report None), else solved and saved."""
-    chk = cfg.out_dir / _state_slug(cfg, spec)
-    if chk.exists():
+def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo: int | None = None,
+                  smaller: MatrixProductState | None = None) -> tuple[MatrixProductState, DmrgReport | None]:
+    """`spec`'s converged ground state: its checkpoint if `reuse` and one exists (report None), else solved and saved.
+    A state grown in a ladder begun at size `lo` starts from `smaller` with the symmetry-adapted pad appended."""
+    chk = cfg.out_dir / _state_slug(cfg, spec, lo)
+    if reuse and chk.exists():
         return MatrixProductState.load(chk), None
-    state, report = _solve_point(cfg, spec)
+    start = None if lo is None else append_site(smaller, pad_state(PadKind.SYMMETRY_ADAPTED, spec.flavors))
+    state, report = _solve_point(cfg, spec, start)
     state.save(chk)
     return state, report
+
+
+def _ladder(cfg: ExperimentConfig, family: ModelSpec, reuse: bool):
+    """Ground states of `family` at the configured sizes lo..hi: yields (n, state, report).
+
+    Under DMRG each size after the first grows from the previous state, solved or loaded, with the
+    symmetry-adapted pad whatever `pad_kind` says: it keeps the start in one fermion-number sector, while
+    the uniform pad spans three.
+    """
+    lo, hi = cfg.analysis.sizes
+    state = None
+    for n in range(lo, hi + 1):
+        grown = n > lo and cfg.solver.engine is Engine.DMRG
+        state, report = _ground_state(cfg, family.with_sites(n), reuse, lo if grown else None, state)
+        yield n, state, report
 
 
 def _require_model(cfg: ExperimentConfig) -> ModelSpec:
@@ -118,15 +140,10 @@ def _require_dense_cap(cfg: ExperimentConfig, model: ModelSpec, n_sites: int, wh
 
 def cmd_solve(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
-    lo, hi = cfg.analysis.sizes
     if cfg.solver.engine is Engine.DENSE:
-        _require_dense_cap(cfg, model, hi, "sizes_max")
-    rows = []
-    for n in range(lo, hi + 1):
-        spec = model.with_sites(n)
-        mps, report = _solve_point(cfg, spec)
-        mps.save(cfg.out_dir / _state_slug(cfg, spec))
-        rows.append((n, report.energy, report.epsilon, report.sweeps, report.max_bond))
+        _require_dense_cap(cfg, model, cfg.analysis.sizes[1], "sizes_max")
+    rows = [(n, report.energy, report.epsilon, report.sweeps, report.max_bond)
+            for n, _state, report in _ladder(cfg, model, reuse=False)]
     name = "energies.csv" if cfg.solver.engine is Engine.DMRG else "energies_dense.csv"
     _write(cfg.out_dir / name, cfg, "N,energy,epsilon,sweeps,max_bond", rows)
 
@@ -169,7 +186,7 @@ def cmd_overlap(cfg: ExperimentConfig) -> None:
         kinds.append(PadKind.SYMMETRY_ADAPTED)
     for m0, g0_sq in cfg.analysis.parameter_points():
         family = replace(model, bare_mass=m0, coupling_sq=g0_sq)
-        states = {n: _ground_state(cfg, family.with_sites(n))[0] for n in range(lo, hi + 1)}
+        states = {n: state for n, state, _report in _ladder(cfg, family, reuse=True)}
         for kind in kinds:
             series = consecutive_overlaps(states, pad_state(kind, model.flavors))
             rows.extend((m0, g0_sq, j, o, kind) for j, o in zip(series.sizes, series.overlaps))

@@ -1,6 +1,9 @@
 """Two-site DMRG ground-state search with a variance-based stopping rule.
 
-The run stops when the convergence measure
+A run starts from a seeded random bond-2 state, warmed up by one sweep at
+bond WARMUP_BOND, or from a given state, such as the previous size's vacuum
+with a pad appended, whose sweeps all run at the full bond cap.  It stops
+when the convergence measure
 
     epsilon = (|<H^2>| - |<H>|^2) / |<H>|^2
 
@@ -113,11 +116,15 @@ def dmrg_ground_state(
     max_bond: int,
     seed: int,
     max_sweeps: int = 40,
+    start: MatrixProductState | None = None,
 ) -> tuple[MatrixProductState, DmrgReport]:
-    """Two-site sweeps from a seeded random bond-2 state until epsilon converges.
+    """Two-site sweeps from `start`, or else a seeded random bond-2 state, until epsilon converges.
 
-    Deterministic given `seed`.  Raises EnergyIncreaseError if the energy
-    rises across a sweep by more than `ENERGY_RISE_TOL * (1 + |E|)`.
+    The random start's first sweep is capped at WARMUP_BOND; a given
+    `start` is copied (never mutated), runs every sweep at `max_bond` and
+    must match the MPO's physical dimensions.  Deterministic given `seed`
+    and `start`.  Raises EnergyIncreaseError if the energy rises across a
+    sweep by more than `ENERGY_RISE_TOL * (1 + |E|)`.
     """
     if epsilon_goal <= 0:
         raise ValueError("epsilon_goal must be positive")
@@ -126,7 +133,12 @@ def dmrg_ground_state(
     n = mpo.n_sites
     if n < 2:
         raise ValueError("two-site sweeps need at least two sites")
-    psi = MatrixProductState.random(mpo.phys_dims, bond_dim=2, seed=seed)
+    if start is None:
+        psi = MatrixProductState.random(mpo.phys_dims, bond_dim=2, seed=seed)
+    else:
+        if start.phys_dims != mpo.phys_dims:
+            raise ValueError(f"start state dims {start.phys_dims} do not match the MPO's {mpo.phys_dims}")
+        psi = MatrixProductState([t.copy() for t in start.tensors], start.center)
     psi.canonicalize(0)
     psi.normalize()
 
@@ -167,7 +179,7 @@ def dmrg_ground_state(
         return e_loc, u, s, vh, (dl, d1, d2, dr)
 
     for sweep in range(1, max_sweeps + 1):
-        cap = min(WARMUP_BOND, max_bond) if sweep == 1 else max_bond
+        cap = min(WARMUP_BOND, max_bond) if sweep == 1 and start is None else max_bond
         e_last = energy
         # left-to-right
         for k in range(n - 1):

@@ -5,9 +5,11 @@ import pytest
 
 from gnlab.cli import main, read_csv
 from gnlab.config import AnalysisConfig, ConfigError, PrepConfig, SolverConfig, load_config
+from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
 from gnlab.fits import EnergyModel
 from gnlab.model import Boundary, ModelSpec, build_hamiltonian
+from gnlab.mps import compile_mpo
 from gnlab.overlaps import PadKind, pad_state
 
 BASE_CONFIG = """\
@@ -54,8 +56,10 @@ def config_file(tmp_path):
 
 
 def one_sweep_config(tmp_path):
-    # one sweep misses a 1e-12 goal from 4 sites on
+    # bond 4 is exact up to 3 sites; from 4 sites on, one capped sweep misses a
+    # 1e-12 goal, cold or grown from the smaller vacuum, and the stall rule needs two
     text = BASE_CONFIG.format(out=tmp_path / "out").replace("n_sites = 4", "n_sites = 6")
+    text = text.replace("max_bond = 32", "max_bond = 4")
     path = tmp_path / "one_sweep.ini"
     path.write_text(text.replace("epsilon_goal = 1e-10", "epsilon_goal = 1e-12\nmax_sweeps = 1"))
     return str(path)
@@ -171,7 +175,7 @@ class TestCliCommands:
         spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         dense = ground_state_dense(build_hamiltonian(spec))
         assert float(rows[1]["energy"]) == pytest.approx(dense.ground_energy, rel=1e-9)
-        assert (out / "state_N3_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40.mps").exists()
+        assert (out / "state_N3_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40_from2.mps").exists()
 
     def test_dense_engine_writes_matching_energies(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -197,7 +201,7 @@ class TestCliCommands:
         a = (tmp_path / "a" / "energies.csv").read_bytes()
         b = (tmp_path / "b" / "energies.csv").read_bytes()
         assert a == b
-        name = "state_N4_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40.mps"
+        name = "state_N4_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10_b32_w40_from2.mps"
         chk_a = (tmp_path / "a" / name).read_bytes()
         chk_b = (tmp_path / "b" / name).read_bytes()
         assert chk_a == chk_b
@@ -459,6 +463,62 @@ class TestCliCommands:
             j, pad = int(row["j"]), pad_state(row["pad_kind"], 1)
             brute = abs(np.vdot(np.kron(ground[j], pad), ground[j + 1]))
             assert abs(float(row["overlap"]) - brute) <= 1e-12
+
+    def test_solve_grows_each_size_from_the_last(self, config_file, tmp_path):
+        # same energies as cold solves, in fewer sweeps
+        assert main(["solve", "--config", config_file(), "--sizes", "2..8"]) == 0
+        rows = read_csv(tmp_path / "out" / "energies.csv")
+        assert [int(r["N"]) for r in rows] == list(range(2, 9))
+        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        cold_sweeps = 0
+        for row in rows:
+            op = build_hamiltonian(spec.with_sites(int(row["N"])))
+            _state, cold = dmrg_ground_state(compile_mpo(op), epsilon_goal=1e-10, max_bond=32, seed=7)
+            cold_sweeps += cold.sweeps
+            assert float(row["energy"]) == pytest.approx(cold.energy, rel=1e-10)
+            if op.n_qubits <= 10:
+                assert float(row["energy"]) == pytest.approx(ground_state_dense(op).ground_energy, rel=1e-8)
+        assert sum(int(r["sweeps"]) for r in rows) < cold_sweeps
+
+    def test_ladder_start_ignores_pad_kind(self, config_file, tmp_path):
+        rows = {}
+        for kind in PadKind:
+            out = tmp_path / kind.value
+            cfg_path = config_file({"analysis": f"pad_kind = {kind.value}"})
+            assert main(["solve", "--config", cfg_path, "--sizes", "2..6", "--out", str(out)]) == 0
+            rows[kind] = (out / "energies.csv").read_text().splitlines()[1:]
+        assert rows[PadKind.UNIFORM] == rows[PadKind.SYMMETRY_ADAPTED]
+
+    def test_grown_states_do_not_depend_on_command_history(self, config_file, tmp_path):
+        # a 3..5 ladder starts cold at 3 rather than loading the 2..5 ladder's grown states
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        cfg_path = config_file()
+        assert main(["solve", "--config", cfg_path, "--sizes", "2..5", "--out", str(shared)]) == 0
+        assert main(["overlap", "--config", cfg_path, "--sizes", "3..5", "--out", str(shared)]) == 0
+        assert main(["overlap", "--config", cfg_path, "--sizes", "3..5", "--out", str(fresh)]) == 0
+        for name in ("overlaps.csv", "overlaps_summary.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        checkpoints = sorted(p.name for p in fresh.glob("*.mps"))
+        assert [name.split("_")[1] for name in checkpoints] == ["N3", "N4", "N5"]
+        for name in checkpoints:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert len(list(shared.glob("*.mps"))) == 4 + 3
+
+    def test_correlate_after_a_ladder_solves_cold(self, tmp_path):
+        window = "fit_window_min = 0.4\nfit_window_max = 1.0\n"
+        text = BASE_CONFIG.format(out=tmp_path / "unused").replace("n_sites = 4", "n_sites = 10")
+        text = text.replace("spacing = 0.25", "spacing = 0.2")
+        path = tmp_path / "ten.ini"
+        path.write_text(text.replace("[analysis]\n", "[analysis]\n" + window))
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["solve", "--config", str(path), "--sizes", "9..10", "--out", str(shared)]) == 0
+        assert main(["correlate", "--config", str(path), "--out", str(shared)]) == 0
+        assert main(["correlate", "--config", str(path), "--out", str(fresh)]) == 0
+        for name in ("correlators.csv", "corr_fits.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        [cold] = fresh.glob("*.mps")
+        assert (shared / cold.name).read_bytes() == cold.read_bytes()
+        assert (shared / cold.name.replace(".mps", "_from9.mps")).exists()
 
     def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"

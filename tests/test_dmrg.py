@@ -5,8 +5,9 @@ from gnlab import dmrg
 from gnlab.dmrg import DegenerateEnergyError, dmrg_ground_state, epsilon_measure
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
-from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
+from gnlab.mps import MatrixProductState, append_site, compile_mpo, grouped_dims
 from gnlab.observables import centered_pairs, two_point_correlator
+from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 
 from oracles import arpack_lowest, free_fermion_correlations
@@ -128,6 +129,31 @@ class TestDmrgGroundState:
             dmrg_ground_state(mpo, epsilon_goal=0.0, max_bond=16, seed=0)
         with pytest.raises(ValueError):
             dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=1, seed=0)
+
+    def test_start_of_another_size_is_refused(self, small_spec):
+        mpo = compile_mpo(build_hamiltonian(small_spec))
+        wrong = MatrixProductState.random((4,) * (mpo.n_sites + 1), bond_dim=2, seed=0)
+        with pytest.raises(ValueError, match="start state dims"):
+            dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=16, seed=0, start=wrong)
+
+    def test_grown_start_converges_faster_and_stays_untouched(self):
+        """The 3-site vacuum with the symmetry-adapted pad appended starts the
+        4-site solve: it needs fewer sweeps than the random start, ignores the
+        seed, and the caller's MPS keeps its tensors."""
+        spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        small, _report = solve(spec)
+        start = append_site(small, pad_state(PadKind.SYMMETRY_ADAPTED))
+        before = [t.copy() for t in start.tensors]
+        mpo = compile_mpo(build_hamiltonian(spec.with_sites(4)))
+        grown, report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3, start=start)
+        assert len(start.tensors) == len(before)
+        assert all(np.array_equal(t, b) for t, b in zip(start.tensors, before))
+        other, other_report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=99, start=start)
+        assert other_report == report
+        assert all(np.array_equal(t, b) for t, b in zip(other.tensors, grown.tensors))
+        _cold, cold = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
+        assert report.converged and report.sweeps < cold.sweeps
+        assert report.energy == pytest.approx(cold.energy, rel=1e-10)
 
 
 class TestEpsilonMeasure:
