@@ -117,7 +117,7 @@ def _ladder(cfg: ExperimentConfig, family: ModelSpec, reuse: bool):
     symmetry-adapted pad whatever `pad_kind` says: it keeps the start in one fermion-number sector, while
     the uniform pad spans three.
     """
-    lo, hi = cfg.analysis.sizes
+    lo, hi = cfg.analysis.sizes_min, cfg.analysis.sizes_max
     state = None
     for n in range(lo, hi + 1):
         grown = n > lo and cfg.solver.engine is Engine.DMRG
@@ -141,7 +141,7 @@ def _require_dense_cap(cfg: ExperimentConfig, model: ModelSpec, n_sites: int, wh
 def cmd_solve(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
     if cfg.solver.engine is Engine.DENSE:
-        _require_dense_cap(cfg, model, cfg.analysis.sizes[1], "sizes_max")
+        _require_dense_cap(cfg, model, cfg.analysis.sizes_max, "sizes_max")
     rows = [(n, report.energy, report.epsilon, report.sweeps, report.max_bond)
             for n, _state, report in _ladder(cfg, model, reuse=False)]
     name = "energies.csv" if cfg.solver.engine is Engine.DMRG else "energies_dense.csv"
@@ -174,7 +174,7 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
 
 def cmd_overlap(cfg: ExperimentConfig) -> None:
     model = _require_model(cfg)
-    lo, hi = cfg.analysis.sizes
+    lo, hi = cfg.analysis.sizes_min, cfg.analysis.sizes_max
     if hi <= lo:
         raise ConfigError(f"overlap needs at least two sizes, got sizes_min = {lo}, sizes_max = {hi}")
     if cfg.solver.engine is Engine.DENSE:

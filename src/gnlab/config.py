@@ -2,9 +2,9 @@
 
 Every section owns a fixed key set; unknown sections or keys abort with the
 offending name, so typos never silently fall back to defaults.  The
-[model], [solver] and [prep] keys, types and defaults are the fields of
-`ModelSpec`, `SolverConfig` and `PrepConfig`.  Values given on the command
-line win over the file.
+[model], [solver], [analysis] and [prep] keys, types and defaults are the
+fields of `ModelSpec`, `SolverConfig`, `AnalysisConfig` and `PrepConfig`.
+Values given on the command line win over the file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .exact import DENSE_CAP_DEFAULT
 from .model import Boundary, ModelSpec
@@ -37,6 +38,22 @@ class Engine(str, Enum):
     DMRG = "dmrg"
 
 
+def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
+    points = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            m0, g0 = chunk.split(":")
+            points.append((float(m0), float(g0)))
+        except ValueError as exc:
+            raise ConfigError(f"bad parameter point {chunk!r}, expected m0:g0_sq") from exc
+    if not points:
+        raise ConfigError("points list is empty")
+    return tuple(points)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     engine: Engine = Engine.DMRG
@@ -49,12 +66,28 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    fit_window: tuple[float, float] | None = None
+    """[analysis]: 2 <= sizes_min <= sizes_max, a positive gap when set, both window ends or neither."""
+
+    fit_window_min: float | None = None
+    fit_window_max: float | None = None
+    sizes_min: int = 2
+    sizes_max: int = 10
+    points: tuple[tuple[float, float], ...] | None = field(default=None, metadata={"parse": _parse_points})
     pad_kind: PadKind = PadKind.UNIFORM
-    sizes: tuple[int, int] = (2, 10)
-    points: tuple[tuple[float, float], ...] | None = None
     energy_model: EnergyModel = EnergyModel.LINEAR
     gap: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.sizes_min <= self.sizes_max:
+            raise ValueError(f"need 2 <= sizes_min <= sizes_max, got {self.sizes_min}..{self.sizes_max}")
+        if self.gap is not None and not self.gap > 0:
+            raise ValueError(f"gap must be positive, got {self.gap}")
+        if (self.fit_window_min is None) != (self.fit_window_max is None):
+            raise ValueError("fit_window_min and fit_window_max must be set together")
+
+    @property
+    def fit_window(self) -> tuple[float, float] | None:
+        return None if self.fit_window_min is None else (self.fit_window_min, self.fit_window_max)
 
     def parameter_points(self) -> tuple[tuple[float, float], ...]:
         if self.points is not None:
@@ -87,32 +120,12 @@ class ExperimentConfig:
 
 
 #: Sections read field by field into their dataclass.
-_DATACLASS_SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "prep": PrepConfig}
+_DATACLASS_SECTIONS = {"model": ModelSpec, "solver": SolverConfig, "analysis": AnalysisConfig, "prep": PrepConfig}
 
 _KNOWN_KEYS = {
     **{name: {f.name for f in fields(cls)} for name, cls in _DATACLASS_SECTIONS.items()},
-    "analysis": {
-        "fit_window_min", "fit_window_max", "pad_kind", "sizes_min", "sizes_max",
-        "points", "energy_model", "gap",
-    },
     "output": {"directory"},
 }
-
-
-def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
-    points = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            m0, g0 = chunk.split(":")
-            points.append((float(m0), float(g0)))
-        except ValueError as exc:
-            raise ConfigError(f"bad parameter point {chunk!r}, expected m0:g0_sq") from exc
-    if not points:
-        raise ConfigError("points list is empty")
-    return tuple(points)
 
 
 def _check_keys(parser: configparser.ConfigParser) -> None:
@@ -126,14 +139,20 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
             )
 
 
+def _unwrap_optional(hint):
+    return get_args(hint)[0] if isinstance(hint, UnionType) else hint
+
+
 def _read_section(parser: configparser.ConfigParser, name: str, given: dict[str, object]):
-    """Section `name` as its dataclass: keys cast by their field types, absent keys default, `given` wins."""
+    """Section `name` as its dataclass: keys cast by their field's `parse` or else its type (T for
+    `T | None`), absent keys default, `given` wins."""
     cls = _DATACLASS_SECTIONS[name]
-    types = get_type_hints(cls)
+    hints = get_type_hints(cls)
+    casts = {f.name: f.metadata.get("parse") or _unwrap_optional(hints[f.name]) for f in fields(cls)}
     values = {**(parser[name] if name in parser else {}), **given}
     for key, value in values.items():
         try:
-            values[key] = types[key](value)
+            values[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
     try:
@@ -158,49 +177,21 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
     _check_keys(parser)
     overrides = overrides or {}
 
-    def _get(section: str, key: str, cast, default):
-        if section in parser and key in parser[section]:
-            try:
-                return cast(parser[section][key])
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-        return default
-
     given = {key: overrides[key] for key in ("engine", "seed") if overrides.get(key) is not None}
+    sizes = dict(zip(("sizes_min", "sizes_max"), overrides["sizes"])) if overrides.get("sizes") else {}
     model = _read_section(parser, "model", {}) if "model" in parser else None
     solver = _read_section(parser, "solver", given)
+    analysis = _read_section(parser, "analysis", sizes)
     prep = _read_section(parser, "prep", {})
-    try:
-        window_min = _get("analysis", "fit_window_min", float, None)
-        window_max = _get("analysis", "fit_window_max", float, None)
-        if (window_min is None) != (window_max is None):
-            raise ConfigError("fit_window_min and fit_window_max must be set together")
-        sizes = overrides.get("sizes") or (
-            _get("analysis", "sizes_min", int, AnalysisConfig.sizes[0]),
-            _get("analysis", "sizes_max", int, AnalysisConfig.sizes[1]),
-        )
-        points_text = _get("analysis", "points", str, None)
-        analysis = AnalysisConfig(
-            fit_window=None if window_min is None else (window_min, window_max),
-            pad_kind=PadKind(_get("analysis", "pad_kind", str, AnalysisConfig.pad_kind)),
-            sizes=(int(sizes[0]), int(sizes[1])),
-            points=None if points_text is None else _parse_points(points_text),
-            energy_model=EnergyModel(_get("analysis", "energy_model", str, AnalysisConfig.energy_model)),
-            gap=_get("analysis", "gap", float, None),
-        )
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
     if (model is not None and model.boundary is Boundary.PERIODIC and solver.engine is Engine.DMRG
-            and max(model.n_sites, analysis.sizes[1]) > MPO_MAX_SPAN):
+            and max(model.n_sites, analysis.sizes_max) > MPO_MAX_SPAN):
         raise ConfigError(
             f"engine = dmrg with periodic boundaries supports at most {MPO_MAX_SPAN} sites "
             f"(the wrap-around term spans the whole chain), got n_sites = {model.n_sites}, "
-            f"sizes_max = {analysis.sizes[1]}"
+            f"sizes_max = {analysis.sizes_max}"
         )
 
-    out_dir = Path(overrides.get("out") or _get("output", "directory", str, "out"))
+    out_dir = Path(overrides.get("out") or parser.get("output", "directory", fallback="out"))
     # hash the semantic inputs only: the parsed sections plus overrides that
     # change results (the output location, [output] or --out, does not)
     sections = [(name, sorted(parser.items(name, raw=True)))

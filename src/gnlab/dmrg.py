@@ -52,7 +52,6 @@ class DmrgReport:
     sweeps: int
     max_bond: int
     converged: bool
-    energy_history: tuple[float, ...] = ()
 
 
 def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> float:
@@ -153,7 +152,6 @@ def dmrg_ground_state(
     eps = float("inf")
     sweeps_done = 0
     converged = False
-    history: list[float] = []
 
     # A local eigen-residual r adds about r^2 / E^2 to epsilon; stopping at
     # r <= 1e-3 sqrt(epsilon_goal) |E| keeps that share below 1e-6 of the goal.
@@ -199,7 +197,6 @@ def dmrg_ground_state(
             right_envs[k + 1] = _grow_right(right_envs[k + 2], psi.tensors[k + 1], mpo.tensors[k + 1])
         energy = float(e_loc)
         sweeps_done = sweep
-        history.append(energy)
         if np.isfinite(e_last) and energy > e_last + ENERGY_RISE_TOL * (1.0 + abs(e_last)):
             raise EnergyIncreaseError(
                 f"energy rose from {e_last} to {energy} across sweep {sweep}"
@@ -220,6 +217,5 @@ def dmrg_ground_state(
         sweeps=sweeps_done,
         max_bond=max(psi.bond_dims),
         converged=converged,
-        energy_history=tuple(history),
     )
     return psi, report

@@ -31,8 +31,6 @@ QUBITS_PER_SITE = 2
 # the operator of every two-letter site string; shared, so never mutate an entry
 _SITE_OPS = {a + b: np.kron(pa, pb) for a, pa in _PAULI_MATS.items() for b, pb in _PAULI_MATS.items()}
 
-_DENSE_GUARD = 1 << 22
-
 
 def grouped_dims(n_qubits: int) -> tuple[int, ...]:
     if n_qubits % QUBITS_PER_SITE != 0:
@@ -139,16 +137,6 @@ class MatrixProductState:
             left = keep
         tensors.append(rest.reshape(left, phys_dims[-1], 1))
         return cls(tensors, center=len(phys_dims) - 1)
-
-    def to_dense(self) -> np.ndarray:
-        total = int(np.prod(self.phys_dims))
-        if total > _DENSE_GUARD:
-            raise ValueError(f"dense conversion of dimension {total} refused")
-        acc = self.tensors[0]
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=([2], [0]))
-            acc = acc.reshape(1, -1, t.shape[2])
-        return acc.reshape(-1)
 
     # -- gauge ----------------------------------------------------------------
 
@@ -280,17 +268,6 @@ class MatrixProductOperator:
     @property
     def max_bond(self) -> int:
         return max(self.bond_dims)
-
-    def to_matrix(self) -> np.ndarray:
-        total = int(np.prod(self.phys_dims))
-        if total > 1 << 12:
-            raise ValueError("dense MPO conversion refused at this size")
-        acc = self.tensors[0]
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=([3], [0]))
-            bl, po, pi, qo, qi, br = acc.shape
-            acc = acc.transpose(0, 1, 3, 2, 4, 5).reshape(bl, po * qo, pi * qi, br)
-        return acc[0, :, :, 0]
 
 
 class MpoRangeError(ValueError):

@@ -2,9 +2,12 @@
 
 Everything here is built directly from dense matrices and textbook
 formulas, bypassing the package's Pauli/MPS machinery, so agreement is a
-genuine cross-check rather than a tautology.  The exception is
-`arpack_lowest`, which runs scipy's ARPACK, an eigensolver independent of
-the package's, on the package's matrix-free Pauli action.
+genuine cross-check rather than a tautology.  Two helpers run on the
+package's Pauli layer: `arpack_lowest`, which runs scipy's ARPACK, an
+eigensolver independent of the package's, on the matrix-free Pauli action;
+and `statevector_correlator_blocks`, which evaluates the two-point
+correlator as Pauli-sum expectations of Jordan-Wigner images on a state
+vector, independent of the MPS contraction the package measures with.
 """
 
 from __future__ import annotations
@@ -12,11 +15,40 @@ from __future__ import annotations
 import numpy as np
 
 from gnlab.bessel import bessel_k
-from gnlab.model import Boundary, ModelSpec
-from gnlab.pauli import PauliSumOperator
+from gnlab.model import Boundary, ModelSpec, majorana_gammas
+from gnlab.mps import MatrixProductOperator, MatrixProductState
+from gnlab.observables import centered_pairs
+from gnlab.pauli import PauliSumOperator, jordan_wigner
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+_DENSE_GUARD = 1 << 22
+
+
+def mps_to_dense(state: MatrixProductState) -> np.ndarray:
+    """The state vector of an MPS, contracted bond by bond (site 0 most significant)."""
+    total = int(np.prod(state.phys_dims))
+    if total > _DENSE_GUARD:
+        raise ValueError(f"dense conversion of dimension {total} refused")
+    acc = state.tensors[0]
+    for t in state.tensors[1:]:
+        acc = np.tensordot(acc, t, axes=([2], [0]))
+        acc = acc.reshape(1, -1, t.shape[2])
+    return acc.reshape(-1)
+
+
+def mpo_to_matrix(mpo: MatrixProductOperator) -> np.ndarray:
+    """The dense matrix of an MPO, contracted bond by bond (site 0 most significant)."""
+    total = int(np.prod(mpo.phys_dims))
+    if total > 1 << 12:
+        raise ValueError("dense MPO conversion refused at this size")
+    acc = mpo.tensors[0]
+    for t in mpo.tensors[1:]:
+        acc = np.tensordot(acc, t, axes=([3], [0]))
+        bl, po, pi, qo, qi, br = acc.shape
+        acc = acc.transpose(0, 1, 3, 2, 4, 5).reshape(bl, po * qo, pi * qi, br)
+    return acc[0, :, :, 0]
 
 
 def block_eigh(matrix: np.ndarray, blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -35,6 +67,26 @@ def arpack_lowest(op: PauliSumOperator, k: int) -> np.ndarray:
     dim = 1 << op.n_qubits
     lin = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
     return np.sort(spla.eigsh(lin, k=k, which="SA", v0=np.ones(dim), tol=1e-12)[0])
+
+
+def statevector_correlator_blocks(vec: np.ndarray, spec: ModelSpec, flavor: int = 0) -> np.ndarray:
+    """`two_point_correlator(...).blocks` of the state vector `vec`, by Pauli-sum expectations.
+
+    blocks[k] = raw @ gamma0 / a over `centered_pairs`, with raw[alpha, c] =
+    <c_{i,alpha} c+_{j,c}> from the Jordan-Wigner images of the two ladder
+    operators; `vec` is used as given, not normalised.
+    """
+    nq = spec.n_qubits
+    vec = np.asarray(vec, dtype=complex)
+    gamma0 = majorana_gammas().gamma0
+
+    def raw(i: int, j: int) -> np.ndarray:
+        return np.array([[
+            (jordan_wigner(spec.mode_index(i, flavor, alpha), "annihilate", nq)
+             * jordan_wigner(spec.mode_index(j, flavor, c), "create", nq)).expectation(vec)
+            for c in range(2)] for alpha in range(2)])
+
+    return np.array([raw(i, j) @ gamma0 / spec.spacing for _k, i, j in centered_pairs(spec.n_sites)])
 
 
 def continuum_free_correlator(m0: float, separation: float) -> float:

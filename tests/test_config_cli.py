@@ -80,7 +80,8 @@ class TestConfigParsing:
     def test_periodic_dmrg_beyond_mpo_range(self, config_file):
         periodic = config_file({"model": "boundary = periodic"})
         assert load_config(periodic, {"sizes": (2, 8)}).model.boundary.value == "periodic"
-        assert load_config(periodic, {"sizes": (2, 9), "engine": "dense"}).analysis.sizes == (2, 9)
+        analysis = load_config(periodic, {"sizes": (2, 9), "engine": "dense"}).analysis
+        assert (analysis.sizes_min, analysis.sizes_max) == (2, 9)
         with pytest.raises(ConfigError, match="periodic"):
             load_config(periodic, {"sizes": (2, 9)})
 
@@ -125,9 +126,13 @@ class TestConfigParsing:
 
     def test_bad_value_is_named(self, config_file):
         for section, key in (("solver", "dense_cap = many"), ("prep", "eta_floor = high"),
-                             ("model", "boundary = round")):
+                             ("model", "boundary = round"), ("analysis", "gap = wide")):
             with pytest.raises(ConfigError, match=rf"bad value for \[{section}\] {key.split()[0]}"):
                 load_config(config_file({section: key}))
+        path = Path(config_file())   # a key the base config sets: edit it in place
+        path.write_text(path.read_text().replace("sizes_max = 4", "sizes_max = ten"))
+        with pytest.raises(ConfigError, match=r"bad value for \[analysis\] sizes_max"):
+            load_config(path)
 
     def test_unknown_section_rejected(self, config_file, tmp_path):
         path = tmp_path / "extra.ini"
@@ -313,10 +318,18 @@ class TestCliCommands:
             "[model]\nn_sites = 9\nspacing = 0.25\nbare_mass = 0.2\ncoupling_sq = 1.5\n"
             "boundary = periodic\n[analysis]\nsizes_max = 4\n"
         )
-        for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n", "[prep]\nrepetitions = 3\n",
-                     "[analysis]\nm0_values = 0.2\n", "[analysis]\ng0_sq_values = 0.5,1.0\n", periodic):
+        # out-of-range [analysis] values in an otherwise valid config: refused before any solve or write
+        base = BASE_CONFIG.format(out=tmp_path / "out")
+        ranges = (base.replace("sizes_min = 2", "sizes_min = 1"),
+                  base.replace("sizes_min = 2\nsizes_max = 4", "sizes_min = 5\nsizes_max = 3"),
+                  base.replace("points = 0.2:1.5", "points = 0.2:1.5\ngap = -1.0"))
+        cases = [(text, []) for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n",
+                                         "[prep]\nrepetitions = 3\n", "[analysis]\nm0_values = 0.2\n",
+                                         "[analysis]\ng0_sq_values = 0.5,1.0\n", periodic, *ranges)]
+        for text, flags in cases + [(base, ["--sizes", "4..2"])]:
             bad.write_text(text)
-            assert main(["solve", "--config", str(bad)]) == 2
+            assert main(["solve", "--config", str(bad), *flags]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_error_exit_code(self, config_file):
         # the padded 2 -> 3 site overlap (~0.49) falls below the floor

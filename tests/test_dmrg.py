@@ -58,8 +58,12 @@ class TestDmrgGroundState:
 
     def test_energy_monotone_across_sweeps(self):
         spec = ModelSpec(n_sites=5, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)
+        mpo = compile_mpo(build_hamiltonian(spec))
         _state, report = solve(spec, epsilon_goal=1e-12)
-        hist = report.energy_history
+        # runs are deterministic given the seed: the k-sweep run's energy is the full run's after sweep k
+        hist = [dmrg_ground_state(mpo, epsilon_goal=1e-12, max_bond=64, seed=3, max_sweeps=k)[1].energy
+                for k in range(1, report.sweeps + 1)]
+        assert hist[-1] == report.energy
         for earlier, later in zip(hist, hist[1:]):
             assert later <= earlier + 1e-12 * (1 + abs(earlier))
 

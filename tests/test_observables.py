@@ -6,7 +6,13 @@ from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, major
 from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
 from gnlab.observables import CorrelatorSeries, centered_pairs, two_point_correlator
 
-from oracles import free_fermion_correlations
+from oracles import free_fermion_correlations, mps_to_dense, statevector_correlator_blocks
+
+
+def dense_ground_mps(spec):
+    """The exactly diagonalised ground vector of `spec`, as an exact MPS."""
+    vec = ground_state_dense(build_hamiltonian(spec)).ground_vector
+    return MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits))
 
 
 class TestSeriesStructure:
@@ -30,8 +36,7 @@ class TestFreeTheory:
     def test_dense_ground_state_matches_determinant_oracle(self):
         """Interacting machinery at g0^2 = 0 against the quadratic-H oracle."""
         spec = ModelSpec(n_sites=5, spacing=0.4, bare_mass=1.0, coupling_sq=0.0)
-        ground = ground_state_dense(build_hamiltonian(spec)).ground_vector
-        series = two_point_correlator(ground, spec)
+        series = two_point_correlator(dense_ground_mps(spec), spec)
         correl = free_fermion_correlations(free_quadratic_form(spec))
         gamma0 = majorana_gammas().gamma0
         for idx, (k, i, j) in enumerate(centered_pairs(spec.n_sites)):
@@ -45,8 +50,7 @@ class TestFreeTheory:
 
     def test_larger_free_lattice_against_oracle(self):
         spec = ModelSpec(n_sites=5, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
-        ground = ground_state_dense(build_hamiltonian(spec)).ground_vector
-        series = two_point_correlator(ground, spec)
+        series = two_point_correlator(dense_ground_mps(spec), spec)
         correl = free_fermion_correlations(free_quadratic_form(spec))
         gamma0 = majorana_gammas().gamma0
         i, j = centered_pairs(spec.n_sites)[0][1:]
@@ -61,9 +65,9 @@ class TestFreeTheory:
 
         The state comes from a short DMRG warm-up densified and refined by
         warm-started Lanczos iterations, which certifies the residual; the
-        correlator machinery under test then runs on the raw state vector.
-        About 40 s on a 2-CPU machine with BLAS on one thread; this is the
-        largest statevector check.
+        correlator under test then runs on that vector as an exact MPS.
+        About 20 s on a 2-CPU machine with BLAS on one thread, most of it in
+        the Lanczos refinement; this is the largest statevector check.
         """
         from gnlab.dmrg import dmrg_ground_state
         from gnlab.exact import lanczos_lowest
@@ -75,11 +79,11 @@ class TestFreeTheory:
             compile_mpo(op), epsilon_goal=1e-11, max_bond=64, seed=3, max_sweeps=6
         )
         energy, vec = lanczos_lowest(
-            op.apply, warm.to_dense(), tol=1e-9,
+            op.apply, mps_to_dense(warm), tol=1e-9,
             max_restarts=40, krylov_dim=30,
         )
         assert np.linalg.norm(op.apply(vec) - energy * vec) <= 1e-9
-        series = two_point_correlator(vec, spec)
+        series = two_point_correlator(MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits)), spec)
         correl = free_fermion_correlations(free_quadratic_form(spec))
         gamma0 = majorana_gammas().gamma0
         for idx, (_k, i, j) in enumerate(centered_pairs(spec.n_sites)):
@@ -95,34 +99,32 @@ class TestPaths:
     def test_mps_and_dense_paths_agree(self, small_spec):
         ground = ground_state_dense(build_hamiltonian(small_spec)).ground_vector
         mps = MatrixProductState.from_dense(ground, grouped_dims(small_spec.n_qubits))
-        dense_series = two_point_correlator(ground, small_spec)
+        dense_values = statevector_correlator_blocks(ground, small_spec)[:, 0, 0].real
         mps_series = two_point_correlator(mps, small_spec)
-        assert np.allclose(dense_series.values, mps_series.values, atol=1e-10)
+        assert np.allclose(dense_values, mps_series.values, atol=1e-10)
 
     def test_values_real_on_exact_states(self):
         spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
-        ground = ground_state_dense(build_hamiltonian(spec)).ground_vector
-        series = two_point_correlator(ground, spec)
+        series = two_point_correlator(dense_ground_mps(spec), spec)
         assert np.max(np.abs(series.blocks[:, 0, 0].imag)) < 1e-10
 
     def test_error_bars_follow_epsilon(self, small_spec):
-        ground = ground_state_dense(build_hamiltonian(small_spec)).ground_vector
-        series = two_point_correlator(ground, small_spec, epsilon=1e-8)
+        series = two_point_correlator(dense_ground_mps(small_spec), small_spec, epsilon=1e-8)
         expected = 2 * np.sqrt(1e-8) / small_spec.spacing
         assert all(bar == pytest.approx(expected) for bar in series.error_bars)
 
 
 class TestMpsContraction:
-    """The parity-string contraction against the Pauli-sum statevector route.
+    """The parity-string contraction against the Pauli-sum statevector reference.
 
-    Both routes evaluate <psi|O|psi> without normalising, so they agree on
+    Both evaluate <psi|O|psi> without normalising, so they agree on
     any MPS, whatever its gauge and norm.
     """
 
     @staticmethod
     def assert_paths_agree(mps, spec, flavor=0):
         by_mps = two_point_correlator(mps, spec, flavor=flavor).blocks
-        by_vector = two_point_correlator(mps.to_dense(), spec, flavor=flavor).blocks
+        by_vector = statevector_correlator_blocks(mps_to_dense(mps), spec, flavor)
         assert by_mps.shape == (spec.n_sites // 2, 2, 2)
         assert np.max(np.abs(by_mps - by_vector)) <= 1e-12
 
@@ -135,7 +137,7 @@ class TestMpsContraction:
              + 1j * rng.standard_normal((bonds[k], 4, bonds[k + 1])) for k in range(5)],
             center=2,
         )
-        mps.tensors[0] *= 1.7 / np.linalg.norm(mps.to_dense())   # |psi| = 1.7
+        mps.tensors[0] *= 1.7 / np.linalg.norm(mps_to_dense(mps))   # |psi| = 1.7
         self.assert_paths_agree(mps, spec)
 
     @pytest.mark.parametrize("flavor", [0, 1])
