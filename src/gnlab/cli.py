@@ -46,10 +46,14 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _write(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]) -> None:
+def _write_text(path: Path, lines: list[str]) -> None:
+    """Write `lines` to `path`, making its directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [cfg.manifest_line(), header, *(",".join(map(_cell, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]) -> None:
+    _write_text(path, [cfg.manifest_line(), header, *(",".join(map(_cell, row)) for row in rows)])
 
 
 def read_csv(path: Path) -> list[dict[str, str]]:
@@ -106,6 +110,7 @@ def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo
         return MatrixProductState.load(chk), None
     start = None if lo is None else append_site(smaller, pad_state(PadKind.SYMMETRY_ADAPTED, spec.flavors))
     state, report = _solve_point(cfg, spec, start)
+    chk.parent.mkdir(parents=True, exist_ok=True)
     state.save(chk)
     return state, report
 
@@ -249,11 +254,10 @@ def cmd_prepare(cfg: ExperimentConfig) -> None:
         "model:",
         *(f"  {f.name} = {_cell(getattr(model, f.name))}" for f in fields(model)),
     ]
-    (cfg.out_dir / f"prep_manifest_{prep.oracle.value}.txt").write_text("\n".join(manifest) + "\n")
+    _write_text(cfg.out_dir / f"prep_manifest_{prep.oracle.value}.txt", manifest)
 
 
-def _report_dispersion(cfg: ExperimentConfig) -> tuple[bool, str]:
-    model = _require_model(cfg)
+def _report_dispersion(model: ModelSpec) -> tuple[bool, str]:
     worst = 0.0
     for r in (0.25, 0.5, 1.0):
         spec = ModelSpec(
@@ -271,6 +275,7 @@ def _report_dispersion(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 
 def cmd_report(cfg: ExperimentConfig) -> None:
+    model = _require_model(cfg)
     out = cfg.out_dir
     lines = [cfg.manifest_line(), "acceptance criterion summary", ""]
 
@@ -293,15 +298,15 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         add(1, "dense/DMRG energy equivalence", "MISSING",
             "need energies.csv (dmrg) and energies_dense.csv (dense)")
 
-    ok, detail = _report_dispersion(cfg)
+    ok, detail = _report_dispersion(model)
     add(2, "free-theory dispersion", "PASS" if ok else "FAIL", detail)
 
     fits_f = out / "corr_fits.csv"
-    if fits_f.exists() and cfg.model is not None:
+    if fits_f.exists():
         entries = [(float(r["m0"]), float(r["g0_sq"]), float(r["chi"]), float(r["residual"]))
                    for r in read_csv(fits_f)]
-        a = cfg.model.spacing
-        length = cfg.model.n_sites * a
+        a = model.spacing
+        length = model.n_sites * a
         ok = all(res <= 0.05 and 2 * a <= chi <= length / 3 for _m, _g, chi, res in entries)
         detail = "; ".join(
             f"(m0={m0}, g0^2={g0}): chi={chi:.4f}, residual={res:.2%}" for m0, g0, chi, res in entries
@@ -366,7 +371,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     add(10, "determinism", "SEE-TESTS", "byte-identical reruns exercised by the test suite")
 
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / "report.txt", lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         commands[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,15 +7,18 @@ ordered site-major: mode(site, flavor, component) = 2*(flavors*site + flavor)
 + component, so the two spinor components of one flavor sit on adjacent
 qubits and every Pauli term stays within two neighboring sites.
 
-With gamma0 = sigma_y and gamma1 = -i sigma_x (Majorana form), the qubit
-Hamiltonian assembled here is
+With gamma0 = sigma_y and gamma1 = -i sigma_x (Majorana form), the lattice
+Hamiltonian is
 
     H  =  sum_x  c+_x [ (m0 + r/a) sigma_y ] c_x                (mass + Wilson onsite)
         + sum_x  c+_x [  i sigma_z / 2a ] c_{x+1}  + h.c.       (gradient)
         + sum_x  c+_x [ -r sigma_y / 2a ] c_{x+1}  + h.c.       (Wilson hopping)
         - g0^2/(2a) * sum_x S_x^2,   S_x = sum_j c+_{x,j} sigma_y c_{x,j}
 
-mapped through the Jordan-Wigner transformation.
+The first three lines are the one-body matrix h of `free_quadratic_form`,
+written once and read both by the free-theory checks and by
+`build_hamiltonian`, which maps h and the interaction through the
+Jordan-Wigner transformation.
 """
 
 from __future__ import annotations
@@ -95,60 +98,31 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear(spec: ModelSpec, site_a: int, site_b: int, flavor: int,
-              matrix: np.ndarray) -> list[tuple[complex, str]]:
-    """Uncanonicalised terms of sum_ab matrix[a,b] c+_{site_a,flavor,a} c_{site_b,flavor,b}."""
-    n = spec.n_qubits
+def _one_body(h: np.ndarray, modes: range, n_qubits: int) -> list[tuple[complex, str]]:
+    """Uncanonicalised terms of sum_ij h[i,j] c+_{modes[i]} c_{modes[j]}."""
+    rows, cols = np.nonzero(h)
     raw = []
-    for alpha in range(2):
-        for beta in range(2):
-            m = complex(matrix[alpha, beta])
-            if m == 0:
-                continue
-            op = jordan_wigner(spec.mode_index(site_a, flavor, alpha), "create", n) \
-                * jordan_wigner(spec.mode_index(site_b, flavor, beta), "annihilate", n)
-            raw.extend((m * c, s) for c, s in op.terms)
+    for i, j, m in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()):
+        op = jordan_wigner(modes[i], "create", n_qubits) * jordan_wigner(modes[j], "annihilate", n_qubits)
+        raw.extend((m * c, s) for c, s in op.terms)
     return raw
 
 
-def _neighbor(spec: ModelSpec, site: int, step: int) -> int | None:
-    nxt = site + step
-    if 0 <= nxt < spec.n_sites:
-        return nxt
-    if spec.boundary is Boundary.PERIODIC:
-        return nxt % spec.n_sites
-    return None
-
-
 def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
-    """Qubit Hamiltonian H0 + Hg + HW for `spec`; Hermitian, real coefficients.
+    """Qubit Hamiltonian for `spec`; Hermitian, real coefficients.
 
-    Dirichlet boundaries drop hopping terms that would cross the edge;
-    periodic boundaries wrap them.  The Wilson term is kept under both
-    boundary types, and surviving doubler modes act as extra flavors.
+    The Jordan-Wigner image of `free_quadratic_form`, the very matrix the
+    free-theory checks diagonalise, plus -g0^2/(2a) sum_x S_x^2, where S_x
+    is the one-body form of gamma0 on site x's modes.
     """
-    a = spec.spacing
-    sy = np.array([[0.0, -1j], [1j, 0.0]])       # gamma0 in the Majorana form
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    onsite = (spec.bare_mass + spec.wilson_r / a) * sy
-    grad = (1j / (2 * a)) * sz
-    wilson_hop = (-spec.wilson_r / (2 * a)) * sy
-
     n = spec.n_qubits
-    raw: list[tuple[complex, str]] = []
-    for x in range(spec.n_sites):
-        density: list[tuple[complex, str]] = []
-        for j in range(spec.flavors):
-            raw += _bilinear(spec, x, x, j, onsite)
-            for step, mat in ((+1, grad + wilson_hop), (-1, -grad + wilson_hop)):
-                y = _neighbor(spec, x, step)
-                if y is not None:
-                    raw += _bilinear(spec, x, y, j, mat)
-            if spec.coupling_sq != 0.0:
-                density += _bilinear(spec, x, x, j, sy)
-        if density:
-            s_x = PauliSumOperator.from_terms(n, density)
-            raw += [(-spec.coupling_sq / (2 * a) * c, s) for c, s in (s_x * s_x).terms]
+    raw = _one_body(free_quadratic_form(spec), range(n), n)
+    if spec.coupling_sq != 0.0:
+        width = 2 * spec.flavors  # modes per site
+        density = np.kron(np.eye(spec.flavors), majorana_gammas().gamma0)
+        for x in range(spec.n_sites):
+            s_x = PauliSumOperator.from_terms(n, _one_body(density, range(width * x, width * (x + 1)), n))
+            raw += [(-spec.coupling_sq / (2 * spec.spacing) * c, s) for c, s in (s_x * s_x).terms]
     return PauliSumOperator.from_terms(n, raw).hermitized()
 
 
@@ -156,25 +130,28 @@ def free_quadratic_form(spec: ModelSpec) -> np.ndarray:
     """One-body matrix h of the g0^2 = 0 theory: H_free = sum_ij h[i,j] c+_i c_j.
 
     Indices follow `ModelSpec.mode_index`.  The many-body free Hamiltonian is
-    recovered by filling the negative-energy eigenmodes of h.
+    recovered by filling the negative-energy eigenmodes of h.  Dirichlet
+    boundaries drop the hopping across the edge; periodic boundaries wrap it.
+    The Wilson term is kept under both, and surviving doubler modes act as
+    extra flavors.
     """
     a = spec.spacing
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    gamma0 = majorana_gammas().gamma0
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    onsite = (spec.bare_mass + spec.wilson_r / a) * sy
-    fwd = (1j / (2 * a)) * sz + (-spec.wilson_r / (2 * a)) * sy
+    onsite = (spec.bare_mass + spec.wilson_r / a) * gamma0
+    fwd = (1j / (2 * a)) * sz + (-spec.wilson_r / (2 * a)) * gamma0
 
-    dim = spec.n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for x in range(spec.n_sites):
+    n = spec.n_sites
+    wraps = spec.boundary is Boundary.PERIODIC
+    h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
+    for x in range(n):
         for j in range(spec.flavors):
-            rows = [spec.mode_index(x, j, c) for c in (0, 1)]
-            h[np.ix_(rows, rows)] += onsite
-            y = _neighbor(spec, x, +1)
-            if y is not None:
-                cols = [spec.mode_index(y, j, c) for c in (0, 1)]
-                h[np.ix_(rows, cols)] += fwd
-                h[np.ix_(cols, rows)] += fwd.conj().T
+            r = spec.mode_index(x, j, 0)  # the two components are modes r and r + 1
+            h[r:r + 2, r:r + 2] += onsite
+            if x + 1 < n or wraps:
+                c = spec.mode_index((x + 1) % n, j, 0)
+                h[r:r + 2, c:c + 2] += fwd
+                h[c:c + 2, r:r + 2] += fwd.conj().T
     return h
 
 

@@ -12,6 +12,8 @@ vector, independent of the MPS contraction the package measures with.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gnlab.bessel import bessel_k
@@ -195,3 +197,18 @@ def phase_estimation_probabilities(phases: np.ndarray, m_dim: int) -> np.ndarray
     """
     kick = np.exp(1j * np.outer(np.arange(m_dim), phases))
     return np.abs(np.fft.fft(kick, axis=0) / m_dim) ** 2
+
+
+def fixed_point_success(eta: float, eps: float, length: int) -> float:
+    """Target fidelity after fixed-point amplification with ideal oracles, in closed form.
+
+    Yoder, Low and Chuang (PRL 113, 210501; arXiv:1409.3305): from start
+    overlap eta, the L-query schedule with delta^2 = eps succeeds with
+    P_L = 1 - delta^2 T_L(T_{1/L}(1/delta) sqrt(1 - eta^2))^2, where T is the
+    Chebyshev polynomial, cos(n arccos x) on [-1, 1] and cosh(n arccosh x) above.
+    """
+    def chebyshev(order: float, x: float) -> float:
+        return math.cos(order * math.acos(x)) if x <= 1 else math.cosh(order * math.acosh(x))
+
+    x = chebyshev(1 / length, 1 / math.sqrt(eps)) * math.sqrt(1 - eta**2)
+    return 1 - eps * chebyshev(length, x) ** 2

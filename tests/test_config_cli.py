@@ -55,6 +55,27 @@ def config_file(tmp_path):
     return write
 
 
+MANIFEST = "# manifest config_sha=0 seed=7 version=0"
+
+#: Hand-made `report` inputs per criterion, each within tolerance, and one cell
+#: (file, text, replacement) that pushes it past that tolerance.
+REPORT_INPUTS = {
+    "01": ({"energies.csv": f"{MANIFEST}\nN,energy,epsilon,sweeps,max_bond\n4,-2.5,1e-11,2,8",
+            "energies_dense.csv": f"{MANIFEST}\nN,energy,epsilon,sweeps,max_bond\n4,-2.5,1e-15,0,16"},
+           ("energies.csv", "4,-2.5,", "4,-2.5001,")),
+    "03": ({"corr_fits.csv": f"{MANIFEST}\nm0,g0_sq,b,chi,residual\n0.2,1.5,0.3,0.75,0.01"},
+           ("corr_fits.csv", "0.75,0.01", "0.75,0.06")),
+    "04": ({"overlaps_summary.csv": f"{MANIFEST}\nm0,g0_sq,eta,spread,pad_kind\n"
+                                    "0.2,1.5,0.5,0.01,uniform\n0.2,1.5,0.7071067811865476,0.01,symmetry-adapted"},
+           ("overlaps_summary.csv", "0.5,0.01,uniform", "0.5,0.06,uniform")),
+    "05": ({"energy_fit.csv": f"{MANIFEST}\nN,E,model,prediction,abs_error,half_gap\n"
+                              "2,-1.0,linear,,,0.5\n3,-1.5,linear,-1.49,0.01,0.5\n4,-2.0,linear,-1.99,0.01,0.5"},
+           ("energy_fit.csv", "-1.99,0.01", "-1.4,0.6")),
+    "09": ({"prep_manifest_ideal.txt": "oracle_mode = ideal\neps = 0.001\nfinal_fidelity = 0.9995"},
+           ("prep_manifest_ideal.txt", "0.9995", "0.998")),
+}
+
+
 def one_sweep_config(tmp_path):
     # bond 4 is exact up to 3 sites; from 4 sites on, one capped sweep misses a
     # 1e-12 goal, cold or grown from the smaller vacuum, and the stall rule needs two
@@ -303,6 +324,27 @@ class TestCliCommands:
         assert "dense/DMRG energy equivalence: PASS" in report
         assert "overlap plateau: PASS" in report
         assert "site-by-site preparation: PASS" in report
+
+    @pytest.mark.parametrize("criterion", sorted(REPORT_INPUTS))
+    def test_report_fails_a_cell_past_tolerance(self, tmp_path, criterion):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path = tmp_path / "exp.ini"
+        # 12 sites of a = 0.25 give C03 the window 2a <= chi <= L/3 = [0.5, 1.0]
+        cfg_path.write_text(BASE_CONFIG.format(out=out).replace("n_sites = 4", "n_sites = 12"))
+        files, (name, cell, pushed) = REPORT_INPUTS[criterion]
+        for file_name, text in files.items():
+            (out / file_name).write_text(text + "\n")
+        verdicts = []
+        for push in (False, True):
+            if push:
+                text = (out / name).read_text()
+                assert cell in text
+                (out / name).write_text(text.replace(cell, pushed))
+            assert main(["report", "--config", str(cfg_path)]) == 0
+            lines = (out / "report.txt").read_text().splitlines()
+            verdicts.append(next(ln for ln in lines if ln.startswith(f"[{criterion}]")).split(": ")[1].split()[0])
+        assert verdicts == ["PASS", "FAIL"]
 
     def test_report_reruns_identically(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -567,7 +609,9 @@ class TestCliCommands:
     def test_bad_sizes_flag(self, config_file):
         assert main(["solve", "--config", config_file(), "--sizes", "xx"]) == 2
 
-    def test_missing_model_section(self, tmp_path):
-        path = tmp_path / "nomodel.ini"
-        path.write_text("[solver]\nseed = 1\n")
-        assert main(["solve", "--config", str(path)]) == 2
+    def test_missing_model_section(self, tmp_path, monkeypatch):
+        # a command's own config check fails before anything is written to the default ./out
+        monkeypatch.chdir(tmp_path)
+        Path("nomodel.ini").write_text("[solver]\nseed = 1\n")
+        assert main(["solve", "--config", "nomodel.ini"]) == 2
+        assert not Path("out").exists()

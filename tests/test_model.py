@@ -63,11 +63,15 @@ class TestBuildHamiltonian:
         assert max(sum(ch != "I" for ch in s) for _c, s in ham.terms) <= 4
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.PERIODIC])
-    @pytest.mark.parametrize("flavors", [1, 2])
-    def test_matches_dense_ladder_oracle(self, boundary, flavors):
+    @pytest.mark.parametrize(("flavors", "wilson_r", "coupling_sq"), [
+        pytest.param(flavors, r, g_sq, id=f"{flavors}{tag}")
+        for r, g_sq, tag in ((1.0, 1.5, ""), (0.7, 1.5, "-r0.7"), (1.0, 0.0, "-free"), (0.7, 0.0, "-r0.7-free"))
+        for flavors in (1, 2)
+    ])
+    def test_matches_dense_ladder_oracle(self, boundary, flavors, wilson_r, coupling_sq):
         spec = ModelSpec(
             n_sites=3 if flavors == 1 else 2, spacing=0.25, bare_mass=0.2,
-            coupling_sq=1.5, flavors=flavors, boundary=boundary,
+            coupling_sq=coupling_sq, wilson_r=wilson_r, flavors=flavors, boundary=boundary,
         )
         assert np.allclose(build_hamiltonian(spec).to_matrix(), dense_hamiltonian(spec), atol=1e-12)
 

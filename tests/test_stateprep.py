@@ -25,7 +25,7 @@ from gnlab.stateprep import (
     state_reflection,
 )
 from gnlab.stateprep import _WINDOW_CELLS, _estimation_kernel, _estimation_register
-from oracles import phase_estimation_probabilities
+from oracles import fixed_point_success, phase_estimation_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +402,22 @@ class TestPrepareVacuum:
         monkeypatch.setattr(gnlab.exact, "_eigensystem", counted)
         prepare_vacuum(spec, 2, 4, pad, fit, eps=1e-3, mode=mode)
         assert solved == eigensystems
+
+    @pytest.mark.parametrize("spacing", [0.25, 0.5])
+    @pytest.mark.parametrize("point", [(0.2, 1.5), (0.4, 1.0)])
+    def test_ideal_steps_follow_closed_form(self, point, spacing):
+        # ideal oracles keep each step in span{start, target}: its fidelity is
+        # a closed function of the start overlap and the schedule (L, delta)
+        spec = ModelSpec(n_sites=2, spacing=spacing, bare_mass=point[0], coupling_sq=point[1])
+        energies = [(n, ground_state_dense(build_hamiltonian(spec.with_sites(n))).ground_energy)
+                    for n in range(2, 7)]
+        fit = fit_energy_extrapolation(energies, EnergyModel.LINEAR, gap=1.0)
+        for kind in (PadKind.UNIFORM, PadKind.SYMMETRY_ADAPTED):
+            _state, trace = prepare_vacuum(spec, 2, 5, pad_state(kind, 1), fit, eps=1e-3, mode=OracleMode.IDEAL)
+            assert len(trace.steps) == 3
+            for step in trace.steps:
+                expected = fixed_point_success(step.overlap_before, 1e-3 / 3, step.oracle_calls + 1)
+                assert abs(step.fidelity_after - expected) <= 1e-12
 
     def test_trace_csv(self, prep_setup):
         spec, fit, pad = prep_setup
