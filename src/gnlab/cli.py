@@ -56,11 +56,22 @@ def _write(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]) ->
     _write_text(path, [cfg.manifest_line(), header, *(",".join(map(_cell, row)) for row in rows)])
 
 
+class _Record(dict):
+    """One CSV row or manifest read from `path`; a missing key is a ConfigError naming the file."""
+
+    def __init__(self, path: Path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"{self.path}: no {key!r} entry")
+
+
 def read_csv(path: Path) -> list[dict[str, str]]:
     """Data rows of a CSV written by `_write`, keyed by its header."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip() and not ln.startswith("#")]
     header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    return [_Record(path, zip(header, ln.split(","))) for ln in lines[1:]]
 
 
 def _state_slug(cfg: ExperimentConfig, spec: ModelSpec, lo: int | None = None) -> str:
@@ -356,9 +367,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         details = []
         ok = True
         for pf in prep_files:
-            info = dict(
-                ln.split(" = ", 1) for ln in pf.read_text().splitlines() if " = " in ln
-            )
+            info = _Record(pf, (ln.split(" = ", 1) for ln in pf.read_text().splitlines() if " = " in ln))
             fid = float(info["final_fidelity"])
             eps = float(info["eps"])
             mode = info["oracle_mode"]

@@ -98,13 +98,19 @@ def _grow_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _two_site_matvec(lenv, w1, w2, renv):
+    """H_eff on a (bra, p, q, rbra) vector: four matmuls on reshaped views, each MPO tensor permuted once."""
+    bra, wl, ket = lenv.shape
+    (_, p, pi, wm), (_, q, qi, wr) = w1.shape, w2.shape
+    left = lenv.reshape(bra * wl, ket)
+    m1 = w1.transpose(1, 3, 0, 2).reshape(p * wm, wl * pi)    # (p_out w_right, w_left p_in)
+    m2 = w2.transpose(1, 3, 0, 2).reshape(q * wr, wm * qi)
+    right = renv.reshape(len(renv), -1).T                    # (wr rk, rbra), a transposed view
+
     def matvec(vec: np.ndarray) -> np.ndarray:
-        v = vec.reshape(lenv.shape[2], w1.shape[2], w2.shape[2], renv.shape[2])
-        x = np.tensordot(lenv, v, axes=([2], [0]))             # (bra, wb, p, q, rk)
-        x = np.tensordot(x, w1, axes=([1, 2], [0, 2]))         # (bra, q, rk, p_o, w2)
-        x = np.tensordot(x, w2, axes=([4, 1], [0, 2]))         # (bra, rk, p_o, q_o, w3)
-        x = np.tensordot(x, renv, axes=([4, 1], [1, 2]))       # (bra, p_o, q_o, rbra)
-        return x.reshape(-1)
+        x = left @ vec.reshape(ket, -1)                      # (bra, wl, p_in, q_in, rk)
+        x = m1 @ x.reshape(bra, wl * pi, -1)                 # (bra, p, wm, q_in, rk)
+        x = m2 @ x.reshape(bra * p, wm * qi, -1)             # (bra, p, q, wr, rk)
+        return (x.reshape(-1, len(right)) @ right).reshape(-1)   # (bra, p, q, rbra)
 
     return matvec
 
@@ -158,8 +164,8 @@ def dmrg_ground_state(
     local_rtol = 1e-3 * np.sqrt(epsilon_goal)
 
     def optimize_bond(k: int, cap: int):
-        theta = np.tensordot(psi.tensors[k], psi.tensors[k + 1], axes=([2], [0]))
-        shape = theta.shape
+        (dl, d1, _), (_, d2, dr) = psi.tensors[k].shape, psi.tensors[k + 1].shape
+        theta = psi.tensors[k].reshape(dl * d1, -1) @ psi.tensors[k + 1].reshape(-1, d2 * dr)
         matvec = _two_site_matvec(left_envs[k], mpo.tensors[k], mpo.tensors[k + 1], right_envs[k + 2])
         e_loc, vec = lanczos_lowest(
             matvec,
@@ -170,9 +176,7 @@ def dmrg_ground_state(
             krylov_dim=KRYLOV_DIM,
             strict=False,
         )
-        theta = vec.reshape(shape)
-        dl, d1, d2, dr = shape
-        u, s, vh = truncated_svd(theta.reshape(dl * d1, d2 * dr), cap, DISCARDED_WEIGHT)
+        u, s, vh = truncated_svd(vec.reshape(dl * d1, d2 * dr), cap, DISCARDED_WEIGHT)
         s = s / np.linalg.norm(s)
         return e_loc, u, s, vh, (dl, d1, d2, dr)
 

@@ -382,12 +382,14 @@ def transfer(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -
     Sums env[a, b, c] conj(bra[a, s, a']) w[b, s, t, b'] ket[c, t, c'] into
     the (a', b', c') environment (Schollwoeck, Ann. Phys. 326, 96 (2011)).
     Right environments use the same sum on mirrored tensors:
-    a.transpose(2, 1, 0) and w.transpose(3, 1, 2, 0).
+    a.transpose(2, 1, 0) and w.transpose(3, 1, 2, 0); three matmuls, none on a transposed copy.
     """
-    tmp = np.tensordot(env, ket, axes=([2], [0]))              # (bra, wb, p_in, rket)
-    tmp = np.tensordot(tmp, w, axes=([1, 2], [0, 2]))          # (bra, rket, p_out, w2)
-    out = np.tensordot(bra.conj(), tmp, axes=([0, 1], [0, 2]))  # (rbra, rket, w2)
-    return out.transpose(0, 2, 1)                              # (rbra, w2, rket)
+    a, b, _ = env.shape
+    _, s, t, b2 = w.shape
+    x = (env.reshape(a * b, -1) @ ket.reshape(len(ket), -1)).reshape(a, b * t, -1)   # (a, b t, c')
+    x = w.transpose(1, 3, 0, 2).reshape(s * b2, b * t) @ x                            # (a, s b', c')
+    out = bra.reshape(a * s, -1).conj().T @ x.reshape(a * s, -1)                      # (a', b' c')
+    return out.reshape(len(out), b2, -1)
 
 
 def expectation_value(state: MatrixProductState, mpo: MatrixProductOperator) -> complex:

@@ -1,7 +1,31 @@
+import os
+
 import numpy as np
 import pytest
 
 from gnlab.model import ModelSpec
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def pytest_report_header(config):
+    """Record the BLAS threading of the run: oversubscribed BLAS slows the DMRG tests several-fold."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        blas = "; ".join(f"{key}={deps[key].get('name')} {deps[key].get('version')}"
+                         for key in ("blas", "lapack") if key in deps)
+    except (TypeError, KeyError, AttributeError):
+        blas = "unknown"
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
+    return [f"threads: {threads}", f"numpy {np.__version__} BLAS: {blas}"]
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """`-q` hides the header, so a quiet run ends with the same lines."""
+    if config.option.verbose < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

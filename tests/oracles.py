@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from gnlab.bessel import bessel_k
-from gnlab.model import Boundary, ModelSpec, majorana_gammas
+from gnlab.model import Boundary, ModelSpec, free_quadratic_form, majorana_gammas
 from gnlab.mps import MatrixProductOperator, MatrixProductState
 from gnlab.observables import centered_pairs
 from gnlab.pauli import PauliSumOperator, jordan_wigner
@@ -212,3 +212,48 @@ def fixed_point_success(eta: float, eps: float, length: int) -> float:
 
     x = chebyshev(1 / length, 1 / math.sqrt(eps)) * math.sqrt(1 - eta**2)
     return 1 - eps * chebyshev(length, x) ** 2
+
+
+def effective_two_site_matrix(lenv: np.ndarray, w1: np.ndarray, w2: np.ndarray, renv: np.ndarray) -> np.ndarray:
+    """The two-site effective Hamiltonian as a dense matrix over (bra, p, q, rbra) x (ket, t, u, rket).
+
+    H[(a, p, q, x), (c, t, u, y)] = sum_{b, m, n} lenv[a, b, c] w1[b, p, t, m] w2[m, q, u, n] renv[x, n, y].
+    """
+    full = np.einsum("abc,bptm,mqun,xny->apqxctuy", lenv, w1, w2, renv)
+    dim = lenv.shape[0] * w1.shape[1] * w2.shape[1] * renv.shape[0]
+    return full.reshape(dim, -1)
+
+
+def transfer_reference(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """env[a, b, c] conj(bra[a, s, x]) w[b, s, t, d] ket[c, t, y] summed into the (x, d, y) environment."""
+    return np.einsum("abc,asx,bstd,cty->xdy", env, bra.conj(), w, ket)
+
+
+def free_padded_overlap(spec: ModelSpec, kind: str) -> float:
+    """|<g_N (x) pad | g_{N+1}>| of the g0^2 = 0 vacua, with N = spec.n_sites.
+
+    Each free vacuum is the Slater determinant of the negative-energy
+    orbitals of `free_quadratic_form`.  The symmetry-adapted pad puts one
+    particle per flavor in the orbital (e_r + e_{r+1}) / sqrt(2) of the new
+    site's two modes, so g_N (x) pad is the determinant of Phi_N, zero-padded,
+    next to those orbitals, and the overlap is |det(Phi^+ Psi)| with Psi the
+    negative-energy orbitals of N + 1 sites.  Only the one-particle-per-flavor
+    part of the uniform pad has the right particle number: its overlap is
+    smaller by sqrt(2) per flavor.
+    """
+    if spec.coupling_sq != 0.0:
+        raise ValueError("the determinant formula holds for the free theory only")
+    big = spec.with_sites(spec.n_sites + 1)
+
+    def filled(s: ModelSpec) -> np.ndarray:
+        evals, evecs = np.linalg.eigh(free_quadratic_form(s))
+        return evecs[:, evals < 0]
+
+    small = filled(spec)
+    pad = np.zeros((big.n_qubits, spec.flavors), dtype=complex)
+    for j in range(spec.flavors):
+        r = big.mode_index(spec.n_sites, j, 0)
+        pad[r:r + 2, j] = 1 / math.sqrt(2)
+    phi = np.hstack([np.vstack([small, np.zeros((big.n_qubits - spec.n_qubits, small.shape[1]))]), pad])
+    sym = abs(np.linalg.det(phi.conj().T @ filled(big)))
+    return sym if kind == "symmetry-adapted" else sym / math.sqrt(2) ** spec.flavors

@@ -40,7 +40,7 @@ from gnlab.stateprep import (
     state_reflection,
 )
 
-from oracles import dense_hamiltonian
+from oracles import dense_hamiltonian, fixed_point_success
 
 REFERENCE_POINTS = ((0.2, 1.5), (0.4, 1.0))
 SPACING_50 = 1.0 / 50
@@ -324,9 +324,13 @@ def test_criterion_09_end_to_end_preparation():
             mode_ok = trace.final_fidelity >= bound
             calls_ok = trace.oracle_calls_total <= 2 * schedule_bound
             ok = ok and mode_ok and calls_ok
+            # printed only: how far each step falls short of the ideal-oracle closed form
+            deficits = "" if mode is OracleMode.IDEAL else ", deficits=[" + ", ".join(
+                f"{fixed_point_success(s.overlap_before, eps / 3, s.oracle_calls + 1) - s.fidelity_after:.1e}"
+                for s in trace.steps) + "]"
             details.append(
                 f"(m0={m0}, {mode.value}): fidelity={trace.final_fidelity:.6f} "
-                f"(bound {bound}), calls={trace.oracle_calls_total} (<= {2 * schedule_bound})"
+                f"(bound {bound}), calls={trace.oracle_calls_total} (<= {2 * schedule_bound}){deficits}"
             )
     elapsed = time.time() - t_start
     ok = ok and elapsed < 600

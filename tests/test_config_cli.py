@@ -346,6 +346,19 @@ class TestCliCommands:
             verdicts.append(next(ln for ln in lines if ln.startswith(f"[{criterion}]")).split(": ")[1].split()[0])
         assert verdicts == ["PASS", "FAIL"]
 
+    @pytest.mark.parametrize("name, text, key", [
+        ("prep_manifest_ideal.txt", "oracle_mode = ideal\neps = 0.001", "final_fidelity"),
+        ("corr_fits.csv", f"{MANIFEST}\nm0,g0_sq,b,residual\n0.2,1.5,0.3,0.01", "chi"),
+    ])
+    def test_report_input_without_a_key_is_config_error(self, config_file, tmp_path, capsys, name, text, key):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text(text + "\n")
+        assert main(["report", "--config", config_file()]) == 2
+        err = capsys.readouterr().err
+        assert name in err and repr(key) in err
+        assert not (out / "report.txt").exists()
+
     def test_report_reruns_identically(self, config_file, tmp_path):
         out = tmp_path / "out"
         cfg_path = config_file()

@@ -5,12 +5,21 @@ from gnlab import dmrg
 from gnlab.dmrg import DegenerateEnergyError, dmrg_ground_state, epsilon_measure
 from gnlab.exact import ground_state_dense
 from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form, majorana_gammas
-from gnlab.mps import MatrixProductState, append_site, compile_mpo, grouped_dims
+from gnlab.mps import MatrixProductState, append_site, compile_mpo, grouped_dims, transfer
 from gnlab.observables import centered_pairs, two_point_correlator
 from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 
-from oracles import arpack_lowest, free_fermion_correlations
+from oracles import arpack_lowest, effective_two_site_matrix, free_fermion_correlations
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def matvec_matrix(matvec, dim):
+    """The matrix a matvec applies, one basis vector at a time."""
+    return np.stack([matvec(e) for e in np.eye(dim, dtype=complex)], axis=1)
 
 
 def solve(spec, epsilon_goal=1e-10, max_bond=64, seed=3):
@@ -158,6 +167,35 @@ class TestDmrgGroundState:
         _cold, cold = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
         assert report.converged and report.sweeps < cold.sweeps
         assert report.energy == pytest.approx(cold.energy, rel=1e-10)
+
+
+class TestTwoSiteMatvec:
+    """`_two_site_matvec` applies the einsum effective Hamiltonian, whatever its memory layout."""
+
+    @pytest.mark.parametrize("left, wl, wr, right", [
+        (1, 1, 5, 6),    # first bond: MPS and MPO edges of 1 on the left
+        (6, 5, 1, 1),    # last bond: MPS and MPO edges of 1 on the right
+        (3, 4, 5, 7),    # interior, unequal left and right MPS bonds
+    ])
+    def test_matches_einsum_reference(self, rng, left, wl, wr, right):
+        lenv, renv = random_complex(rng, left, wl, left), random_complex(rng, right, wr, right)
+        w1, w2 = random_complex(rng, wl, 4, 4, 6), random_complex(rng, 6, 4, 4, wr)
+        expected = effective_two_site_matrix(lenv, w1, w2, renv)
+        got = matvec_matrix(dmrg._two_site_matvec(lenv, w1, w2, renv), left * 16 * right)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_hamiltonian_environments_give_a_hermitian_matrix(self, small_spec):
+        """Environments of a compiled Hamiltonian around the middle bond of a random 4-site state."""
+        mpo = compile_mpo(build_hamiltonian(small_spec.with_sites(4)))
+        psi = MatrixProductState.random(mpo.phys_dims, bond_dim=3, seed=5)
+        edge = np.ones((1, 1, 1), dtype=complex)
+        lenv = transfer(edge, psi.tensors[0], mpo.tensors[0], psi.tensors[0])
+        renv = dmrg._grow_right(edge, psi.tensors[3], mpo.tensors[3])
+        args = (lenv, mpo.tensors[1], mpo.tensors[2], renv)
+        got = matvec_matrix(dmrg._two_site_matvec(*args), lenv.shape[0] * 16 * renv.shape[0])
+        expected = effective_two_site_matrix(*args)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(got - got.conj().T) <= 1e-12 * np.linalg.norm(got)
 
 
 class TestEpsilonMeasure:

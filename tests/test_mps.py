@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnlab.dmrg import _grow_right
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.mps import (
     MatrixProductState,
@@ -16,7 +17,7 @@ from gnlab.mps import (
 )
 from gnlab.pauli import PauliSumOperator, jordan_wigner
 
-from oracles import mpo_to_matrix, mps_to_dense
+from oracles import mpo_to_matrix, mps_to_dense, transfer_reference
 
 
 def random_state_vector(dim, rng):
@@ -203,6 +204,29 @@ class TestCompileMpo:
         full = mps_to_dense(mps)
         assert env[0, 0, 0] == pytest.approx(expectation_value(mps, mpo), abs=1e-12)
         assert env[0, 0, 0] == pytest.approx(np.vdot(full, op.to_matrix() @ full), abs=1e-12)
+
+    def test_transfer_matches_einsum_with_unequal_bra_and_ket(self, rng):
+        """`mps_overlap` grows environments whose bra and ket bonds differ."""
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        env, bra, w, ket = rand(2, 3, 5), rand(2, 4, 6), rand(3, 4, 4, 7), rand(5, 4, 1)
+        expected = transfer_reference(env, bra, w, ket)
+        got = transfer(env, bra, w, ket)
+        assert got.shape == (6, 7, 1)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_grow_right_is_the_mirrored_einsum(self, rng, small_spec):
+        """The right environment `_grow_right` builds: the same sum over mirrored tensors."""
+        mpo = compile_mpo(build_hamiltonian(small_spec))
+        a = MatrixProductState.random(mpo.phys_dims, bond_dim=4, seed=3).tensors[1]
+        w = mpo.tensors[1]
+        env = rng.standard_normal((a.shape[2], w.shape[3], a.shape[2])) + 0.5j
+        mirrored = a.transpose(2, 1, 0)
+        expected = transfer_reference(env, mirrored, w.transpose(3, 1, 2, 0), mirrored)
+        got = _grow_right(env, a, w)
+        assert got.shape == (a.shape[0], w.shape[0], a.shape[0])
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_bond_dimension_tracks_coupling_channels(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))

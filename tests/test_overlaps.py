@@ -3,9 +3,11 @@ import pytest
 
 from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
-from gnlab.model import ModelSpec, build_hamiltonian
-from gnlab.mps import MatrixProductState, compile_mpo, grouped_dims
+from gnlab.model import ModelSpec, build_hamiltonian, free_quadratic_form
+from gnlab.mps import MatrixProductState, append_site, compile_mpo, grouped_dims, mps_overlap
 from gnlab.overlaps import PadKind, consecutive_overlaps, pad_state, plateau_estimate
+
+from oracles import free_padded_overlap
 
 
 def dense_states(spec, sizes):
@@ -104,6 +106,38 @@ class TestConsecutiveOverlaps:
         pad = pad_state(PadKind.UNIFORM, 1)
         with pytest.raises(ValueError):
             consecutive_overlaps(dict.fromkeys([2, 4, 6], pad), pad)
+
+
+class TestFreeDeterminantYardstick:
+    """At g0^2 = 0 every vacuum is a Slater determinant, so padded overlaps are determinants."""
+
+    def test_determinant_matches_dense(self):
+        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
+        states = {n: ground_state_dense(build_hamiltonian(spec.with_sites(n))).ground_vector for n in range(2, 7)}
+        for n in range(2, 6):
+            for kind in PadKind:
+                dense = abs(np.vdot(np.kron(states[n], pad_state(kind)), states[n + 1]))
+                assert abs(dense - free_padded_overlap(spec.with_sites(n), kind.value)) <= 1e-13
+
+    def test_dmrg_pair_at_thirty_sites(self):
+        """29 -> 30 sites, beyond any dense check (about 2.6 s on one core).
+
+        Each state's distance from its vacuum is at most delta_N = sqrt(eps_N) |E_N| / (E1 - E0),
+        the free gap E1 - E0 being the smallest |orbital energy| of `free_quadratic_form`: a DMRG
+        state need not lie in one particle-number sector, so the number-conserving gap, twice as
+        large, would not bound it.  The padded overlap then moves by at most 2 (delta_29 + delta_30).
+        """
+        spec = ModelSpec(n_sites=29, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
+        states, bound = {}, 0.0
+        for n in (29, 30):
+            mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
+            states[n], report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
+            assert report.converged
+            gap = float(np.min(np.abs(np.linalg.eigvalsh(free_quadratic_form(spec.with_sites(n))))))
+            bound += 2 * np.sqrt(report.epsilon) * abs(report.energy) / gap
+        for kind in PadKind:
+            overlap = abs(mps_overlap(append_site(states[29], pad_state(kind)), states[30]))
+            assert abs(overlap - free_padded_overlap(spec, kind.value)) <= bound
 
 
 class TestPlateauAndTable:
