@@ -66,10 +66,19 @@ class _Record(dict):
     def __missing__(self, key: str):
         raise ConfigError(f"{self.path}: no {key!r} entry")
 
+    def number(self, key: str, cast: type = float):
+        """The `key` entry as a number; a cell that is not one is a ConfigError naming it."""
+        try:
+            return cast(self[key])
+        except ValueError:
+            raise ConfigError(f"{self.path}: {key!r} = {self[key]!r} is not a number") from None
 
-def read_csv(path: Path) -> list[dict[str, str]]:
+
+def read_csv(path: Path) -> list[_Record]:
     """Data rows of a CSV written by `_write`, keyed by its header."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ConfigError(f"{path}: no header line")
     header = lines[0].split(",")
     return [_Record(path, zip(header, ln.split(","))) for ln in lines[1:]]
 
@@ -217,7 +226,7 @@ def cmd_energy_fit(cfg: ExperimentConfig) -> None:
         path = cfg.out_dir / "energies_dense.csv"
     if not path.exists():
         raise ConfigError(f"no energies.csv under {cfg.out_dir}; run solve first")
-    data = [(int(r["N"]), float(r["energy"])) for r in read_csv(path)]
+    data = [(r.number("N", int), r.number("energy")) for r in read_csv(path)]
     if cfg.analysis.gap is None:
         raise ConfigError("[analysis] gap is required for energy-fit")
     fit = fit_energy_extrapolation(data, cfg.analysis.energy_model, gap=cfg.analysis.gap)
@@ -296,8 +305,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     # 1. oracle equivalence: dense vs dmrg energies when both engines were run
     dense_f, dmrg_f = out / "energies_dense.csv", out / "energies.csv"
     if dense_f.exists() and dmrg_f.exists():
-        dense = {int(r["N"]): float(r["energy"]) for r in read_csv(dense_f)}
-        dmrg = {int(r["N"]): float(r["energy"]) for r in read_csv(dmrg_f)}
+        dense = {r.number("N", int): r.number("energy") for r in read_csv(dense_f)}
+        dmrg = {r.number("N", int): r.number("energy") for r in read_csv(dmrg_f)}
         common = sorted(set(dense) & set(dmrg))
         if common:
             worst = max(abs(dense[n] - dmrg[n]) / abs(dense[n]) for n in common)
@@ -314,7 +323,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     fits_f = out / "corr_fits.csv"
     if fits_f.exists():
-        entries = [(float(r["m0"]), float(r["g0_sq"]), float(r["chi"]), float(r["residual"]))
+        entries = [(r.number("m0"), r.number("g0_sq"), r.number("chi"), r.number("residual"))
                    for r in read_csv(fits_f)]
         a = model.spacing
         length = model.n_sites * a
@@ -328,7 +337,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     summary_f = out / "overlaps_summary.csv"
     if summary_f.exists():
-        rows = [(float(r["m0"]), float(r["g0_sq"]), float(r["eta"]), float(r["spread"]), r["pad_kind"])
+        rows = [(r.number("m0"), r.number("g0_sq"), r.number("eta"), r.number("spread"), r["pad_kind"])
                 for r in read_csv(summary_f)]
         uniform = [r for r in rows if r[4] == PadKind.UNIFORM.value]
         ok = bool(uniform) and all(eta > 0 and spread <= 0.1 * eta for _m, _g, eta, spread, _k in uniform)
@@ -346,7 +355,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
 
     fit_f = out / "energy_fit.csv"
     if fit_f.exists():
-        errs = [(float(r["abs_error"]), float(r["half_gap"])) for r in read_csv(fit_f) if r["abs_error"]]
+        errs = [(r.number("abs_error"), r.number("half_gap")) for r in read_csv(fit_f) if r["abs_error"]]
         if errs:
             half_gap = errs[0][1]
             tail = [e for e, _h in errs[len(errs) // 2:]]
@@ -368,8 +377,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         ok = True
         for pf in prep_files:
             info = _Record(pf, (ln.split(" = ", 1) for ln in pf.read_text().splitlines() if " = " in ln))
-            fid = float(info["final_fidelity"])
-            eps = float(info["eps"])
+            fid = info.number("final_fidelity")
+            eps = info.number("eps")
             mode = info["oracle_mode"]
             bound = 1 - eps if mode == OracleMode.IDEAL.value else 1 - 5 * eps
             ok = ok and fid >= bound

@@ -5,6 +5,12 @@ qubit, with qubit 0 the leftmost letter (most significant bit of the
 computational-basis index).  Operators are stored canonically: terms
 sorted lexicographically by string, duplicate strings merged, and
 coefficients with |c| <= COEFF_DROP_TOL discarded.
+
+Arithmetic runs on the symplectic form (Aaronson & Gottesman, PRA 70, 052328
+(2004)): a string is the integer pair (x, z), x marking its X/Y letters and z
+its Y/Z letters, so that it equals i^{|x&z|} X^x Z^z.  The product of (xa, za)
+and (xb, zb) is i^k (xa^xb, za^zb), k = |xa&za| + |xb&zb| + 2|za&xb| - |x&z|
+(mod 4), where x, z are the product's masks and |.| counts set bits.
 """
 
 from __future__ import annotations
@@ -16,32 +22,28 @@ import numpy as np
 
 PAULI_CHARS = "IXYZ"
 
-# Letter -> bit of the X/Y flip mask and of the Y/Z sign mask.
+# Letter -> bit of the X/Y flip mask and of the Y/Z sign mask, and back from the digit x + 2z.
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
+_LETTERS = str.maketrans("0123", "IXZY")
 
 # Coefficients at or below this magnitude are dropped during canonicalization.
 COEFF_DROP_TOL = 1e-14
 
-# Single-qubit products: (a, b) -> (phase, c) with a*b = phase*c.
-_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+
+def _masks(string: str) -> tuple[int, int]:
+    """(x, z): the X/Y flip mask and the Y/Z sign mask, qubit 0 most significant."""
+    return int(string.translate(_X_BITS), 2), int(string.translate(_Z_BITS), 2)
 
 
 def _mul_strings(a: str, b: str) -> tuple[complex, str]:
-    phase: complex = 1
-    out = []
-    for ca, cb in zip(a, b):
-        p, c = _MUL[(ca, cb)]
-        phase *= p
-        out.append(c)
-    return phase, "".join(out)
+    """(phase, c) with a*b = phase*c, on the masks (see the module docstring)."""
+    (xa, za), (xb, zb) = _masks(a), _masks(b)
+    x, z = xa ^ xb, za ^ zb
+    k = (xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
+    # read as hex, the binary masks give one digit x + 2z per qubit; one translate spells them
+    digits = int(format(x, "b"), 16) + 2 * int(format(z, "b"), 16)
+    return 1j ** (k % 4), format(digits, "x").zfill(len(a)).translate(_LETTERS)
 
 
 def _canonical(n_qubits: int, raw: Iterable[tuple[complex, str]]) -> tuple[tuple[complex, str], ...]:
@@ -49,7 +51,7 @@ def _canonical(n_qubits: int, raw: Iterable[tuple[complex, str]]) -> tuple[tuple
     for coeff, string in raw:
         if len(string) != n_qubits:
             raise ValueError(f"string {string!r} has length {len(string)}, expected {n_qubits}")
-        if any(ch not in PAULI_CHARS for ch in string):
+        if string.strip(PAULI_CHARS):
             raise ValueError(f"invalid Pauli letter in {string!r}")
         acc[string] = acc.get(string, 0j) + complex(coeff)
     return tuple(
@@ -154,9 +156,8 @@ class PauliSumOperator:
         """
         groups: dict[int, list[tuple[complex, int]]] = {}
         for coeff, string in self.terms:
-            x = int(string.translate(_X_BITS), 2)
-            z = int(string.translate(_Z_BITS), 2)
-            groups.setdefault(x, []).append((coeff * 1j ** string.count("Y"), z))
+            x, z = _masks(string)
+            groups.setdefault(x, []).append((coeff * 1j ** (x & z).bit_count(), z))
         idx = np.arange(1 << self.n_qubits)
         # parity of every index, tabulated by doubling: i + 2**k flips it
         parity = np.zeros(1, dtype=bool)

@@ -257,3 +257,25 @@ def free_padded_overlap(spec: ModelSpec, kind: str) -> float:
     phi = np.hstack([np.vstack([small, np.zeros((big.n_qubits - spec.n_qubits, small.shape[1]))]), pad])
     sym = abs(np.linalg.det(phi.conj().T @ filled(big)))
     return sym if kind == "symmetry-adapted" else sym / math.sqrt(2) ** spec.flavors
+
+
+# Single-qubit products: (a, b) -> (phase, c) with a*b = phase*c.
+_PAULI_TABLE = {
+    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
+    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
+    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
+    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def pauli_product_reference(a: str, b: str) -> tuple[complex, str]:
+    """(phase, c) with a*b = phase*c, multiplied letter by letter from the single-qubit table."""
+    phase: complex = 1
+    out = []
+    for ca, cb in zip(a, b):
+        p, c = _PAULI_TABLE[(ca, cb)]
+        phase *= p
+        out.append(c)
+    return phase, "".join(out)

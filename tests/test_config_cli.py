@@ -359,6 +359,19 @@ class TestCliCommands:
         assert name in err and repr(key) in err
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("text, names", [
+        pytest.param(MANIFEST, [], id="manifest-only"),
+        pytest.param(f"{MANIFEST}\nm0,g0_sq,b,chi,residual\n0.2,1.5,0.3,abc,0.01", ["'chi'", "'abc'"], id="non-numeric"),
+    ])
+    def test_report_unreadable_csv_is_config_error(self, config_file, tmp_path, capsys, text, names):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "corr_fits.csv").write_text(text + "\n")
+        assert main(["report", "--config", config_file()]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in ["corr_fits.csv", *names])
+        assert not (out / "report.txt").exists()
+
     def test_report_reruns_identically(self, config_file, tmp_path):
         out = tmp_path / "out"
         cfg_path = config_file()

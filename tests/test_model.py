@@ -12,9 +12,10 @@ from gnlab.model import (
     lattice_momenta,
     majorana_gammas,
 )
+from gnlab.mps import compile_mpo
 from gnlab.pauli import PauliSumOperator
 
-from oracles import dense_hamiltonian, fermionic_permutation_unitary
+from oracles import dense_hamiltonian, fermionic_permutation_unitary, pauli_product_reference
 
 
 class TestModelSpec:
@@ -82,6 +83,24 @@ class TestBuildHamiltonian:
         ours = np.linalg.eigvalsh(build_hamiltonian(spec).to_matrix())[0]
         oracle = scipy.linalg.eigh(dense_hamiltonian(spec), eigvals_only=True)[0]
         assert ours == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(ModelSpec(50, 1 / 50, 0.2, 1.5), id="50-sites"),
+        pytest.param(ModelSpec(6, 0.25, 0.2, 1.5, flavors=2, boundary=Boundary.PERIODIC), id="6-sites-2-flavors-periodic"),
+        pytest.param(ModelSpec(5, 0.25, 0.2, 0.0), id="5-sites-free"),
+        pytest.param(ModelSpec(7, 1 / 3, 0.2, 1.5, wilson_r=0.7), id="7-sites-r0.7"),
+    ])
+    def test_identical_to_letter_table_products(self, spec, monkeypatch):
+        """The Hamiltonian and its MPO are the same bits whichever way the Pauli products are taken."""
+        ham = build_hamiltonian(spec)
+        monkeypatch.setattr("gnlab.pauli._mul_strings", pauli_product_reference)
+        ref = build_hamiltonian(spec)
+        assert ham.terms == ref.terms
+        assert repr(ham.terms) == repr(ref.terms)  # signed zeros count
+        span = ham.n_qubits  # covers the periodic wrap
+        for got, want in zip(compile_mpo(ham, span).tensors, compile_mpo(ref, span).tensors, strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_rejects_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnlab.pauli import PAULI_CHARS, PauliSumOperator, jordan_wigner
+from gnlab.pauli import PAULI_CHARS, PauliSumOperator, _mul_strings, jordan_wigner
 
-from oracles import ladder_operators
+from oracles import ladder_operators, pauli_product_reference
 
 I2 = np.eye(2)
 PAULI_MATRICES = {
@@ -69,6 +69,24 @@ def test_product_agrees_with_dense(strings):
     a = PauliSumOperator.from_terms(len(sa), [(1.0, sa)])
     b = PauliSumOperator.from_terms(len(sb), [(1.0, sb)])
     assert np.allclose((a * b).to_matrix(), dense_of_string(sa) @ dense_of_string(sb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 130).flatmap(
+        lambda n: st.tuples(
+            st.text(alphabet="IXYZ", min_size=n, max_size=n),
+            st.text(alphabet="IXYZ", min_size=n, max_size=n),
+        )
+    )
+)
+def test_long_string_product_matches_letter_table(strings):
+    """Mask products agree with the per-letter table in phase and string, also past 64 qubits."""
+    sa, sb = strings
+    phase, string = _mul_strings(sa, sb)
+    ref_phase, ref_string = pauli_product_reference(sa, sb)
+    assert string == ref_string
+    assert phase == ref_phase
 
 
 def test_apply_matches_matrix(rng):
