@@ -11,7 +11,8 @@ drops below the configured goal, or when the bond-dimension cap is reached
 and the energy has stalled.  The variance <H^2> - <H>^2 is contracted
 exactly as <(H - E)^2> through the squared MPO of H - E, in one transfer
 sweep with no truncation (Hubig, McCulloch and Schollwoeck, PRB 97, 045125
-(2018)).
+(2018)); its parallel channels are merged first, which cuts its bond from
+16 to 8 for the Gross-Neveu chain and drops nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> fl
     (|<H^2>| - |<H>|^2) / |<H>|^2, with nothing truncated.  The MPO of H - E
     is the direct sum of `mpo` and -E times the identity, with its parallel
     channels merged (bond D + 1 -> D for a compiled Hamiltonian); its square,
-    built site by site, is contracted with the state in one transfer sweep.
+    built site by site with bond D^2 and merged the same way (16 -> 8 at
+    D = 4), is contracted with the state in one transfer sweep.
     Raises DegenerateEnergyError when |<H>| falls below 1e-12; shift the
     operator by a constant in that case.
     """
@@ -82,6 +84,7 @@ def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> fl
     _deparallelize(shifted)
     squared = [np.einsum("asub,cutd->acstbd", w, w).reshape(w.shape[0] ** 2, *w.shape[1:3], -1)
                for w in shifted]
+    _deparallelize(squared)
     eps = expectation_value(state, MatrixProductOperator(squared)).real / energy**2
     if eps < -1e-9:
         raise RuntimeError(f"variance came out significantly negative: {eps}")

@@ -93,7 +93,9 @@ def lanczos_lowest(
     certifies convergence, since it drops below the rounding floor at
     large |theta|: one explicit product A v of the Ritz vector confirms
     it, and a restart from that vector reuses the product as its first
-    Krylov product.
+    Krylov product.  Each step orthogonalises A q_j against the whole basis
+    by classical Gram-Schmidt twice (CGS2); the first pass's coefficient on
+    q_j is alpha_j, so no separate three-term recurrence is subtracted.
     """
     dim = start.shape[0]
     m_cap = min(krylov_dim, dim)
@@ -105,32 +107,27 @@ def lanczos_lowest(
     product = matvec(v)   # A v of each restart vector, formed once
 
     basis = np.empty((m_cap, dim), dtype=complex)
+    tri = np.zeros((m_cap, m_cap))   # the tridiagonal T; eigh reads its lower triangle
     theta = 0.0
     for _ in range(max_restarts):
         basis[0] = v
-        alphas: list[float] = []
-        betas: list[float] = []
         for j in range(m_cap):
             w = product if j == 0 else matvec(basis[j])
-            alpha = float(np.real(np.vdot(basis[j], w)))
-            alphas.append(alpha)
-            w = w - alpha * basis[j]
-            if j > 0:
-                w -= betas[-1] * basis[j - 1]
-            # full reorthogonalization, twice for stability; w.conj() keeps
-            # the temporaries vector-sized (no conjugated copy of the basis)
+            # CGS2; w.conj() keeps the temporaries vector-sized (no conjugated copy of the basis)
             q = basis[: j + 1]
-            for _pass in range(2):
-                w -= (q @ w.conj()).conj() @ q
-            beta = float(np.linalg.norm(w))
-            tvals, tvecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            h = (q @ w.conj()).conj()
+            w = w - h @ q
+            w -= (q @ w.conj()).conj() @ q
+            tri[j, j] = h[j].real
+            beta = np.sqrt(np.vdot(w, w).real)
+            tvals, tvecs = np.linalg.eigh(tri[: j + 1, : j + 1])
             theta = float(tvals[0])
             goal = max(tol, rtol * abs(theta))
             if beta * abs(tvecs[-1, 0]) <= goal or beta < 1e-14 or j == m_cap - 1:
                 break
-            betas.append(beta)
+            tri[j + 1, j] = beta
             basis[j + 1] = w / beta
-        v = tvecs[:, 0] @ basis[: len(alphas)]
+        v = tvecs[:, 0] @ basis[: j + 1]
         v = v / np.linalg.norm(v)
         product = matvec(v)
         if np.linalg.norm(product - theta * v) <= goal:

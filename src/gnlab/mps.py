@@ -44,18 +44,13 @@ def truncated_svd(
     discarded_weight: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD keeping the smallest rank whose discarded tail weight stays below
-    `discarded_weight` (relative to the total squared norm), capped at `max_bond`."""
+    `discarded_weight` (relative to the total squared norm), capped at `max_bond`.
+
+    The tail weights are one reversed cumulative sum of s**2, added from the
+    smallest singular value up; a zero matrix keeps rank 1."""
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    total = float(np.sum(s**2))
-    if total == 0.0:
-        return u[:, :1], s[:1], vh[:1]
-    keep = len(s)
-    tail = 0.0
-    for i in range(len(s) - 1, 0, -1):
-        tail += float(s[i] ** 2)
-        if tail > discarded_weight * total:
-            break
-        keep = i
+    tails = np.cumsum(s[::-1] ** 2)[::-1]   # tails[i] = sum of s[i:]**2
+    keep = int(np.count_nonzero(tails > discarded_weight * float(np.sum(s**2))))
     if max_bond is not None:
         keep = min(keep, max_bond)
     keep = max(keep, 1)
@@ -335,9 +330,20 @@ def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixPro
 
 
 def _merge_columns(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Return (kept, transfer) with m = kept @ transfer and no parallel columns."""
+    """Return (kept, transfer) with m = kept @ transfer and no parallel columns.
+
+    Exact merging of parallel MPO channels (Hubig, McCulloch and Schollwoeck,
+    PRB 95, 035129 (2017)): in column order, a column of norm <= tol * max|m|
+    is dropped, and one within tol * its norm of a multiple of a kept column
+    merges into the first such column.  One Gram product m^H m screens the
+    pairs: only those with squared cosine >= 1 - 1e-6 get the residual test,
+    and every pair that passes it has squared cosine >= 1 - tol**2.
+    """
     rows, cols = m.shape
-    kept: list[np.ndarray] = []
+    gram = m.conj().T @ m
+    sq = gram.diagonal().real
+    near = (np.abs(gram) ** 2 >= (1.0 - 1e-6) * np.outer(sq, sq)).tolist()
+    kept: list[int] = []
     transfer = np.zeros((cols, cols), dtype=complex)
     scale = np.max(np.abs(m)) or 1.0
     for j in range(cols):
@@ -345,20 +351,19 @@ def _merge_columns(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.nd
         nrm = np.linalg.norm(col)
         if nrm <= tol * scale:
             continue
-        merged = False
-        for i, ref in enumerate(kept):
-            lam = np.vdot(ref, col) / np.vdot(ref, ref)
-            if np.linalg.norm(col - lam * ref) <= tol * nrm:
-                transfer[i, j] = lam
-                merged = True
-                break
-        if not merged:
-            kept.append(col)
+        for i, c in enumerate(kept):
+            if near[c][j]:
+                ref = m[:, c]
+                lam = np.vdot(ref, col) / np.vdot(ref, ref)
+                if np.linalg.norm(col - lam * ref) <= tol * nrm:
+                    transfer[i, j] = lam
+                    break
+        else:
+            kept.append(j)
             transfer[len(kept) - 1, j] = 1.0
     if not kept:
-        kept.append(np.zeros(rows, dtype=complex))
-    k = len(kept)
-    return np.stack(kept, axis=1), transfer[:k]
+        return np.zeros((rows, 1), dtype=complex), transfer[:1]
+    return m[:, kept], transfer[: len(kept)]
 
 
 def _deparallelize(tensors: list[np.ndarray]) -> None:

@@ -8,6 +8,10 @@ eigensolver independent of the package's, on the matrix-free Pauli action;
 and `statevector_correlator_blocks`, which evaluates the two-point
 correlator as Pauli-sum expectations of Jordan-Wigner images on a state
 vector, independent of the MPS contraction the package measures with.
+The `*_reference` helpers, `epsilon_uncompressed` and `lanczos_reference`
+are the plain forms of faster package kernels (letter loops, pairwise
+scans, the three-term recurrence), kept to pin the fast forms to the same
+results.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from gnlab.bessel import bessel_k
 from gnlab.model import Boundary, ModelSpec, free_quadratic_form, majorana_gammas
-from gnlab.mps import MatrixProductOperator, MatrixProductState
+from gnlab.mps import MatrixProductOperator, MatrixProductState, expectation_value
 from gnlab.observables import centered_pairs
 from gnlab.pauli import PauliSumOperator, jordan_wigner
 
@@ -279,3 +283,107 @@ def pauli_product_reference(a: str, b: str) -> tuple[complex, str]:
         phase *= p
         out.append(c)
     return phase, "".join(out)
+
+
+def truncated_rank_reference(s: np.ndarray, max_bond: int | None, discarded_weight: float) -> int:
+    """The rank `truncated_svd` keeps for singular values `s`: a Python loop adding the tail from the end."""
+    total = float(np.sum(s**2))
+    if total == 0.0:
+        return 1
+    keep = len(s)
+    tail = 0.0
+    for i in range(len(s) - 1, 0, -1):
+        tail += float(s[i] ** 2)
+        if tail > discarded_weight * total:
+            break
+        keep = i
+    if max_bond is not None:
+        keep = min(keep, max_bond)
+    return max(keep, 1)
+
+
+def merge_columns_reference(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, transfer) of `mps._merge_columns` by the unscreened scan: every column against every kept one."""
+    rows, cols = m.shape
+    kept: list[np.ndarray] = []
+    transfer = np.zeros((cols, cols), dtype=complex)
+    scale = np.max(np.abs(m)) or 1.0
+    for j in range(cols):
+        col = m[:, j]
+        nrm = np.linalg.norm(col)
+        if nrm <= tol * scale:
+            continue
+        merged = False
+        for i, ref in enumerate(kept):
+            lam = np.vdot(ref, col) / np.vdot(ref, ref)
+            if np.linalg.norm(col - lam * ref) <= tol * nrm:
+                transfer[i, j] = lam
+                merged = True
+                break
+        if not merged:
+            kept.append(col)
+            transfer[len(kept) - 1, j] = 1.0
+    if not kept:
+        kept.append(np.zeros(rows, dtype=complex))
+    k = len(kept)
+    return np.stack(kept, axis=1), transfer[:k]
+
+
+def epsilon_uncompressed(state: MatrixProductState, mpo: MatrixProductOperator) -> float:
+    """<(H - E)^2> / E^2 through the squared MPO of H - E with no channel merged: bond (D + 1)^2."""
+    energy = expectation_value(state, mpo).real
+    shifted = []
+    for w in mpo.tensors:
+        dl, d, _, dr = w.shape
+        block = np.zeros((dl + 1, d, d, dr + 1), dtype=complex)   # H (+) 1
+        block[:dl, :, :, :dr] = w
+        block[dl, :, :, dr] = np.eye(d)
+        shifted.append(block)
+    shifted[0] = np.tensordot([1.0, -energy], shifted[0], axes=(0, 0))[None]   # H - E 1
+    shifted[-1] = np.tensordot(shifted[-1], [1.0, 1.0], axes=(3, 0))[..., None]
+    squared = [np.einsum("asub,cutd->acstbd", w, w).reshape(w.shape[0] ** 2, *w.shape[1:3], -1)
+               for w in shifted]
+    return expectation_value(state, MatrixProductOperator(squared)).real / energy**2
+
+
+def lanczos_reference(matvec, start: np.ndarray, tol: float, max_restarts: int = 400,
+                      krylov_dim: int = 30, rtol: float = 0.0) -> tuple[float, np.ndarray]:
+    """`exact.lanczos_lowest` with strict=False, by the three-term recurrence.
+
+    Each step subtracts alpha_j q_j and beta_{j-1} q_{j-1}, then projects out
+    the whole basis twice more, and rebuilds T from its diagonals; the stopping
+    tests, the confirming product and the restarts are those of the package.
+    """
+    m_cap = min(krylov_dim, start.shape[0])
+    v = start.astype(complex) / np.linalg.norm(start)
+    product = matvec(v)
+    basis = np.empty((m_cap, start.shape[0]), dtype=complex)
+    theta = 0.0
+    for _ in range(max_restarts):
+        basis[0] = v
+        alphas: list[float] = []
+        betas: list[float] = []
+        for j in range(m_cap):
+            w = product if j == 0 else matvec(basis[j])
+            alpha = float(np.real(np.vdot(basis[j], w)))
+            alphas.append(alpha)
+            w = w - alpha * basis[j]
+            if j > 0:
+                w -= betas[-1] * basis[j - 1]
+            q = basis[: j + 1]
+            for _pass in range(2):
+                w -= (q @ w.conj()).conj() @ q
+            beta = float(np.linalg.norm(w))
+            tvals, tvecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = float(tvals[0])
+            goal = max(tol, rtol * abs(theta))
+            if beta * abs(tvecs[-1, 0]) <= goal or beta < 1e-14 or j == m_cap - 1:
+                break
+            betas.append(beta)
+            basis[j + 1] = w / beta
+        v = tvecs[:, 0] @ basis[: len(alphas)]
+        v = v / np.linalg.norm(v)
+        product = matvec(v)
+        if np.linalg.norm(product - theta * v) <= goal:
+            break
+    return theta, v

@@ -10,7 +10,7 @@ from gnlab.observables import centered_pairs, two_point_correlator
 from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 
-from oracles import arpack_lowest, effective_two_site_matrix, free_fermion_correlations
+from oracles import arpack_lowest, effective_two_site_matrix, epsilon_uncompressed, free_fermion_correlations
 
 
 def random_complex(rng, *shape):
@@ -262,6 +262,41 @@ class TestEpsilonMeasure:
             assert oracle >= 1e-13
             mps = MatrixProductState.from_dense(vec, grouped_dims(op.n_qubits))
             assert epsilon_measure(mps, mpo) == pytest.approx(oracle, rel=0.05, abs=0.0)
+
+    @pytest.mark.parametrize("n_sites", [4, 5])
+    @pytest.mark.parametrize("spacing", [0.25, 1 / 50])
+    def test_merged_square_matches_the_uncompressed_one(self, n_sites, spacing):
+        """Merging the squared MPO's channels changes epsilon by rounding only."""
+        spec = ModelSpec(n_sites=n_sites, spacing=spacing, bare_mass=0.2, coupling_sq=1.5)
+        op = build_hamiltonian(spec)
+        mpo = compile_mpo(op)
+        _evals, evecs = np.linalg.eigh(op.to_matrix())
+        for delta in (1e-2, 1e-5, 1e-6):
+            vec = evecs[:, 0] + delta * (evecs[:, 1] + evecs[:, -1])
+            mps = MatrixProductState.from_dense(vec / np.linalg.norm(vec), grouped_dims(op.n_qubits))
+            assert abs(epsilon_measure(mps, mpo) - epsilon_uncompressed(mps, mpo)) <= 1e-14
+
+    def test_merged_square_on_a_dmrg_state(self):
+        spec = ModelSpec(n_sites=8, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+        mpo = compile_mpo(build_hamiltonian(spec))
+        psi, _report = dmrg_ground_state(mpo, epsilon_goal=1e-6, max_bond=8, seed=3)
+        eps = epsilon_measure(psi, mpo)
+        assert eps > 1e-12   # the bond cap leaves a variance well above rounding
+        assert abs(eps - epsilon_uncompressed(psi, mpo)) <= 1e-14
+
+    def test_fifty_site_variance_mpo_has_bond_eight(self, monkeypatch):
+        """Work guard: the squared MPO contracted at 50 sites has bond at most 8, not 16."""
+        mpo = compile_mpo(build_hamiltonian(ModelSpec(50, 1 / 50, 0.2, 1.5)))
+        bonds = []
+        contract = dmrg.expectation_value
+
+        def recording(state, op):
+            bonds.append(op.max_bond)
+            return contract(state, op)
+
+        monkeypatch.setattr(dmrg, "expectation_value", recording)
+        epsilon_measure(MatrixProductState.random(mpo.phys_dims, bond_dim=4, seed=2), mpo)
+        assert len(bonds) == 2 and bonds[1] <= 8
 
     def test_zero_energy_rejected(self):
         op = PauliSumOperator.from_terms(4, [(1.0, "XXII"), (1.0, "IIXX")])

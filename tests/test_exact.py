@@ -24,7 +24,7 @@ from gnlab.stateprep import (
     projector_pauli_expansion,
 )
 
-from oracles import arpack_lowest, block_eigh, dense_hamiltonian
+from oracles import arpack_lowest, block_eigh, dense_hamiltonian, lanczos_reference
 
 
 def no_matrix(_self):
@@ -369,6 +369,35 @@ class TestLanczos:
         # a full basis of the default krylov_dim = 30 plus the residual check is 31
         assert len(products) < 10
         assert np.linalg.norm(mat @ vec - theta * vec) <= tol
+
+    @pytest.mark.parametrize("dim, shift, seed", [(40, 0.0, 1), (200, 0.0, 2), (200, -5e3, 3), (64, 10.0, 4)])
+    @pytest.mark.parametrize("tol, rtol, krylov_dim, max_restarts", [
+        (1e-12, 1e-7, 16, 4),    # the DMRG local solve at epsilon goal 1e-8
+        (1e-9, 0.0, 30, 400),    # the defaults, absolute tolerance
+    ])
+    def test_fused_projection_matches_the_three_term_recurrence(
+            self, dim, shift, seed, tol, rtol, krylov_dim, max_restarts):
+        """CGS2 with alpha from its first pass takes the same products as the
+        recurrence plus two projections, and lands on the same Ritz value."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mat = (a + a.conj().T) / 2 + shift * np.eye(dim)
+        start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        runs = []
+        for solver in (lanczos_lowest, lanczos_reference):
+            calls = []
+
+            def matvec(v):
+                calls.append(1)
+                return mat @ v
+
+            kwargs = {"strict": False} if solver is lanczos_lowest else {}
+            theta, _vec = solver(matvec, start, tol, max_restarts=max_restarts, krylov_dim=krylov_dim,
+                                 rtol=rtol, **kwargs)
+            runs.append((theta, len(calls)))
+        (theta, calls), (want, want_calls) = runs
+        assert calls == want_calls
+        assert abs(theta - want) <= 1e-12 * abs(want)
 
 
 def test_fix_phase_leading_amplitude_real_positive(rng):

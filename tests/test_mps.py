@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gnlab.dmrg import _grow_right
-from gnlab.model import ModelSpec, build_hamiltonian
+from gnlab import mps
+from gnlab.model import Boundary, ModelSpec, build_hamiltonian
 from gnlab.mps import (
     MatrixProductState,
     MpoRangeError,
@@ -14,10 +15,17 @@ from gnlab.mps import (
     mps_overlap,
     pauli_sum_expectation,
     transfer,
+    truncated_svd,
 )
 from gnlab.pauli import PauliSumOperator, jordan_wigner
 
-from oracles import mpo_to_matrix, mps_to_dense, transfer_reference
+from oracles import (
+    merge_columns_reference,
+    mpo_to_matrix,
+    mps_to_dense,
+    transfer_reference,
+    truncated_rank_reference,
+)
 
 
 def random_state_vector(dim, rng):
@@ -255,3 +263,109 @@ class TestApplyMpo:
         assert pauli_sum_expectation(mps, op) == pytest.approx(
             op.expectation(mps_to_dense(mps)), abs=1e-12
         )
+
+
+class TestTruncatedSvd:
+    """The cumulative-sum rank rule keeps exactly the rank of the tail loop."""
+
+    @staticmethod
+    def check(matrix, max_bond, weight):
+        u, s, vh = truncated_svd(matrix, max_bond, weight)
+        full = np.linalg.svd(matrix, full_matrices=False)[1]
+        keep = truncated_rank_reference(full, max_bond, weight)
+        assert len(s) == keep
+        assert u.shape[1] == keep and vh.shape[0] == keep
+        return keep
+
+    def test_random_spectra(self, rng):
+        for shape in ((8, 8), (16, 5), (5, 16), (64, 64), (1, 7)):
+            for weight in (1e-14, 1e-12, 1e-6, 1e-2, 0.3):
+                for max_bond in (None, 2, 100):
+                    self.check(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), max_bond, weight)
+
+    def test_decaying_and_zero_tails(self, rng):
+        for decay in (0.5, 0.1, 1e-3):
+            s = decay ** np.arange(24)
+            q1, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+            q2, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+            for weight in (1e-16, 1e-12, 1e-8):
+                self.check((q1 * s) @ q2, None, weight)
+        low_rank = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))   # tail at rounding level
+        assert self.check(low_rank, None, 1e-12) == 3
+        exact_zeros = np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])
+        assert self.check(exact_zeros, None, 0.0) == 3
+        assert self.check(np.zeros((4, 6)), None, 1e-12) == 1
+        assert self.check(np.zeros((4, 6)), 3, 0.0) == 1
+
+    def test_cap_below_the_weight_rank(self, rng):
+        matrix = rng.standard_normal((32, 32))
+        assert self.check(matrix, None, 1e-12) == 32
+        assert self.check(matrix, 5, 1e-12) == 5
+
+    def test_tail_exactly_at_the_threshold_is_discarded(self):
+        # powers of two: s^2 = 1, 1/4 x 4, total 2, every sum exact
+        matrix = np.diag([1.0, 0.5, 0.5, 0.5, 0.5])
+        assert np.array_equal(np.linalg.svd(matrix, full_matrices=False)[1], np.diag(matrix))
+        assert self.check(matrix, None, 0.25) == 3    # tail 1/2 == 0.25 * 2 is discarded
+        assert self.check(matrix, None, 0.125) == 4   # tail 1/4 == 0.125 * 2, the next one is not
+        assert self.check(matrix, None, np.nextafter(0.125, 0.0)) == 5
+
+
+MERGE_SPECS = [
+    pytest.param([ModelSpec(50, 1 / 50, 0.2, 1.5)], id="chain50"),
+    pytest.param([ModelSpec(4, 0.25, 0.2, 1.5, flavors=2)], id="two-flavors"),
+    pytest.param([ModelSpec(6, 0.25, 0.2, 1.5, boundary=Boundary.PERIODIC)], id="periodic"),
+    pytest.param([ModelSpec(n, 0.25, 0.2, 1.5) for n in range(2, 9)], id="ladder-2-8"),
+]
+
+
+class TestMergeColumns:
+    @pytest.mark.parametrize("specs", MERGE_SPECS)
+    def test_compile_mpo_identical_to_the_pairwise_scan(self, specs, monkeypatch):
+        """The Gram screen changes no merge: the same tensors, bit for bit."""
+        ops = [build_hamiltonian(spec) for spec in specs]
+        spans = [op.n_qubits if spec.boundary is Boundary.PERIODIC else mps.MPO_MAX_SPAN
+                 for op, spec in zip(ops, specs)]
+        got = [compile_mpo(op, span) for op, span in zip(ops, spans)]
+        monkeypatch.setattr(mps, "_merge_columns", merge_columns_reference)
+        for mpo, op, span in zip(got, ops, spans):
+            want = compile_mpo(op, span)
+            for a, b in zip(mpo.tensors, want.tensors, strict=True):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    @staticmethod
+    def merge(m):
+        kept, transfer = mps._merge_columns(m)
+        ref_kept, ref_transfer = merge_columns_reference(m)
+        assert np.array_equal(kept, ref_kept) and np.array_equal(transfer, ref_transfer)
+        assert np.linalg.norm(kept @ transfer - m) <= 1e-12 * np.linalg.norm(m)
+        return kept, transfer
+
+    def test_complex_and_negative_multiples_merge(self, rng):
+        a, b = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
+        m = np.stack([a, (0.3 - 2j) * a, b, -4.0 * b, -a, 1j * b], axis=1)
+        kept, transfer = self.merge(m)
+        assert kept.shape == (12, 2)
+        assert np.array_equal(np.flatnonzero(transfer[0]), [0, 1, 4])
+        assert transfer[0, 1] == pytest.approx(0.3 - 2j, abs=1e-14)
+        assert transfer[1, 3] == pytest.approx(-4.0, abs=1e-14)
+
+    def test_column_off_by_1e_10_stays_apart(self, rng):
+        """Past the Gram screen (squared cosine 1 - 1e-20), the residual test keeps them apart."""
+        a, nudge = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
+        nudge -= np.vdot(a, nudge) / np.vdot(a, a) * a   # orthogonal to a
+        nudge *= np.linalg.norm(2.0 * a) / np.linalg.norm(nudge)
+        kept, _ = self.merge(np.stack([a, 2.0 * a + 1e-10 * nudge], axis=1))
+        assert kept.shape == (12, 2)
+        kept, _ = self.merge(np.stack([a, 2.0 * a + 1e-13 * nudge], axis=1))
+        assert kept.shape == (12, 1)
+
+    def test_zero_columns_are_dropped(self, rng):
+        a = rng.standard_normal(6) + 0j
+        zero = np.zeros(6, dtype=complex)
+        kept, transfer = self.merge(np.stack([zero, a, zero, 3 * a], axis=1))
+        assert kept.shape == (6, 1)
+        assert np.array_equal(transfer, [[0, 1, 0, 3]])
+        kept, transfer = self.merge(np.zeros((6, 3), dtype=complex))
+        assert kept.shape == (6, 1) and not kept.any() and not transfer.any()
