@@ -1,7 +1,11 @@
-"""Nonlinear fits: correlation length and finite-size energy models.
+"""Fits by variable projection: correlation length and finite-size energy models.
 
-All fits use one deterministic damped Gauss-Newton engine with fixed,
-documented initialization, so identical inputs reproduce identical outputs.
+Each model is linear in all but at most one parameter (Golub and Pereyra,
+SIAM J. Numer. Anal. 10, 413 (1973)).  The linear coefficients are solved
+by least squares inside the residual, and one deterministic damped
+Gauss-Newton engine minimises over the remaining parameter -- chi for
+b K0(dx / chi), C3 for the Casimir model -- from a fixed, documented start,
+so identical inputs reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -20,57 +24,42 @@ class FitConvergenceError(RuntimeError):
     """The Gauss-Newton iteration did not meet its step tolerance."""
 
 
-def _finite_difference_jacobian(
-    residual: Callable[[np.ndarray], np.ndarray],
-    theta: np.ndarray,
-    r0: np.ndarray,
-) -> np.ndarray:
-    jac = np.empty((len(r0), len(theta)))
-    for i in range(len(theta)):
-        h = 1e-7 * max(abs(theta[i]), 1e-3)
-        probe = theta.copy()
-        probe[i] += h
-        jac[:, i] = (residual(probe) - r0) / h
-    return jac
+_MAX_ITER = 200
+_STEP_TOL = 1e-12
 
 
 def damped_gauss_newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    theta0: Sequence[float],
-    feasible: Callable[[np.ndarray], bool] | None = None,
-    max_iter: int = 200,
-    step_tol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
-    """Minimize ||residual(theta)||; returns (theta, residual 2-norm).
+    residual: Callable[[float], np.ndarray],
+    theta0: float,
+    feasible: Callable[[float], bool],
+) -> tuple[float, float]:
+    """Minimize ||residual(theta)|| over one scalar theta; returns (theta, residual 2-norm).
 
-    Steps that leave the feasible region or fail to reduce the cost are
-    halved; the iteration stops once the accepted step is below `step_tol`
-    relative to |theta|.  Raises FitConvergenceError after `max_iter`
-    iterations without meeting the tolerance.
+    The slope j is a forward difference and the step -(j.r)/(j.j).  A step
+    that leaves the feasible region or fails to lower the cost is halved;
+    once it falls below _STEP_TOL relative to |theta| the iteration stops
+    there.  Raises FitConvergenceError after _MAX_ITER iterations.
     """
-    theta = np.asarray(theta0, dtype=float)
+    theta = float(theta0)
     r = residual(theta)
     cost = float(r @ r)
-    for _ in range(max_iter):
-        jac = _finite_difference_jacobian(residual, theta, r)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam = 1.0
-        accepted = False
-        while lam > 1e-14:
-            trial = theta + lam * step
-            if feasible is not None and not feasible(trial):
-                lam *= 0.5
-                continue
-            r_trial = residual(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                theta, r, cost = trial, r_trial, cost_trial
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted or np.linalg.norm(lam * step) <= step_tol * (1.0 + np.linalg.norm(theta)):
+    for _ in range(_MAX_ITER):
+        h = 1e-7 * max(abs(theta), 1e-3)
+        j = (residual(theta + h) - r) / h
+        jj = float(j @ j)
+        step = -float(j @ r) / jj if jj > 0 else 0.0
+        while abs(step) > _STEP_TOL * (1.0 + abs(theta)):
+            trial = theta + step
+            if feasible(trial):
+                r_trial = residual(trial)
+                cost_trial = float(r_trial @ r_trial)
+                if cost_trial < cost:
+                    theta, r, cost = trial, r_trial, cost_trial
+                    break
+            step *= 0.5
+        else:
             return theta, math.sqrt(cost)
-    raise FitConvergenceError(f"no convergence after {max_iter} Gauss-Newton iterations")
+    raise FitConvergenceError(f"no convergence after {_MAX_ITER} Gauss-Newton iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +115,10 @@ def window_mask(separations: Sequence[float], window: tuple[float, float] | None
 def fit_correlation_length(series, window: tuple[float, float] | None = None) -> CorrelationFit:
     """Weighted least squares of b * K0(dx / chi) on the windowed series.
 
-    Initialization is fixed: chi0 = L / 10 (a tenth of the chain length)
-    and b0 matching the first windowed point.  Points with zero error bars
-    get unit weight.
+    b enters linearly, so for each chi it is solved in closed form,
+    b = <wK, wy> / <wK, wK>, and Gauss-Newton runs over chi alone from the
+    fixed start chi0 = L / 10 (a tenth of the chain length).  Points with
+    zero error bars get unit weight.
     """
     seps = np.asarray(series.separations, dtype=float)
     vals = np.asarray(series.values, dtype=float)
@@ -137,21 +127,19 @@ def fit_correlation_length(series, window: tuple[float, float] | None = None) ->
     mask = window_mask(seps, (lo, hi))
     x, y, e = seps[mask], vals[mask], errs[mask]
     weights = np.where(e > 0, 1.0 / np.where(e > 0, e, 1.0), 1.0)
+    wy = weights * y
 
-    chi0 = 2.0 * seps[-1] / 10.0
-    b0 = y[0] / bessel_k(0, x[0] / chi0)
+    def solve_linear(chi: float) -> tuple[float, np.ndarray]:
+        kx = bessel_k(0, x / chi)
+        wk = weights * kx
+        b = float(wk @ wy) / float(wk @ wk)
+        return b, b * kx - y
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        b, chi = theta
-        return weights * (b * bessel_k(0, x / chi) - y)
-
-    theta, _ = damped_gauss_newton(
-        residual,
-        (b0, chi0),
-        feasible=lambda th: th[1] > 0,
+    chi, _ = damped_gauss_newton(
+        lambda c: weights * solve_linear(c)[1], 2.0 * seps[-1] / 10.0, feasible=lambda c: c > 0
     )
-    b, chi = float(theta[0]), float(theta[1])
-    rel = float(np.linalg.norm(b * bessel_k(0, x / chi) - y) / np.linalg.norm(y))
+    b, misfit = solve_linear(chi)
+    rel = float(np.linalg.norm(misfit) / np.linalg.norm(y))
     return CorrelationFit(
         amplitude_b=b,
         corr_length_chi=chi,
@@ -171,12 +159,6 @@ class EnergyModel(str, Enum):
     CASIMIR = "casimir"
 
 
-_N_COEFFS = {
-    EnergyModel.LINEAR: 2,
-    EnergyModel.INVERSE_SERIES: 5,
-    EnergyModel.CASIMIR: 4,
-}
-
 CASIMIR_HARMONICS = 10
 _HARMONICS = np.arange(1.0, CASIMIR_HARMONICS + 1)
 
@@ -186,60 +168,42 @@ def _casimir_sum(c3: float, sizes: np.ndarray | float) -> np.ndarray:
     return bessel_k(2, c3 * np.asarray(sizes, dtype=float)[..., None] * _HARMONICS) @ _HARMONICS**-2
 
 
-def _linear_design(model: EnergyModel, sizes: np.ndarray) -> np.ndarray:
-    if model is EnergyModel.LINEAR:
-        return np.column_stack([np.ones_like(sizes), sizes])
+def _design(model: EnergyModel, sizes, c3: float | None = None) -> np.ndarray:
+    """The model's linear columns at `sizes`, one row per size: E = design @ (C0, C1, ...).
+
+    The Casimir column is sum_h h^-2 K2(c3 h L); the other models ignore c3.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    columns = [np.ones_like(sizes), sizes]
     if model is EnergyModel.INVERSE_SERIES:
-        return np.column_stack(
-            [np.ones_like(sizes), sizes, 1.0 / sizes, sizes**-2.0, sizes**-3.0]
-        )
-    raise ValueError(model)
+        columns += [1.0 / sizes, sizes**-2.0, sizes**-3.0]
+    elif model is EnergyModel.CASIMIR:
+        columns.append(_casimir_sum(c3, sizes))
+    return np.column_stack(columns)
 
 
 def _fit_coefficients(model: EnergyModel, sizes: np.ndarray, energies: np.ndarray) -> tuple[float, ...]:
-    if model in (EnergyModel.LINEAR, EnergyModel.INVERSE_SERIES):
-        coeffs, *_ = np.linalg.lstsq(_linear_design(model, sizes), energies, rcond=None)
-        return tuple(float(c) for c in coeffs)
-    # Casimir: C0 + C1 L + C2 sum_h h^-2 K2(C3 h L); C2 linear for fixed C3,
-    # so scan C3 on a fixed logarithmic grid, then refine all four together.
-    median = float(np.median(sizes))
-    grid = np.geomspace(0.05, 50.0, 60) / median
-
-    def solve_linear(c3: float) -> tuple[np.ndarray, float]:
-        basis = np.column_stack([np.ones_like(sizes), sizes, _casimir_sum(c3, sizes)])
+    def solve_linear(c3: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        basis = _design(model, sizes, c3)
         lin, *_ = np.linalg.lstsq(basis, energies, rcond=None)
-        resid = basis @ lin - energies
-        return lin, float(resid @ resid)
+        return lin, basis @ lin - energies
 
-    best_c3, best_cost, best_lin = None, np.inf, None
-    for c3 in grid:
-        lin, cost = solve_linear(float(c3))
-        if cost < best_cost:
-            best_c3, best_cost, best_lin = float(c3), cost, lin
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        c0, c1, c2, c3 = theta
-        return c0 + c1 * sizes + c2 * _casimir_sum(c3, sizes) - energies
-
-    theta, _ = damped_gauss_newton(
-        residual,
-        (best_lin[0], best_lin[1], best_lin[2], best_c3),
-        feasible=lambda th: th[3] > 0,
+    if model is not EnergyModel.CASIMIR:
+        return tuple(float(c) for c in solve_linear()[0])
+    # Only C3 enters nonlinearly: C0..C2 are solved for each C3 (variable
+    # projection), so Gauss-Newton refines C3 alone from the best point of a
+    # fixed logarithmic grid.
+    grid = np.geomspace(0.05, 50.0, 60) / float(np.median(sizes))
+    costs = [float(r @ r) for _, r in map(solve_linear, grid)]
+    c3, _ = damped_gauss_newton(
+        lambda c: solve_linear(c)[1], float(grid[np.argmin(costs)]), feasible=lambda c: c > 0
     )
-    if theta[3] <= 0:
-        raise ValueError("Casimir fit diverged: C3 <= 0")
-    return tuple(float(c) for c in theta)
+    return (*(float(c) for c in solve_linear(c3)[0]), c3)
 
 
 def _evaluate(model: EnergyModel, coeffs: Sequence[float], size: float) -> float:
-    if model is EnergyModel.LINEAR:
-        c0, c1 = coeffs
-        return c0 + c1 * size
-    if model is EnergyModel.INVERSE_SERIES:
-        c0, c1, c2, c3, c4 = coeffs
-        return c0 + c1 * size + c2 / size + c3 / size**2 + c4 / size**3
-    c0, c1, c2, c3 = coeffs
-    return c0 + c1 * size + c2 * float(_casimir_sum(c3, size))
+    lin, c3 = (coeffs[:3], coeffs[3]) if model is EnergyModel.CASIMIR else (coeffs, None)
+    return float((_design(model, [size], c3) @ lin)[0])
 
 
 @dataclass(frozen=True)
@@ -299,7 +263,7 @@ def fit_energy_extrapolation(
     if len(np.unique(sizes)) != len(sizes):
         raise ValueError("duplicate sizes in energy data")
     vals = np.array([p[1] for p in pairs])
-    need = _N_COEFFS[model]
+    need = _design(model, sizes[:1], 1.0).shape[1] + (model is EnergyModel.CASIMIR)   # C0.. and C3
     if len(sizes) < need + 1:
         raise ValueError(f"{model.value} model needs at least {need + 1} points, got {len(sizes)}")
 

@@ -300,28 +300,20 @@ def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixPro
         site_ops.append(ops)
 
     # channel layout per bond: 0 = idle, 1 = done, then one per crossing term
-    crossing: list[dict[int, int]] = []
-    for b in range(n_sites + 1):
-        layout = {}
-        for t, (lo, hi) in enumerate(supports):
-            if lo < b <= hi:
-                layout[t] = 2 + len(layout)
-        crossing.append(layout)
+    crossing: list[dict[int, int]] = [{} for _ in range(n_sites + 1)]
+    for t, (lo, hi) in enumerate(supports):
+        for b in range(lo + 1, hi + 1):
+            crossing[b][t] = 2 + len(crossing[b])
 
-    tensors = []
-    for k in range(n_sites):
-        dl = 2 + len(crossing[k])
-        dr = 2 + len(crossing[k + 1])
-        w = np.zeros((dl, d, d, dr), dtype=complex)
-        w[0, :, :, 0] = np.eye(d)
-        w[1, :, :, 1] = np.eye(d)
-        for t, (lo, hi) in enumerate(supports):
-            if not lo <= k <= hi:
-                continue
+    tensors = [np.zeros((2 + len(crossing[k]), d, d, 2 + len(crossing[k + 1])), dtype=complex)
+               for k in range(n_sites)]
+    for w in tensors:
+        w[0, :, :, 0] = w[1, :, :, 1] = np.eye(d)
+    for t, (lo, hi) in enumerate(supports):
+        for k, site_op in site_ops[t].items():
             row = 0 if k == lo else crossing[k][t]
             col = 1 if k == hi else crossing[k + 1][t]
-            w[row, :, :, col] += site_ops[t][k]
-        tensors.append(w)
+            tensors[k][row, :, :, col] += site_op
 
     tensors[0] = tensors[0][0:1]
     tensors[-1] = tensors[-1][:, :, :, 1:2]

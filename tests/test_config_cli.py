@@ -275,6 +275,18 @@ class TestCliCommands:
                 if cell and not cell[0].isalpha():
                     float(cell)
 
+    def test_casimir_energy_fit_near_the_noise_floor(self, config_file, tmp_path):
+        """Casimir data that once stalled the four-parameter fit (exit 3) now fits."""
+        out = tmp_path / "out"
+        out.mkdir()
+        sizes = np.arange(2, 14)
+        energies = 0.6 - 7.78 * sizes - 0.03 / sizes**2 + np.random.default_rng(0).normal(0, 1e-6, 12)
+        rows = "".join(f"{n},{float(e)!r},1e-12,2,8\n" for n, e in zip(sizes, energies))
+        (out / "energies.csv").write_text(f"{MANIFEST}\nN,energy,epsilon,sweeps,max_bond\n{rows}")
+        cfg_path = config_file({"analysis": "gap = 2.0\nenergy_model = casimir"})
+        assert main(["energy-fit", "--config", cfg_path]) == 0
+        assert len(read_csv(out / "energy_fit.csv")) == 12
+
     def test_csv_headers_and_cells(self, config_file, tmp_path):
         out = tmp_path / "out"
         cfg_path = config_file({"analysis": "gap = 2.0"})

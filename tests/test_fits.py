@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gnlab import fits
 from gnlab.bessel import bessel_k
 from gnlab.fits import (
     CASIMIR_HARMONICS,
     CorrelationFit,
     EnergyModel,
     _casimir_sum,
+    _design,
     default_fit_window,
     fit_correlation_length,
     fit_energy_extrapolation,
@@ -29,6 +31,26 @@ def synthetic_series(b, chi, n_sites=50, spacing=0.02, noise=0.0, rng=None):
         values=tuple(vals),
         error_bars=tuple([0.0] * len(seps)),
     )
+
+
+def noisy_casimir_ladder():
+    """N = 2..13 with E = 0.6 - 7.78 N - 0.03 / N^2 plus seeded 1e-6 noise."""
+    sizes = np.arange(2.0, 14.0)
+    noise = np.random.default_rng(0).normal(0.0, 1e-6, len(sizes))
+    return sizes, 0.6 - 7.78 * sizes - 0.03 / sizes**2 + noise
+
+
+#: Seven DMRG-like energies whose four-point causal refit is exactly determined.
+ROUNDING_FLOOR_DATA = [
+    (2, -14.952065824101567), (3, -22.730155642367034),
+    (4, -30.512273747565157), (5, -38.295227853202945),
+    (6, -46.078381339465814), (7, -53.86158637198549),
+    (8, -61.64480544650826),
+]
+
+
+def within_ulps(got, want, ulps):
+    return all(abs(g - w) <= ulps * np.spacing(abs(w)) for g, w in zip(got, want, strict=True))
 
 
 class TestCorrelationFit:
@@ -88,6 +110,18 @@ class TestCorrelationFit:
         fit = fit_correlation_length(noisy)
         assert fit.corr_length_chi == pytest.approx(0.14, abs=1e-6)
 
+    def test_weighted_noisy_fit_pinned(self):
+        """(b, chi) of the full two-parameter Gauss-Newton fit on weighted, noisy data."""
+        series = synthetic_series(0.5, 0.14, noise=1e-3, rng=np.random.default_rng(0))
+        weighted = CorrelatorSeries(
+            separations=series.separations,
+            values=series.values,
+            error_bars=tuple(1e-3 * (1.0 + np.arange(len(series.separations)) / 5.0)),
+        )
+        fit = fit_correlation_length(weighted)
+        assert fit.amplitude_b == pytest.approx(0.5010481344813117, rel=1e-8)
+        assert fit.corr_length_chi == pytest.approx(0.1398056977455638, rel=1e-8)
+
     def test_fit_object_validation(self):
         with pytest.raises(ValueError):
             CorrelationFit(amplitude_b=1.0, corr_length_chi=-0.1, fit_window=(0, 1), residual_norm=0.0)
@@ -126,6 +160,9 @@ class TestEnergyExtrapolation:
         ]
         fit = fit_energy_extrapolation(data, EnergyModel.INVERSE_SERIES, gap=1.0)
         assert np.allclose(fit.coefficients, coeffs, atol=1e-6)
+        pinned = (14.934402332361508, 16.941992187500002, 18.948010973936878,
+                  20.952900000000007, 22.956949661908332)
+        assert within_ulps(fit.predictions[5:], pinned, 2)
 
     def test_prediction_errors_are_causal(self):
         """Corrupting the data at the largest size leaves earlier errors alone."""
@@ -138,20 +175,52 @@ class TestEnergyExtrapolation:
             atol=0.0, rtol=0.0, equal_nan=True,
         )
         assert fit_a.prediction_errors[-1] != fit_b.prediction_errors[-1]
+        pinned = (14.016666666666659, 17.011111111111106, 20.0075, 23.004999999999995,
+                  26.003190476190486, 29.00183673469387)
+        assert within_ulps(fit_a.predictions[2:], pinned, 2)
 
     def test_casimir_refit_at_rounding_floor(self):
         """Four points for four coefficients fit to the rounding floor; the
         Gauss-Newton iteration must stop there instead of taking tied steps."""
-        data = [
-            (2, -14.952065824101567), (3, -22.730155642367034),
-            (4, -30.512273747565157), (5, -38.295227853202945),
-            (6, -46.078381339465814), (7, -53.86158637198549),
-            (8, -61.64480544650826),
-        ]
-        fit = fit_energy_extrapolation(data, "casimir", gap=22.0)
+        fit = fit_energy_extrapolation(ROUNDING_FLOOR_DATA, "casimir", gap=22.0)
         defined = [e for e in fit.prediction_errors if not math.isnan(e)]
         assert len(defined) == 3
         assert all(math.isfinite(e) for e in defined)
+        # the full four-parameter Gauss-Newton fit's predictions
+        pinned = (-46.07839516631161, -53.861597808451634, -61.644814937450185)
+        assert fit.predictions[4:] == pytest.approx(pinned, rel=1e-10, abs=0.0)
+
+    def test_gauss_newton_work_guard(self, monkeypatch):
+        """The line search stops at the step tolerance instead of halving on
+        at the rounding floor: few residual evaluations over five fits."""
+        evals = []
+        engine = fits.damped_gauss_newton
+
+        def counting(residual, *args, **kwargs):
+            def counted(theta):
+                evals.append(theta)
+                return residual(theta)
+            return engine(counted, *args, **kwargs)
+
+        monkeypatch.setattr(fits, "damped_gauss_newton", counting)
+        fit_energy_extrapolation(ROUNDING_FLOOR_DATA, "casimir", gap=22.0)   # four Casimir fits
+        fit_correlation_length(synthetic_series(0.5, 0.14))
+        assert len(evals) <= 200
+
+    def test_casimir_fit_reaches_the_projected_minimum(self):
+        """A ladder where the Casimir term sits just above 1e-6 noise: the fit
+        returns, at a C3 whose projected cost matches a fine grid's best."""
+        sizes, energies = noisy_casimir_ladder()
+        fit = fit_energy_extrapolation(list(zip(sizes, energies)), EnergyModel.CASIMIR, gap=1.0)
+
+        def cost(c3):
+            basis = _design(EnergyModel.CASIMIR, sizes, c3)
+            lin, *_ = np.linalg.lstsq(basis, energies, rcond=None)
+            resid = basis @ lin - energies
+            return float(resid @ resid)
+
+        best = min(map(cost, np.geomspace(0.05, 50.0, 20_000) / np.median(sizes)))
+        assert cost(fit.coefficients[3]) <= best * (1.0 + 1e-5)
 
     def test_insufficient_points_rejected(self):
         with pytest.raises(ValueError):
