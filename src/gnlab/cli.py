@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, Engine, ExperimentConfig, load_config
-from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state, epsilon_measure
+from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state
 from .exact import ConvergenceError, ground_state_dense
 from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
 from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
@@ -122,16 +122,20 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
 
 
 def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo: int | None = None,
-                  smaller: MatrixProductState | None = None) -> tuple[MatrixProductState, DmrgReport | None]:
-    """`spec`'s converged ground state: its checkpoint if `reuse` and one exists (report None), else solved and saved.
+                  smaller: MatrixProductState | None = None) -> tuple[MatrixProductState, DmrgReport]:
+    """`spec`'s converged ground state and its solve's report: from its checkpoint if `reuse` and one exists,
+    else solved and saved.  A checkpoint that does not load, such as one of an older format, is a ConfigError.
     A state grown in a ladder begun at size `lo` starts from `smaller` with the symmetry-adapted pad appended."""
     chk = cfg.out_dir / _state_slug(cfg, spec, lo)
     if reuse and chk.exists():
-        return MatrixProductState.load(chk), None
+        try:
+            return MatrixProductState.load(chk)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; remove it or choose another output directory") from None
     start = None if lo is None else append_site(smaller, pad_state(PadKind.SYMMETRY_ADAPTED, spec.flavors))
     state, report = _solve_point(cfg, spec, start)
     chk.parent.mkdir(parents=True, exist_ok=True)
-    state.save(chk)
+    state.save(chk, report)
     return state, report
 
 
@@ -187,8 +191,7 @@ def cmd_correlate(cfg: ExperimentConfig) -> None:
     for m0, g0_sq in cfg.analysis.parameter_points():
         spec = replace(model, bare_mass=m0, coupling_sq=g0_sq)
         state, report = _ground_state(cfg, spec)
-        eps = report.epsilon if report else epsilon_measure(state, compile_mpo(build_hamiltonian(spec)))
-        series = two_point_correlator(state, spec, epsilon=eps)
+        series = two_point_correlator(state, spec, epsilon=report.epsilon)
         corr_rows.extend((m0, g0_sq, *point)
                          for point in zip(series.separations, series.values, series.error_bars))
         fit = fit_correlation_length(series, window=window)

@@ -8,21 +8,23 @@ when the convergence measure
     epsilon = (|<H^2>| - |<H>|^2) / |<H>|^2
 
 drops below the configured goal, or when the bond-dimension cap is reached
-and the energy has stalled.  The variance <H^2> - <H>^2 is contracted
-exactly as <(H - E)^2> through the squared MPO of H - E, in one transfer
-sweep with no truncation (Hubig, McCulloch and Schollwoeck, PRB 97, 045125
-(2018)); its parallel channels are merged first, which cuts its bond from
-16 to 8 for the Gross-Neveu chain and drops nothing.
+and the energy has stalled.  epsilon is measured after every sweep except
+a warm-up whose state reached WARMUP_BOND below the bond cap: that state
+cannot be the answer, so a full-cap sweep always follows it.  The variance
+<H^2> - <H>^2 is contracted exactly as <(H - E)^2> through the squared MPO
+of H - E, in one transfer sweep with no truncation (Hubig, McCulloch and
+Schollwoeck, PRB 97, 045125 (2018)); its parallel channels are merged
+first, which cuts its bond from 16 to 8 for the Gross-Neveu chain and
+drops nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import lanczos_lowest
 from .mps import (
+    DmrgReport,
     MatrixProductOperator,
     MatrixProductState,
     _deparallelize,
@@ -44,15 +46,6 @@ class EnergyIncreaseError(RuntimeError):
 
 class DegenerateEnergyError(ValueError):
     """|<H>| is too small for the relative variance measure."""
-
-
-@dataclass(frozen=True)
-class DmrgReport:
-    energy: float
-    epsilon: float
-    sweeps: int
-    max_bond: int
-    converged: bool
 
 
 def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> float:
@@ -130,7 +123,10 @@ def dmrg_ground_state(
 
     The random start's first sweep is capped at WARMUP_BOND; a given
     `start` is copied (never mutated), runs every sweep at `max_bond` and
-    must match the MPO's physical dimensions.  Deterministic given `seed`
+    must match the MPO's physical dimensions.  epsilon and the stop checks
+    follow every sweep but a warm-up that reached WARMUP_BOND < `max_bond`
+    (unless it is the last sweep allowed), which the next sweep refines at
+    `max_bond` in any case.  Deterministic given `seed`
     and `start`.  Raises EnergyIncreaseError if the energy rises across a
     sweep by more than `ENERGY_RISE_TOL * (1 + |E|)`.
     """
@@ -209,6 +205,8 @@ def dmrg_ground_state(
                 f"energy rose from {e_last} to {energy} across sweep {sweep}"
             )
         psi.normalize()
+        if cap < max_bond and max(psi.bond_dims) >= cap and sweep < max_sweeps:
+            continue   # a warm-up held at its cap is no answer yet: the next sweep runs at max_bond
         eps = epsilon_measure(psi, mpo)
         if eps < epsilon_goal:
             converged = True

@@ -12,7 +12,7 @@ layer, so dense vectors and networks can be compared directly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,19 @@ def truncated_svd(
         keep = min(keep, max_bond)
     keep = max(keep, 1)
     return u[:, :keep], s[:keep], vh[:keep]
+
+
+@dataclass(frozen=True)
+class DmrgReport:
+    """What a ground-state solve reported; a checkpoint stores it beside its state.
+
+    A dense solve reports sweeps = 0 and epsilon = ||Hv - Ev||^2 / E^2."""
+
+    energy: float
+    epsilon: float
+    sweeps: int
+    max_bond: int
+    converged: bool
 
 
 class MatrixProductState:
@@ -166,14 +179,20 @@ class MatrixProductState:
 
     # -- persistence ------------------------------------------------------------
 
-    _MAGIC = b"GNMPS001"
+    _MAGIC = b"GNMPS002"
+    _REPORT = struct.Struct("<ddII?")   # energy, epsilon, sweeps, max_bond, converged
 
-    def save(self, path: str | Path) -> None:
-        """Binary container: magic, uint32 n_sites and center, per-site uint32
-        (left, phys, right) dims, then row-major complex128 payloads
-        (little-endian float64 pairs)."""
+    def save(self, path: str | Path, report: DmrgReport) -> None:
+        """Binary checkpoint of the state and the report of the solve that produced it.
+
+        Byte layout, little-endian: the 8-byte magic GNMPS002; the report as
+        float64 energy and epsilon, uint32 sweeps and max_bond and one byte
+        converged (25 bytes); uint32 n_sites and center; per-site uint32
+        (left, phys, right) dims; then the row-major complex128 payloads
+        (float64 pairs)."""
         with open(path, "wb") as fh:
             fh.write(self._MAGIC)
+            fh.write(self._REPORT.pack(*astuple(report)))
             fh.write(struct.pack("<II", self.n_sites, self.center))
             for t in self.tensors:
                 fh.write(struct.pack("<III", *t.shape))
@@ -181,19 +200,31 @@ class MatrixProductState:
                 fh.write(np.ascontiguousarray(t, dtype="<c16").tobytes())
 
     @classmethod
-    def load(cls, path: str | Path) -> "MatrixProductState":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(cls._MAGIC))
-            if magic != cls._MAGIC:
-                raise ValueError(f"{path}: not an MPS checkpoint")
-            n_sites, center = struct.unpack("<II", fh.read(8))
-            shapes = [struct.unpack("<III", fh.read(12)) for _ in range(n_sites)]
+    def load(cls, path: str | Path) -> tuple["MatrixProductState", DmrgReport]:
+        """The state and report that `save` wrote to `path`, bit for bit.
+
+        Any other file, an older format or a truncated checkpoint among them,
+        raises ValueError naming `path`."""
+        data = Path(path).read_bytes()
+        try:
+            if not data.startswith(cls._MAGIC):
+                raise ValueError(f"it starts with {data[:len(cls._MAGIC)]!r}")
+            pos = len(cls._MAGIC)
+            report = DmrgReport(*cls._REPORT.unpack_from(data, pos))
+            n_sites, center = struct.unpack_from("<II", data, pos + cls._REPORT.size)
+            pos += cls._REPORT.size + 8
+            shapes = [struct.unpack_from("<III", data, pos + 12 * k) for k in range(n_sites)]
+            pos += 12 * n_sites
             tensors = []
             for shape in shapes:
                 count = shape[0] * shape[1] * shape[2]
-                buf = fh.read(16 * count)
-                tensors.append(np.frombuffer(buf, dtype="<c16").reshape(shape).astype(complex))
-        return cls(tensors, center=center)
+                tensors.append(np.frombuffer(data, "<c16", count, pos).reshape(shape).astype(complex))
+                pos += 16 * count
+            if pos != len(data):
+                raise ValueError(f"{len(data) - pos} bytes follow the last tensor")
+            return cls(tensors, center=center), report
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"{path}: not a {cls._MAGIC.decode()} checkpoint: {exc}") from None
 
 
 def mps_overlap(a: MatrixProductState, b: MatrixProductState) -> complex:

@@ -11,12 +11,14 @@ vector, independent of the MPS contraction the package measures with.
 The `*_reference` helpers, `epsilon_uncompressed` and `lanczos_reference`
 are the plain forms of faster package kernels (letter loops, pairwise
 scans, the three-term recurrence), kept to pin the fast forms to the same
-results.
+results.  `gnmps001_bytes` writes a checkpoint in the previous format by
+hand, for the tests that the reader refuses it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -387,3 +389,11 @@ def lanczos_reference(matvec, start: np.ndarray, tol: float, max_restarts: int =
         if np.linalg.norm(product - theta * v) <= goal:
             break
     return theta, v
+
+
+def gnmps001_bytes(state: MatrixProductState) -> bytes:
+    """`state` in the previous checkpoint format: magic, uint32 n_sites and center,
+    per-site uint32 dims, complex128 payloads, and no report."""
+    head = b"GNMPS001" + struct.pack("<II", state.n_sites, state.center)
+    shapes = b"".join(struct.pack("<III", *t.shape) for t in state.tensors)
+    return head + shapes + b"".join(t.astype("<c16").tobytes() for t in state.tensors)

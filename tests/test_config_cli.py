@@ -9,8 +9,10 @@ from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
 from gnlab.fits import EnergyModel
 from gnlab.model import Boundary, ModelSpec, build_hamiltonian
-from gnlab.mps import compile_mpo
+from gnlab.mps import MatrixProductState, compile_mpo
 from gnlab.overlaps import PadKind, pad_state
+
+from oracles import gnmps001_bytes
 
 BASE_CONFIG = """\
 [model]
@@ -612,6 +614,63 @@ class TestCliCommands:
         [cold] = fresh.glob("*.mps")
         assert (shared / cold.name).read_bytes() == cold.read_bytes()
         assert (shared / cold.name.replace(".mps", "_from9.mps")).exists()
+
+    def test_correlate_reuses_the_solved_state_and_its_epsilon(self, config_file, tmp_path, monkeypatch):
+        # 24 sites fill the default fit window; the reused checkpoint is neither rebuilt nor re-measured
+        import gnlab.cli
+        import gnlab.dmrg
+
+        path = Path(config_file())
+        path.write_text(path.read_text().replace("n_sites = 4", "n_sites = 24"))
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["solve", "--config", str(path), "--sizes", "24..24", "--out", str(shared)]) == 0
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for module, name in ((gnlab.cli, "build_hamiltonian"), (gnlab.cli, "compile_mpo"),
+                                 (gnlab.cli, "epsilon_measure"), (gnlab.dmrg, "epsilon_measure")):
+                if hasattr(module, name):
+                    patch.setattr(module, name, counted(name, getattr(module, name)))
+            assert main(["correlate", "--config", str(path), "--out", str(shared)]) == 0
+        assert main(["correlate", "--config", str(path), "--out", str(fresh)]) == 0
+        for name in ("correlators.csv", "corr_fits.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("damage", ["previous format", "truncated"])
+    @pytest.mark.parametrize("command", ["correlate", "overlap"])
+    def test_unreadable_checkpoint_is_config_error(self, tmp_path, capsys, command, damage):
+        # a stale output directory is a configuration problem, not a numerical failure
+        window = "fit_window_min = 0.4\nfit_window_max = 1.0\n"
+        out = tmp_path / "out"
+        text = BASE_CONFIG.format(out=out).replace("n_sites = 4", "n_sites = 10")
+        text = text.replace("spacing = 0.25", "spacing = 0.2")
+        path = tmp_path / "ten.ini"
+        path.write_text(text.replace("[analysis]\n", "[analysis]\n" + window))
+        assert main(["correlate" if command == "correlate" else "solve", "--config", str(path)]) == 0
+        for csv in out.glob("*.csv"):
+            csv.unlink()
+        victim = sorted(out.glob("*.mps"))[-1]
+        state, _report = MatrixProductState.load(victim)
+        victim.write_bytes(gnmps001_bytes(state) if damage == "previous format" else victim.read_bytes()[:-16])
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 2
+        assert f"config error: {victim}: not a GNMPS002 checkpoint" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(self, config_file, tmp_path, capsys):
+        # cold two-site DMRG loses a sector with two flavours and stalls at eps ~ 5e-5
+        path = Path(config_file({"model": "flavors = 2"}))
+        path.write_text(path.read_text().replace("max_bond = 32", "max_bond = 64"))
+        assert main(["solve", "--config", str(path), "--seed", "3"]) == 3
+        assert "DMRG did not converge at 2 sites in 40 sweep(s)" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"

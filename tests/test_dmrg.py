@@ -169,6 +169,67 @@ class TestDmrgGroundState:
         assert report.energy == pytest.approx(cold.energy, rel=1e-10)
 
 
+@pytest.fixture
+def measured_bonds(monkeypatch):
+    """The largest bond of every state whose epsilon `dmrg_ground_state` measures."""
+    bonds = []
+    measure = dmrg.epsilon_measure
+
+    def counted(state, mpo):
+        bonds.append(max(state.bond_dims))
+        return measure(state, mpo)
+
+    monkeypatch.setattr(dmrg, "epsilon_measure", counted)
+    return bonds
+
+
+class TestWarmUp:
+    """A random start's warm-up that reaches WARMUP_BOND below the cap is not measured: a full-cap sweep follows it."""
+
+    SPEC = ModelSpec(n_sites=24, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+
+    def test_bond_limited_warm_up_is_not_measured(self, measured_bonds):
+        state, report = solve(self.SPEC, max_bond=32)
+        assert report.converged and report.sweeps == 2
+        assert len(measured_bonds) == report.sweeps - 1
+        assert min(measured_bonds) > dmrg.WARMUP_BOND
+        # the values of the run that also measured its warm-up
+        assert report.energy == float.fromhex("-0x1.745a50d78bd02p+7")
+        assert report.epsilon == float.fromhex("0x1.6bcbe52774419p-42")
+
+    def test_warm_up_below_its_cap_is_measured(self, measured_bonds):
+        # two sites hold at most bond 4 < WARMUP_BOND: the warm-up meets the goal and ends the run
+        _state, report = solve(self.SPEC.with_sites(2))
+        assert report.converged and report.sweeps == 1
+        assert measured_bonds == [4]
+        assert report.energy == float.fromhex("-0x1.de7752bf44fa3p+3")
+
+    def test_warm_up_that_is_the_last_sweep_is_measured(self, measured_bonds):
+        mpo = compile_mpo(build_hamiltonian(self.SPEC))
+        _state, report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=32, seed=3, max_sweeps=1)
+        assert measured_bonds == [dmrg.WARMUP_BOND]
+        assert not report.converged and 0 < report.epsilon < np.inf
+
+
+class TestTwoFlavourDefect:
+    """Two-site DMRG loses a sector of the cold two-flavour N = 2 state and never gets it back.
+
+    At seed 3 (a = 0.25, m0 = 0.2, cap 64, goal 1e-10) it ends after 40 sweeps:
+    at g0^2 = 1.5 with E = -41.403406 against the dense -41.405644 and
+    epsilon = 5.3e-5, at g0^2 = 0 with epsilon = 9.4e-3.  Subspace expansion
+    (Hubig et al., PRB 91, 155115 (2015)) or White's density-matrix
+    perturbation (PRB 72, 180403(R) (2005)) should make these pass.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="two-site sweeps cannot restore a lost Schmidt vector")
+    @pytest.mark.parametrize("g0_sq", [1.5, 0.0])
+    def test_cold_two_site_vacuum_matches_dense(self, g0_sq):
+        spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=g0_sq, flavors=2)
+        _state, report = solve(spec)
+        dense = ground_state_dense(build_hamiltonian(spec)).ground_energy
+        assert abs(report.energy - dense) <= 1e-8 * abs(dense)
+
+
 class TestTwoSiteMatvec:
     """`_two_site_matvec` applies the einsum effective Hamiltonian, whatever its memory layout."""
 

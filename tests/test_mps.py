@@ -5,6 +5,7 @@ from gnlab.dmrg import _grow_right
 from gnlab import mps
 from gnlab.model import Boundary, ModelSpec, build_hamiltonian
 from gnlab.mps import (
+    DmrgReport,
     MatrixProductState,
     MpoRangeError,
     append_site,
@@ -20,6 +21,7 @@ from gnlab.mps import (
 from gnlab.pauli import PauliSumOperator, jordan_wigner
 
 from oracles import (
+    gnmps001_bytes,
     merge_columns_reference,
     mpo_to_matrix,
     mps_to_dense,
@@ -70,16 +72,37 @@ class TestMatrixProductState:
     def test_save_load_roundtrip(self, tmp_path, rng):
         vec = random_state_vector(256, rng)
         mps = MatrixProductState.from_dense(vec, grouped_dims(8))
+        report = DmrgReport(energy=float(-rng.exponential(20)), epsilon=float(rng.exponential(1e-11)),
+                            sweeps=7, max_bond=max(mps.bond_dims), converged=True)
         path = tmp_path / "state.mps"
-        mps.save(path)
-        back = MatrixProductState.load(path)
+        mps.save(path, report)
+        back, back_report = MatrixProductState.load(path)
         assert back.center == mps.center
+        assert len(back.tensors) == len(mps.tensors)
+        for got, want in zip(back.tensors, mps.tensors):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert back_report == report
+        assert [type(v) for v in vars(back_report).values()] == [float, float, int, int, bool]
+        assert back_report.energy.hex() == report.energy.hex()
+        assert back_report.epsilon.hex() == report.epsilon.hex()
         assert np.max(np.abs(mps_to_dense(back) - vec)) < 1e-12
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.mps"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            MatrixProductState.load(path)
+
+    @pytest.mark.parametrize("damage", ["previous format", "truncated", "trailing byte"])
+    def test_load_rejects_other_checkpoints_naming_them(self, tmp_path, damage):
+        mps = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=2)
+        path = tmp_path / "state.mps"
+        mps.save(path, DmrgReport(energy=-3.5, epsilon=1e-12, sweeps=2, max_bond=4, converged=True))
+        path.write_bytes({"previous format": gnmps001_bytes(mps),
+                          "truncated": path.read_bytes()[:-1],
+                          "trailing byte": path.read_bytes() + b"\0"}[damage])
+        with pytest.raises(ValueError, match="state.mps: not a GNMPS002 checkpoint"):
             MatrixProductState.load(path)
 
 
