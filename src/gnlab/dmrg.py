@@ -1,21 +1,18 @@
 """Two-site DMRG ground-state search with a variance-based stopping rule.
 
-A run starts from a seeded random bond-2 state, warmed up by one sweep at
-bond WARMUP_BOND, or from a given state, such as the previous size's vacuum
-with a pad appended, whose sweeps all run at the full bond cap.  It stops
-when the convergence measure
+A run starts from a seeded random bond-2 state or from a given state, such
+as the previous size's vacuum with a pad appended; every sweep runs at the
+bond cap.  It stops when the convergence measure
 
     epsilon = (|<H^2>| - |<H>|^2) / |<H>|^2
 
 drops below the configured goal, or when the bond-dimension cap is reached
-and the energy has stalled.  epsilon is measured after every sweep except
-a warm-up whose state reached WARMUP_BOND below the bond cap: that state
-cannot be the answer, so a full-cap sweep always follows it.  The variance
-<H^2> - <H>^2 is contracted exactly as <(H - E)^2> through the squared MPO
-of H - E, in one transfer sweep with no truncation (Hubig, McCulloch and
-Schollwoeck, PRB 97, 045125 (2018)); its parallel channels are merged
-first, which cuts its bond from 16 to 8 for the Gross-Neveu chain and
-drops nothing.
+and the energy has stalled; epsilon is measured after every sweep.  The
+variance <H^2> - <H>^2 is contracted exactly as <(H - E)^2> through the
+squared MPO of H - E, in one transfer sweep with no truncation (Hubig,
+McCulloch and Schollwoeck, PRB 97, 045125 (2018)); its parallel channels
+are merged first, which cuts its bond from 16 to 8 for the Gross-Neveu
+chain and drops nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .mps import (
 
 
 DISCARDED_WEIGHT = 1e-12   # sweep truncation, relative to the squared norm
-WARMUP_BOND = 8            # bond cap of the first sweep
 KRYLOV_DIM = 16            # local Lanczos basis size
 ENERGY_RISE_TOL = 1e-8     # tolerated sweep-to-sweep rise, relative to 1 + |E|
 
@@ -121,14 +117,11 @@ def dmrg_ground_state(
 ) -> tuple[MatrixProductState, DmrgReport]:
     """Two-site sweeps from `start`, or else a seeded random bond-2 state, until epsilon converges.
 
-    The random start's first sweep is capped at WARMUP_BOND; a given
-    `start` is copied (never mutated), runs every sweep at `max_bond` and
-    must match the MPO's physical dimensions.  epsilon and the stop checks
-    follow every sweep but a warm-up that reached WARMUP_BOND < `max_bond`
-    (unless it is the last sweep allowed), which the next sweep refines at
-    `max_bond` in any case.  Deterministic given `seed`
-    and `start`.  Raises EnergyIncreaseError if the energy rises across a
-    sweep by more than `ENERGY_RISE_TOL * (1 + |E|)`.
+    Every sweep runs at `max_bond`, and epsilon and the stop checks follow
+    each one.  A given `start` is copied (never mutated) and must match the
+    MPO's physical dimensions.  Deterministic given `seed` and `start`.
+    Raises EnergyIncreaseError if the energy rises across a sweep by more
+    than `ENERGY_RISE_TOL * (1 + |E|)`.
     """
     if epsilon_goal <= 0:
         raise ValueError("epsilon_goal must be positive")
@@ -162,7 +155,7 @@ def dmrg_ground_state(
     # r <= 1e-3 sqrt(epsilon_goal) |E| keeps that share below 1e-6 of the goal.
     local_rtol = 1e-3 * np.sqrt(epsilon_goal)
 
-    def optimize_bond(k: int, cap: int):
+    def optimize_bond(k: int):
         (dl, d1, _), (_, d2, dr) = psi.tensors[k].shape, psi.tensors[k + 1].shape
         theta = psi.tensors[k].reshape(dl * d1, -1) @ psi.tensors[k + 1].reshape(-1, d2 * dr)
         matvec = _two_site_matvec(left_envs[k], mpo.tensors[k], mpo.tensors[k + 1], right_envs[k + 2])
@@ -175,16 +168,15 @@ def dmrg_ground_state(
             krylov_dim=KRYLOV_DIM,
             strict=False,
         )
-        u, s, vh = truncated_svd(vec.reshape(dl * d1, d2 * dr), cap, DISCARDED_WEIGHT)
+        u, s, vh = truncated_svd(vec.reshape(dl * d1, d2 * dr), max_bond, DISCARDED_WEIGHT)
         s = s / np.linalg.norm(s)
         return e_loc, u, s, vh, (dl, d1, d2, dr)
 
     for sweep in range(1, max_sweeps + 1):
-        cap = min(WARMUP_BOND, max_bond) if sweep == 1 and start is None else max_bond
         e_last = energy
         # left-to-right
         for k in range(n - 1):
-            e_loc, u, s, vh, (dl, d1, d2, dr) = optimize_bond(k, cap)
+            e_loc, u, s, vh, (dl, d1, d2, dr) = optimize_bond(k)
             chi = len(s)
             psi.tensors[k] = u.reshape(dl, d1, chi)
             psi.tensors[k + 1] = (s[:, None] * vh).reshape(chi, d2, dr)
@@ -192,7 +184,7 @@ def dmrg_ground_state(
             left_envs[k + 1] = transfer(left_envs[k], psi.tensors[k], mpo.tensors[k], psi.tensors[k])
         # right-to-left
         for k in range(n - 2, -1, -1):
-            e_loc, u, s, vh, (dl, d1, d2, dr) = optimize_bond(k, cap)
+            e_loc, u, s, vh, (dl, d1, d2, dr) = optimize_bond(k)
             chi = len(s)
             psi.tensors[k + 1] = vh.reshape(chi, d2, dr)
             psi.tensors[k] = (u * s[None, :]).reshape(dl, d1, chi)
@@ -205,8 +197,6 @@ def dmrg_ground_state(
                 f"energy rose from {e_last} to {energy} across sweep {sweep}"
             )
         psi.normalize()
-        if cap < max_bond and max(psi.bond_dims) >= cap and sweep < max_sweeps:
-            continue   # a warm-up held at its cap is no answer yet: the next sweep runs at max_bond
         eps = epsilon_measure(psi, mpo)
         if eps < epsilon_goal:
             converged = True

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gnlab import dmrg
 from gnlab.model import ModelSpec
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -41,3 +42,23 @@ def small_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def local_solve_counts(monkeypatch):
+    """Count the local solves (two-site matvecs built) and the products they take."""
+    counts = {"solves": 0, "matvecs": 0}
+    build = dmrg._two_site_matvec
+
+    def counting_matvec(*args):
+        matvec = build(*args)
+        counts["solves"] += 1
+
+        def counted(vec):
+            counts["matvecs"] += 1
+            return matvec(vec)
+
+        return counted
+
+    monkeypatch.setattr(dmrg, "_two_site_matvec", counting_matvec)
+    return counts

@@ -559,21 +559,21 @@ class TestCliCommands:
             brute = abs(np.vdot(np.kron(ground[j], pad), ground[j + 1]))
             assert abs(float(row["overlap"]) - brute) <= 1e-12
 
-    def test_solve_grows_each_size_from_the_last(self, config_file, tmp_path):
-        # same energies as cold solves, in fewer sweeps
+    def test_solve_grows_each_size_from_the_last(self, config_file, tmp_path, local_solve_counts):
+        # same energies as cold solves, in fewer local products (332 against 1,161, 7 sweeps each)
         assert main(["solve", "--config", config_file(), "--sizes", "2..8"]) == 0
+        grown_products = local_solve_counts["matvecs"]
+        local_solve_counts["matvecs"] = 0
         rows = read_csv(tmp_path / "out" / "energies.csv")
         assert [int(r["N"]) for r in rows] == list(range(2, 9))
         spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
-        cold_sweeps = 0
         for row in rows:
             op = build_hamiltonian(spec.with_sites(int(row["N"])))
             _state, cold = dmrg_ground_state(compile_mpo(op), epsilon_goal=1e-10, max_bond=32, seed=7)
-            cold_sweeps += cold.sweeps
             assert float(row["energy"]) == pytest.approx(cold.energy, rel=1e-10)
             if op.n_qubits <= 10:
                 assert float(row["energy"]) == pytest.approx(ground_state_dense(op).ground_energy, rel=1e-8)
-        assert sum(int(r["sweeps"]) for r in rows) < cold_sweeps
+        assert 2 * grown_products < local_solve_counts["matvecs"]
 
     def test_ladder_start_ignores_pad_kind(self, config_file, tmp_path):
         rows = {}
@@ -664,13 +664,19 @@ class TestCliCommands:
         assert f"config error: {victim}: not a GNMPS002 checkpoint" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
-    def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(self, config_file, tmp_path, capsys):
-        # cold two-site DMRG loses a sector with two flavours and stalls at eps ~ 5e-5
+    @pytest.mark.parametrize("g0_sq, failing_size", [(1.5, 3), (0.0, 2)])
+    def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(
+            self, config_file, tmp_path, capsys, g0_sq, failing_size):
+        # two-site DMRG loses a sector with two flavours: at g0^2 = 1.5 the size
+        # grown from the converged N = 2 stalls at eps ~ 4e-3, at g0^2 = 0 the cold N = 2 at eps ~ 9e-3
         path = Path(config_file({"model": "flavors = 2"}))
-        path.write_text(path.read_text().replace("max_bond = 32", "max_bond = 64"))
+        text = path.read_text().replace("max_bond = 32", "max_bond = 64")
+        path.write_text(text.replace("coupling_sq = 1.5", f"coupling_sq = {g0_sq}"))
         assert main(["solve", "--config", str(path), "--seed", "3"]) == 3
-        assert "DMRG did not converge at 2 sites in 40 sweep(s)" in capsys.readouterr().err
-        assert not list((tmp_path / "out").glob("*"))
+        assert f"DMRG did not converge at {failing_size} sites in 40 sweep(s)" in capsys.readouterr().err
+        # no CSV, and no checkpoint but those of the converged sizes below the failing one
+        written = sorted(p.name.split("_")[1] for p in (tmp_path / "out").glob("*"))
+        assert written == [f"N{n}" for n in range(2, failing_size)]
 
     def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
