@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, Engine, ExperimentConfig, load_config
-from .dmrg import DmrgReport, EnergyIncreaseError, dmrg_ground_state
+from .dmrg import DmrgReport, dmrg_ground_state
 from .exact import ConvergenceError, ground_state_dense
 from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
 from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
@@ -30,7 +30,6 @@ from .stateprep import OracleMode, PreparationError, prepare_vacuum
 NUMERICAL_ERRORS = (
     ConvergenceError,
     FitConvergenceError,
-    EnergyIncreaseError,
     PreparationError,
     np.linalg.LinAlgError,
     ValueError,
@@ -124,14 +123,18 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
 def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo: int | None = None,
                   smaller: MatrixProductState | None = None) -> tuple[MatrixProductState, DmrgReport]:
     """`spec`'s converged ground state and its solve's report: from its checkpoint if `reuse` and one exists,
-    else solved and saved.  A checkpoint that does not load, such as one of an older format, is a ConfigError.
+    else solved and saved.  A checkpoint that does not load, such as one of an older format, or a DMRG one whose
+    stored epsilon is not below `epsilon_goal`, is a ConfigError.
     A state grown in a ladder begun at size `lo` starts from `smaller` with the symmetry-adapted pad appended."""
     chk = cfg.out_dir / _state_slug(cfg, spec, lo)
     if reuse and chk.exists():
         try:
-            return MatrixProductState.load(chk)
+            state, report = MatrixProductState.load(chk)
+            if cfg.solver.engine is Engine.DMRG and not report.epsilon < (goal := cfg.solver.epsilon_goal):
+                raise ValueError(f"{chk}: stored epsilon {report.epsilon:.3e} is not below the goal {goal:.3e}")
         except ValueError as exc:
             raise ConfigError(f"{exc}; remove it or choose another output directory") from None
+        return state, report
     start = None if lo is None else append_site(smaller, pad_state(PadKind.SYMMETRY_ADAPTED, spec.flavors))
     state, report = _solve_point(cfg, spec, start)
     chk.parent.mkdir(parents=True, exist_ok=True)

@@ -56,12 +56,22 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """[solver]: a positive epsilon_goal, max_bond >= 2 and max_sweeps >= 1."""
+
     engine: Engine = Engine.DMRG
     epsilon_goal: float = 1e-8
     max_bond: int = 64
     dense_cap: int = DENSE_CAP_DEFAULT
     seed: int = 3
     max_sweeps: int = 40
+
+    def __post_init__(self) -> None:
+        if not self.epsilon_goal > 0:
+            raise ValueError(f"epsilon_goal must be positive, got {self.epsilon_goal}")
+        if self.max_bond < 2:
+            raise ValueError(f"max_bond must be at least 2, got {self.max_bond}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -400,11 +401,14 @@ class TestCliCommands:
             "[model]\nn_sites = 9\nspacing = 0.25\nbare_mass = 0.2\ncoupling_sq = 1.5\n"
             "boundary = periodic\n[analysis]\nsizes_max = 4\n"
         )
-        # out-of-range [analysis] values in an otherwise valid config: refused before any solve or write
+        # out-of-range [analysis] and [solver] values in an otherwise valid config: refused before any solve or write
         base = BASE_CONFIG.format(out=tmp_path / "out")
         ranges = (base.replace("sizes_min = 2", "sizes_min = 1"),
                   base.replace("sizes_min = 2\nsizes_max = 4", "sizes_min = 5\nsizes_max = 3"),
-                  base.replace("points = 0.2:1.5", "points = 0.2:1.5\ngap = -1.0"))
+                  base.replace("points = 0.2:1.5", "points = 0.2:1.5\ngap = -1.0"),
+                  base.replace("epsilon_goal = 1e-10", "epsilon_goal = 0"),
+                  base.replace("max_bond = 32", "max_bond = 1"),
+                  base.replace("seed = 7", "seed = 7\nmax_sweeps = 0"))
         cases = [(text, []) for text in ("[solver]\nwibble = 1\n", "[output]\nformats = csv\n",
                                          "[prep]\nrepetitions = 3\n", "[analysis]\nm0_values = 0.2\n",
                                          "[analysis]\ng0_sq_values = 0.5,1.0\n", periodic, *ranges)]
@@ -643,10 +647,11 @@ class TestCliCommands:
             assert (shared / name).read_bytes() == (fresh / name).read_bytes()
         assert calls == []
 
-    @pytest.mark.parametrize("damage", ["previous format", "truncated"])
+    @pytest.mark.parametrize("damage", ["previous format", "truncated", "missed goal"])
     @pytest.mark.parametrize("command", ["correlate", "overlap"])
     def test_unreadable_checkpoint_is_config_error(self, tmp_path, capsys, command, damage):
-        # a stale output directory is a configuration problem, not a numerical failure
+        # a stale output directory is a configuration problem, not a numerical failure; so is a
+        # checkpoint whose stored epsilon missed the goal, as an older stop rule could save
         window = "fit_window_min = 0.4\nfit_window_max = 1.0\n"
         out = tmp_path / "out"
         text = BASE_CONFIG.format(out=out).replace("n_sites = 4", "n_sites = 10")
@@ -657,26 +662,46 @@ class TestCliCommands:
         for csv in out.glob("*.csv"):
             csv.unlink()
         victim = sorted(out.glob("*.mps"))[-1]
-        state, _report = MatrixProductState.load(victim)
-        victim.write_bytes(gnmps001_bytes(state) if damage == "previous format" else victim.read_bytes()[:-16])
+        state, report = MatrixProductState.load(victim)
+        if damage == "missed goal":
+            state.save(victim, replace(report, epsilon=2.3e-7))
+            message = "stored epsilon 2.300e-07 is not below the goal 1.000e-10"
+        else:
+            victim.write_bytes(gnmps001_bytes(state) if damage == "previous format" else victim.read_bytes()[:-16])
+            message = "not a GNMPS002 checkpoint"
         capsys.readouterr()
         assert main([command, "--config", str(path)]) == 2
-        assert f"config error: {victim}: not a GNMPS002 checkpoint" in capsys.readouterr().err
+        assert f"config error: {victim}: {message}" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("g0_sq, failing_size", [(1.5, 3), (0.0, 2)])
+    @pytest.mark.parametrize("g0_sq, failing_size, sweeps", [(1.5, 3, 2), (0.0, 2, 26)])
     def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(
-            self, config_file, tmp_path, capsys, g0_sq, failing_size):
-        # two-site DMRG loses a sector with two flavours: at g0^2 = 1.5 the size
-        # grown from the converged N = 2 stalls at eps ~ 4e-3, at g0^2 = 0 the cold N = 2 at eps ~ 9e-3
+            self, config_file, tmp_path, capsys, g0_sq, failing_size, sweeps):
+        # two-site DMRG loses a sector with two flavours: at g0^2 = 1.5 the size grown from the
+        # converged N = 2 stops lowering its energy at eps ~ 4e-3, at g0^2 = 0 the cold N = 2 at eps ~ 9e-3
         path = Path(config_file({"model": "flavors = 2"}))
         text = path.read_text().replace("max_bond = 32", "max_bond = 64")
         path.write_text(text.replace("coupling_sq = 1.5", f"coupling_sq = {g0_sq}"))
         assert main(["solve", "--config", str(path), "--seed", "3"]) == 3
-        assert f"DMRG did not converge at {failing_size} sites in 40 sweep(s)" in capsys.readouterr().err
+        assert f"DMRG did not converge at {failing_size} sites in {sweeps} sweep(s)" in capsys.readouterr().err
         # no CSV, and no checkpoint but those of the converged sizes below the failing one
         written = sorted(p.name.split("_")[1] for p in (tmp_path / "out").glob("*"))
         assert written == [f"N{n}" for n in range(2, failing_size)]
+
+    @pytest.mark.parametrize("n_sites, max_bond, goal, epsilon", [
+        (16, 8, "1e-12", "2.305e-07"),   # stalls at the bond cap
+        (6, 4, "1e-10", "7.411e-06"),    # the capped second sweep raises the energy
+    ])
+    def test_capped_solve_that_misses_its_goal_is_numerical_failure(
+            self, config_file, tmp_path, capsys, n_sites, max_bond, goal, epsilon):
+        path = Path(config_file())
+        text = path.read_text().replace("spacing = 0.25", "spacing = 0.02")
+        text = text.replace("max_bond = 32", f"max_bond = {max_bond}")
+        path.write_text(text.replace("epsilon_goal = 1e-10", f"epsilon_goal = {goal}"))
+        assert main(["solve", "--config", str(path), "--seed", "3", "--sizes", f"{n_sites}..{n_sites}"]) == 3
+        assert (f"DMRG did not converge at {n_sites} sites in 2 sweep(s): epsilon {epsilon}, goal {float(goal):.3e}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_overlap_ignores_checkpoints_of_another_seed(self, config_file, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
@@ -700,14 +725,16 @@ class TestCliCommands:
             return str(path)
 
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
-        assert main(["solve", "--config", config("capped.ini", 8), "--sizes", "10..10",
+        # cap 20 meets the goal at bond 20 in one sweep; cap 32 ends at bond 24
+        assert main(["solve", "--config", config("capped.ini", 20), "--sizes", "10..10",
                      "--out", str(shared)]) == 0
         wide = config("wide.ini", 32)
         assert main(["correlate", "--config", wide, "--out", str(shared)]) == 0
         assert main(["correlate", "--config", wide, "--out", str(fresh)]) == 0
         for name in ("correlators.csv", "corr_fits.csv"):
             assert (shared / name).read_bytes() == (fresh / name).read_bytes()
-        assert sorted(p.name.split("_")[11] for p in shared.glob("*.mps")) == ["b32", "b8"]
+        assert sorted(p.name.split("_")[11] for p in shared.glob("*.mps")) == ["b20", "b32"]
+        assert sorted(MatrixProductState.load(p)[1].max_bond for p in shared.glob("*.mps")) == [20, 24]
 
     def test_bad_sizes_flag(self, config_file):
         assert main(["solve", "--config", config_file(), "--sizes", "xx"]) == 2

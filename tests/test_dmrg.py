@@ -153,6 +153,31 @@ class TestDmrgGroundState:
         assert report.energy == pytest.approx(cold.energy, rel=1e-10)
 
 
+class TestStopRule:
+    """epsilon < goal ends a run converged; a sweep that fails to lower the energy ends it unconverged."""
+
+    @pytest.mark.parametrize("n_sites, max_bond, goal, converged", [
+        (16, 8, 1e-12, False),   # stalls at the bond cap far above the goal
+        (6, 4, 1e-10, False),    # the capped second sweep raises the energy
+        (6, 64, 1e-10, True),
+    ])
+    def test_converged_means_the_goal_was_met(self, n_sites, max_bond, goal, converged):
+        spec = ModelSpec(n_sites=n_sites, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        _state, report = solve(spec, epsilon_goal=goal, max_bond=max_bond)
+        assert report.converged is converged
+        assert report.converged == (report.epsilon < goal)
+        if not converged:
+            assert report.sweeps == 2 and report.max_bond == max_bond
+
+    def test_a_capped_sweep_that_raises_the_energy_ends_the_run(self):
+        spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
+        mpo = compile_mpo(build_hamiltonian(spec))
+        first = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=4, seed=3, max_sweeps=1)[1]
+        _state, report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=4, seed=3)
+        assert report.energy > first.energy
+        assert report.sweeps == 2 and not report.converged
+
+
 @pytest.fixture
 def measured_bonds(monkeypatch):
     """The largest bond of every state whose epsilon `dmrg_ground_state` measures."""
@@ -189,8 +214,9 @@ class TestTwoFlavourDefect:
 
     At g0^2 = 1.5 one full-cap sweep finds the dense vacuum.  At g0^2 = 0
     two-site sweeps lose a sector and never get it back (White, PRB 72,
-    180403(R) (2005)): 40 sweeps end at bond 8 with epsilon = 9.4e-3, at
-    every seed.  Subspace expansion (Hubig et al., PRB 91, 155115 (2015))
+    180403(R) (2005)): the energy stops falling at bond 8 with epsilon =
+    9.4e-3, at every seed (after 26-34 sweeps at seeds 0-7), and the run
+    ends unconverged.  Subspace expansion (Hubig et al., PRB 91, 155115 (2015))
     or White's density-matrix perturbation should make that case pass.
     """
 
@@ -246,6 +272,16 @@ class TestEpsilonMeasure:
         mps = MatrixProductState.from_dense(dense.ground_vector, grouped_dims(op.n_qubits))
         eps = epsilon_measure(mps, compile_mpo(op))
         assert eps <= 1e-10
+
+    def test_epsilon_never_reads_zero(self):
+        """An exact product eigenstate has no variance to round: epsilon reads the float64 floor, not 0."""
+        n = 4
+        terms = [(1.0 + 0.1 * q, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)]
+        mpo = compile_mpo(PauliSumOperator.from_terms(n, terms))
+        vacuum = np.zeros(2**n, dtype=complex)
+        vacuum[0] = 1.0
+        state = MatrixProductState.from_dense(vacuum, mpo.phys_dims)
+        assert epsilon_measure(state, mpo) == np.finfo(float).eps
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
     def test_delta_bound_for_perturbed_states(self, delta):
