@@ -101,7 +101,7 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
         vec = result.ground_vector
         h_vec = op.apply(vec)
         e = float(np.real(np.vdot(vec, h_vec)))
-        eps = float(np.linalg.norm(h_vec - e * vec)) ** 2 / e**2
+        eps = max(float(np.linalg.norm(h_vec - e * vec)) ** 2 / e**2, np.finfo(float).eps)   # epsilon_measure's floor
         mps = MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits))
         report = DmrgReport(energy=result.ground_energy, epsilon=eps, sweeps=0,
                             max_bond=max(mps.bond_dims), converged=True)

@@ -123,6 +123,8 @@ def dmrg_ground_state(
         raise ValueError("epsilon_goal must be positive")
     if max_bond < 2:
         raise ValueError("max_bond must be at least 2")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     n = mpo.n_sites
     if n < 2:
         raise ValueError("two-site sweeps need at least two sites")

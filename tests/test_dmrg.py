@@ -122,6 +122,8 @@ class TestDmrgGroundState:
             dmrg_ground_state(mpo, epsilon_goal=0.0, max_bond=16, seed=0)
         with pytest.raises(ValueError):
             dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=1, seed=0)
+        with pytest.raises(ValueError, match="max_sweeps"):
+            dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=16, seed=0, max_sweeps=0)
 
     def test_start_of_another_size_is_refused(self, small_spec):
         mpo = compile_mpo(build_hamiltonian(small_spec))

@@ -5,9 +5,12 @@ import pytest
 
 import gnlab.exact
 from gnlab.exact import (
+    DENSE_CAP_DEFAULT,
     ConvergenceError,
     ExactPropagator,
+    _eigensystem,
     _invariant_blocks,
+    _lowest_pair,
     fix_phase,
     ground_state_dense,
     lanczos_lowest,
@@ -128,6 +131,84 @@ class TestDense:
         expected = np.sort((pair.reshape(-1, 1) + rest).ravel())
         assert np.max(np.abs(prop.evals - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert ground_state_dense(op).ground_energy == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+
+
+def _full_lowest_pair(op):
+    """The lowest pair from every block's `eigh`, which `ground_state_dense` prunes."""
+    return _lowest_pair(*_eigensystem(op, DENSE_CAP_DEFAULT))
+
+
+def _spy_linalg(monkeypatch, names):
+    """Record (name, matrix size, succeeded) of each listed np.linalg call the dense solver makes."""
+    linalg = gnlab.exact.np.linalg
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(mat, *args, **kwargs):
+            try:
+                out = fn(mat, *args, **kwargs)
+            except linalg.LinAlgError:
+                calls.append((name, len(mat), False))
+                raise
+            calls.append((name, len(mat), True))
+            return out
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    return calls
+
+
+class TestPrunedLowestPair:
+    """`ground_state_dense` skips blocks; the full block eigensystem is its reference."""
+
+    @pytest.mark.parametrize("point", [(0.2, 1.5), (0.4, 1.0)])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+    def test_gross_neveu_matches_the_full_solve(self, n_sites, point):
+        op = build_hamiltonian(ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=point[0], coupling_sq=point[1]))
+        pruned, full = ground_state_dense(op), _full_lowest_pair(op)
+        assert pruned.ground_energy == full.ground_energy
+        assert np.array_equal(pruned.ground_vector, full.ground_vector)
+        assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
+
+    def test_ground_block_without_the_smallest_diagonal_undercuts(self, monkeypatch):
+        # blocks {00}, {01, 10} and {11} have diagonals 1, (0, 0) and -1; the
+        # hopping XX + YY splits the middle block into -2 and 2, below {11}'s -1
+        op = PauliSumOperator.from_terms(2, [(0.5, "ZI"), (0.5, "IZ"), (1.0, "XX"), (1.0, "YY")])
+        full = _full_lowest_pair(op)
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
+        pruned = ground_state_dense(op)
+        # {11} first, then the undercut middle block; {00} lies above E1 = -1
+        assert calls == [("eigh", 1, True), ("eigvalsh", 2, True), ("eigh", 2, True), ("cholesky", 1, True)]
+        assert (pruned.ground_energy, pruned.first_excited_energy) == (-2.0, -1.0)
+        assert pruned.ground_energy == full.ground_energy
+        assert np.array_equal(pruned.ground_vector, full.ground_vector)
+        assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
+
+    def test_first_excited_level_in_another_block(self, monkeypatch):
+        # as above with hopping 0.2: the middle block's -0.4 is E1, above {11}'s E0 = -1
+        op = PauliSumOperator.from_terms(2, [(0.5, "ZI"), (0.5, "IZ"), (0.2, "XX"), (0.2, "YY")])
+        full = _full_lowest_pair(op)
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
+        pruned = ground_state_dense(op)
+        assert calls == [("eigh", 1, True), ("eigvalsh", 2, True), ("cholesky", 1, True)]
+        assert pruned.ground_energy == full.ground_energy == -1.0
+        assert np.array_equal(pruned.ground_vector, full.ground_vector)
+        assert pruned.first_excited_energy == pytest.approx(-0.4, rel=1e-13, abs=0.0)
+        assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
+
+    def test_five_sites_diagonalise_one_block(self, monkeypatch):
+        # the vacuum lies in the 252-dim half-filled block and E1 in the two
+        # 210-dim blocks; the other eight blocks pass the Cholesky test at E1
+        op = build_hamiltonian(ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
+        ground_state_dense(op)
+        assert [call for call in calls if call[0] == "eigh"] == [("eigh", 252, True)]
+        assert sum(name == "cholesky" for name, _size, _ok in calls) == 10
+        eigvalsh = [k for k, (name, _size, _ok) in enumerate(calls) if name == "eigvalsh"]
+        assert sorted(calls[k][1] for k in eigvalsh) == [210, 210]
+        for k in eigvalsh:
+            assert calls[k - 1] == ("cholesky", calls[k][1], False)
 
 
 def _unitary_eigensystem_residuals(mat, prop):

@@ -386,22 +386,26 @@ class TestPrepareVacuum:
         with pytest.raises(ValueError, match="half-gap"):
             prepare_vacuum(spec, 2, 4, pad, bad, eps=1e-3)
 
-    @pytest.mark.parametrize(("mode", "eigensystems"), [("ideal", [4, 6, 8]), ("phase-estimation", [4, 6, 8, 2, 2])],
+    @pytest.mark.parametrize(("mode", "eigensystems", "lowest_pairs"),
+                             [("ideal", [], [4, 6, 8]), ("phase-estimation", [4, 6, 8, 2, 2], [])],
                              ids=["ideal-3", "phase-estimation-5"])
-    def test_each_hamiltonian_diagonalised_once(self, prep_setup, monkeypatch, mode, eigensystems):
-        # one per size 2..4; each phase-estimation step adds its 2-qubit pad
-        # penalty, and no 6- or 8-qubit start operator is diagonalised
+    def test_each_hamiltonian_diagonalised_once(self, prep_setup, monkeypatch, mode, eigensystems, lowest_pairs):
+        # one solve per size 2..4: a lowest-pair solve in ideal mode, a full
+        # eigensystem in phase-estimation mode; each phase-estimation step adds
+        # its 2-qubit pad penalty, and no 6- or 8-qubit start operator is diagonalised
         spec, fit, pad = prep_setup
-        solved = []
-        eigensystem = gnlab.exact._eigensystem
+        solved = {"eigensystem": [], "lowest pair": []}
 
-        def counted(op, dense_cap):
-            solved.append(op.n_qubits)
-            return eigensystem(op, dense_cap)
+        def counted(kind, solve):
+            def spy(op, dense_cap):
+                solved[kind].append(op.n_qubits)
+                return solve(op, dense_cap)
+            return spy
 
-        monkeypatch.setattr(gnlab.exact, "_eigensystem", counted)
+        monkeypatch.setattr(gnlab.exact, "_eigensystem", counted("eigensystem", gnlab.exact._eigensystem))
+        monkeypatch.setattr(gnlab.stateprep, "ground_state_dense", counted("lowest pair", ground_state_dense))
         prepare_vacuum(spec, 2, 4, pad, fit, eps=1e-3, mode=mode)
-        assert solved == eigensystems
+        assert solved == {"eigensystem": eigensystems, "lowest pair": lowest_pairs}
 
     @pytest.mark.parametrize("spacing", [0.25, 0.5])
     @pytest.mark.parametrize("point", [(0.2, 1.5), (0.4, 1.0)])
