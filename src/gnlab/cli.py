@@ -102,12 +102,12 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
         h_vec = op.apply(vec)
         e = float(np.real(np.vdot(vec, h_vec)))
         eps = max(float(np.linalg.norm(h_vec - e * vec)) ** 2 / e**2, np.finfo(float).eps)   # epsilon_measure's floor
-        mps = MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits))
+        mps = MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits, spec.flavors))
         report = DmrgReport(energy=result.ground_energy, epsilon=eps, sweeps=0,
                             max_bond=max(mps.bond_dims), converged=True)
         return mps, report
     mps, report = dmrg_ground_state(
-        compile_mpo(op),
+        compile_mpo(op, spec.flavors),
         epsilon_goal=cfg.solver.epsilon_goal,
         max_bond=cfg.solver.max_bond,
         seed=cfg.solver.seed,
@@ -123,13 +123,15 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
 def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo: int | None = None,
                   smaller: MatrixProductState | None = None) -> tuple[MatrixProductState, DmrgReport]:
     """`spec`'s converged ground state and its solve's report: from its checkpoint if `reuse` and one exists,
-    else solved and saved.  A checkpoint that does not load, such as one of an older format, or a DMRG one whose
-    stored epsilon is not below `epsilon_goal`, is a ConfigError.
+    else solved and saved.  A checkpoint that does not load, such as one of an older format, one whose sites are not
+    `spec`'s lattice sites, or a DMRG one whose stored epsilon is not below `epsilon_goal`, is a ConfigError.
     A state grown in a ladder begun at size `lo` starts from `smaller` with the symmetry-adapted pad appended."""
     chk = cfg.out_dir / _state_slug(cfg, spec, lo)
     if reuse and chk.exists():
         try:
             state, report = MatrixProductState.load(chk)
+            if state.phys_dims != (dims := grouped_dims(spec.n_qubits, spec.flavors)):
+                raise ValueError(f"{chk}: site dimensions {state.phys_dims}, not the lattice's {dims}")
             if cfg.solver.engine is Engine.DMRG and not report.epsilon < (goal := cfg.solver.epsilon_goal):
                 raise ValueError(f"{chk}: stored epsilon {report.epsilon:.3e} is not below the goal {goal:.3e}")
         except ValueError as exc:

@@ -201,8 +201,8 @@ def _require_memory(need: int, what: str) -> None:
         raise ValueError(f"{what} needs {need} bytes, more than the {have} bytes of physical memory")
 
 
-def _invariant_blocks(op: PauliSumOperator) -> list[np.ndarray]:
-    """Basis indices of each connected component of the Pauli action's exact non-zeros.
+def _invariant_blocks(actions: list[tuple[np.ndarray, np.ndarray]], n_qubits: int) -> list[np.ndarray]:
+    """Basis indices of each connected component of the exact non-zeros of the `_actions()` tables.
 
     Each flip-mask action links i and perm[i] wherever either coefficient
     is non-zero, so every matrix entry between two components is exactly
@@ -213,12 +213,12 @@ def _invariant_blocks(op: PauliSumOperator) -> list[np.ndarray]:
     components are ordered by their smallest index.
     """
     links = []
-    for perm, diag in op._actions():
+    for perm, diag in actions:
         # perm is an involution, so the linked set is closed under it and
         # one gather covers both directions
         nz = np.flatnonzero((diag != 0) | (diag[perm] != 0))
         links.append((nz, perm[nz]))
-    labels = np.arange(1 << op.n_qubits)
+    labels = np.arange(1 << n_qubits)
     while True:
         new = labels.copy()
         for nz, partner in links:
@@ -232,8 +232,8 @@ def _invariant_blocks(op: PauliSumOperator) -> list[np.ndarray]:
     return np.split(order, np.cumsum(counts)[:-1])
 
 
-def _block_matrices(op: PauliSumOperator, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The matrix of `op` restricted to each block, filled from the Pauli action.
+def _block_matrices(actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The matrix of a Pauli action, given as its `_actions()` tables, restricted to each block.
 
     Entry (perm[i], i) is the coefficient diag[i] of the one flip mask that
     maps i to perm[i], so each entry equals the full matrix's bit for bit.
@@ -247,7 +247,7 @@ def _block_matrices(op: PauliSumOperator, blocks: list[np.ndarray]) -> list[np.n
     pos = np.empty(len(members), dtype=np.intp)
     pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
-    for perm, diag in op._actions():
+    for perm, diag in actions:
         cols = np.flatnonzero(diag)
         b = block_of[cols]
         flat[offsets[b] + pos[perm[cols]] * sizes[b] + pos[cols]] = diag[cols]
@@ -265,12 +265,13 @@ def _dense_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
     if not op.is_hermitian(1e-10):
         raise ValueError("operator must be Hermitian")
-    blocks = _invariant_blocks(op)
+    actions = list(op._actions())
+    blocks = _invariant_blocks(actions, op.n_qubits)
     _require_memory(
         2 * 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    return blocks, _block_matrices(op, blocks)
+    return blocks, _block_matrices(actions, blocks)
 
 
 def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:

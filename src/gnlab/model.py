@@ -4,8 +4,9 @@ Conventions
 -----------
 Lattice fermion modes are dimensionless, psi(x) = c_x / sqrt(a).  Modes are
 ordered site-major: mode(site, flavor, component) = 2*(flavors*site + flavor)
-+ component, so the two spinor components of one flavor sit on adjacent
-qubits and every Pauli term stays within two neighboring sites.
++ component, so the 2*flavors qubits of one lattice site are adjacent, the
+MPS layer holds them in one tensor of dimension 4**flavors, and every Pauli
+term stays within two neighboring sites.
 
 With gamma0 = sigma_y and gamma1 = -i sigma_x (Majorana form), the lattice
 Hamiltonian is

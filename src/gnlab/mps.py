@@ -1,18 +1,20 @@
-"""Matrix product states and operators over grouped qubit sites.
+"""Matrix product states and operators with one tensor per lattice site.
 
-Site convention: qubits are grouped in pairs (the two spinor components of
-one flavor), so one tensor-network site carries physical dimension 4 and
-"adding a lattice site" appends one tensor.  MPS tensors have index order
-(left bond, physical, right bond); MPO tensors (left bond, bra physical,
-ket physical, right bond).  Site 0 is the most significant block of the
-dense basis index, matching the qubit-0-leftmost convention of the Pauli
-layer, so dense vectors and networks can be compared directly.
+Site convention: one tensor-network site holds the 2 * flavors qubits of one
+lattice site (both spinor components of every flavor), so its physical
+dimension is 4**flavors and "adding a lattice site" appends one tensor at
+every flavor count.  MPS tensors have index order (left bond, physical,
+right bond); MPO tensors (left bond, bra physical, ket physical, right
+bond).  Site 0 is the most significant block of the dense basis index,
+matching the qubit-0-leftmost convention of the Pauli layer, so dense
+vectors and networks can be compared directly.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +28,13 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-QUBITS_PER_SITE = 2
 
-# the operator of every two-letter site string; shared, so never mutate an entry
-_SITE_OPS = {a + b: np.kron(pa, pb) for a, pa in _PAULI_MATS.items() for b, pb in _PAULI_MATS.items()}
-
-
-def grouped_dims(n_qubits: int) -> tuple[int, ...]:
-    if n_qubits % QUBITS_PER_SITE != 0:
-        raise ValueError(f"{n_qubits} qubits cannot be grouped in blocks of {QUBITS_PER_SITE}")
-    return tuple([2**QUBITS_PER_SITE] * (n_qubits // QUBITS_PER_SITE))
+def grouped_dims(n_qubits: int, flavors: int) -> tuple[int, ...]:
+    """Physical dimensions of `n_qubits` grouped into lattice sites of 2 * flavors qubits."""
+    group = 2 * flavors
+    if n_qubits % group != 0:
+        raise ValueError(f"{n_qubits} qubits cannot be grouped in blocks of {group}")
+    return (2**group,) * (n_qubits // group)
 
 
 def truncated_svd(
@@ -239,33 +238,22 @@ def mps_overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
 
 
 def append_site(state: MatrixProductState, pad: np.ndarray) -> MatrixProductState:
-    """Tensor-product `pad` onto the right edge with bond dimension 1.
-
-    The pad may span several grouped sites (length a power of the last
-    physical dimension); it is factorized exactly in that case.
-    """
+    """Tensor-product the one-site `pad` onto the right edge with bond dimension 1."""
     pad = np.asarray(pad, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(pad) - 1.0) > 1e-10:
         raise ValueError("pad state must be normalized")
     d = state.phys_dims[-1]
-    n_new = 0
-    length = len(pad)
-    while length > 1:
-        if length % d != 0:
-            raise ValueError(f"pad length {len(pad)} is not a power of the site dimension {d}")
-        length //= d
-        n_new += 1
-    if n_new == 0:
-        raise ValueError("pad must cover at least one site")
-    pad_mps = MatrixProductState.from_dense(pad, tuple([d] * n_new))
-    return MatrixProductState([t.copy() for t in state.tensors] + pad_mps.tensors, state.center)
+    if len(pad) != d:
+        raise ValueError(f"pad length {len(pad)} is not the site dimension {d}")
+    return MatrixProductState([t.copy() for t in state.tensors] + [pad.reshape(1, d, 1)], state.center)
 
 
 def pauli_sum_expectation(state: MatrixProductState, op: PauliSumOperator) -> complex:
     """<state|op|state> through the exact MPO of `op`, whatever its range."""
-    if op.n_qubits != QUBITS_PER_SITE * state.n_sites:
+    group = state.phys_dims[0].bit_length() - 1   # qubits per site
+    if op.n_qubits != group * state.n_sites:
         raise ValueError("operator size does not match the state")
-    return expectation_value(state, compile_mpo(op, max_span=state.n_sites))
+    return expectation_value(state, compile_mpo(op, group // 2, max_span=state.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +291,21 @@ class MpoRangeError(ValueError):
 MPO_MAX_SPAN = 8
 
 
-def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixProductOperator:
-    """Exact MPO of a geometrically local Pauli sum.
+def compile_mpo(op: PauliSumOperator, flavors: int, max_span: int = MPO_MAX_SPAN) -> MatrixProductOperator:
+    """Exact MPO of a geometrically local Pauli sum, one tensor per lattice site of 2 * flavors qubits.
 
     Built as a term automaton (idle channel, one intermediate channel per
     term crossing each bond, done channel), then compressed by merging
     exactly parallel rows and columns.  The bond dimension is of the order
     of the number of distinct coupling channels crossing a bond.
     """
-    dims = grouped_dims(op.n_qubits)
+    dims = grouped_dims(op.n_qubits, flavors)
     n_sites = len(dims)
     d = dims[0]
-    group = QUBITS_PER_SITE
+    group = 2 * flavors
 
+    # the operator of every site string, built once per call; shared, so never mutate an entry
+    site_op = cache(lambda letters: reduce(np.kron, [_PAULI_MATS[c] for c in letters]))
     supports = []
     site_ops = []
     for coeff, string in op.terms:
@@ -326,8 +316,8 @@ def compile_mpo(op: PauliSumOperator, max_span: int = MPO_MAX_SPAN) -> MatrixPro
                 f"term {string} spans {hi - lo + 1} sites, beyond the configured range {max_span}"
             )
         supports.append((lo, hi))
-        ops = {k: _SITE_OPS[string[group * k: group * (k + 1)]] for k in range(lo, hi + 1)}
-        ops[lo] = coeff * ops[lo]   # a new array: the table entry stays as it is
+        ops = {k: site_op(string[group * k: group * (k + 1)]) for k in range(lo, hi + 1)}
+        ops[lo] = coeff * ops[lo]   # a new array: the shared entry stays as it is
         site_ops.append(ops)
 
     # channel layout per bond: 0 = idle, 1 = done, then one per crossing term

@@ -10,15 +10,16 @@ only inside the exported complex blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .mps import MatrixProductState, transfer
 from .model import ModelSpec, majorana_gammas
 
-# Jordan-Wigner images on one (component 0, component 1) qubit pair:
+# Jordan-Wigner images on one flavor's (component 0, component 1) qubit pair:
 # annihilators a_0 = A x 1 and a_1 = Z x A with A = |0><1|, and the parity
-# string P = Z x Z of a site that a bilinear jumps over.
+# string P = Z x Z of a pair that a bilinear jumps over.
 _A, _Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
 _ANNIHILATE = (np.kron(_A, np.eye(2)), np.kron(_Z, _A))
 _PARITY = np.kron(_Z, _Z)
@@ -53,29 +54,34 @@ def centered_pairs(n_sites: int) -> list[tuple[int, int, int]]:
 def _mps_block(state: MatrixProductState, spec: ModelSpec, flavor: int):
     """(i, j) -> raw[alpha, c] = <c_{i,alpha} c+_{j,c}>, by partial contractions of <state|state>.
 
-    Between the MPS sites p < q of the pair, c_{p,alpha} c+_{q,c} is a_alpha P
-    at p, P on every site in between and a_c^T = a_c^dagger at q (Schollwoeck,
-    Ann. Phys. 326, 96 (2011)).  The environments left of p and right of q
-    are computed once per state; no gauge and no normalisation are assumed.
+    MPS site i is lattice site i, one qubit pair per flavor.  For i < j,
+    c_{i,alpha} c+_{j,c} of `flavor` is, on that flavor's pair, a_alpha P at
+    site i and a_c^T = a_c^dagger at site j, with P on every pair strictly
+    between the two (Schollwoeck, Ann. Phys. 326, 96 (2011)).  The
+    environments left of i and right of j are computed once per state; no
+    gauge and no normalisation are assumed.
     """
-    if state.phys_dims != (4,) * (spec.flavors * spec.n_sites):
+    d = 4**spec.flavors
+    if state.phys_dims != (d,) * spec.n_sites:
         raise ValueError("state does not match the lattice of `spec`")
     ts = state.tensors
 
-    def op(mat: np.ndarray) -> np.ndarray:
-        return mat.reshape(1, 4, 4, 1)
+    def op(below: np.ndarray, mine: np.ndarray, above: np.ndarray) -> np.ndarray:
+        mats = [below] * flavor + [mine] + [above] * (spec.flavors - flavor - 1)
+        return reduce(np.kron, mats).reshape(1, d, d, 1)
 
+    one = op(np.eye(4), np.eye(4), np.eye(4))
+    parity = op(_PARITY, _PARITY, _PARITY)
     left, right = [np.ones((1, 1, 1), dtype=complex)], [np.ones((1, 1, 1), dtype=complex)]
     for t, u in zip(ts[:-1], [u.transpose(2, 1, 0) for u in ts[:0:-1]]):
-        left.append(transfer(left[-1], t, op(np.eye(4)), t))        # left[p]: sites < p
-        right.insert(0, transfer(right[0], u, op(np.eye(4)), u))    # right[p]: sites > p
+        left.append(transfer(left[-1], t, one, t))        # left[i]: sites < i
+        right.insert(0, transfer(right[0], u, one, u))    # right[i]: sites > i
 
     def block(i: int, j: int) -> np.ndarray:
-        p, q = spec.flavors * i + flavor, spec.flavors * j + flavor
-        envs = [transfer(left[p], ts[p], op(a @ _PARITY), ts[p]) for a in _ANNIHILATE]
-        for t in ts[p + 1:q]:
-            envs = [transfer(env, t, op(_PARITY), t) for env in envs]
-        return np.array([[np.sum(transfer(env, ts[q], op(a.T), ts[q]) * right[q])
+        envs = [transfer(left[i], ts[i], op(np.eye(4), a @ _PARITY, _PARITY), ts[i]) for a in _ANNIHILATE]
+        for t in ts[i + 1:j]:
+            envs = [transfer(env, t, parity, t) for env in envs]
+        return np.array([[np.sum(transfer(env, ts[j], op(_PARITY, a.T, np.eye(4)), ts[j]) * right[j])
                           for a in _ANNIHILATE] for env in envs])
 
     return block

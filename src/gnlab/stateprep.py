@@ -6,7 +6,8 @@ Three layers:
   estimation with an ancilla register, repeated an odd number of times with
   a majority vote over the sampled decisions.
 * `ground_oracle_reflection` / `state_reflection` - partial reflections
-  e^{i phi P} used as oracles.  The phase-estimation-based variant runs the
+  e^{i phi P} used as oracles, through a ground space by phase estimation or
+  about one known state.  The phase-estimation reflection runs the
   coherent circuit (estimation, conditional phase on the in-window ancilla
   values, inverse estimation) and postselects the ancilla register back to
   |0>; that channel is diagonal in the system eigenbasis, which is how it
@@ -245,19 +246,8 @@ def state_reflection(vector: np.ndarray) -> ProjectorReflection:
     return ProjectorReflection(vec / np.linalg.norm(vec))
 
 
-def ground_oracle_reflection(
-    prop: ExactPropagator,
-    cfg: PhaseEstimationConfig,
-    mode: OracleMode | str = OracleMode.IDEAL,
-) -> _Reflection:
-    """Reflection through the ground space of `prop.op`, ideal or via estimation."""
-    mode = OracleMode(mode)
-    if mode is OracleMode.IDEAL:
-        e0 = prop.evals[0]
-        members = np.flatnonzero(prop.evals <= e0 + 1e-9 * (1.0 + abs(e0)))
-        columns = np.zeros((len(prop.evals), len(members)), dtype=complex)
-        columns[members, np.arange(len(members))] = 1.0
-        return ProjectorReflection(prop.from_eigenbasis(columns))
+def ground_oracle_reflection(prop: ExactPropagator, cfg: PhaseEstimationConfig) -> PhaseEstimationReflection:
+    """Reflection through the ground space of `prop.op` via phase estimation."""
     return PhaseEstimationReflection(prop, cfg)
 
 
@@ -482,7 +472,7 @@ def prepare_vacuum(
                 energy_estimate=e_pred,
                 gap_bound=gap_bound,
             )
-            target_oracle = ground_oracle_reflection(props[target], pe_cfg, mode)
+            target_oracle = ground_oracle_reflection(props[target], pe_cfg)
             prev = target - 1
             penalty = max(1.0, 2.0 * spectra[prev].gap)
             start_prop = _start_propagator(props[prev], pad, penalty)
@@ -491,7 +481,7 @@ def prepare_vacuum(
                 energy_estimate=energy_predictor.predict(prev),
                 gap_bound=min(spectra[prev].gap, penalty),
             )
-            start_oracle = ground_oracle_reflection(start_prop, start_cfg, mode)
+            start_oracle = ground_oracle_reflection(start_prop, start_cfg)
         fp_cfg = FixedPointConfig.from_targets(eta_floor, eps_step)
         state, calls = fixed_point_amplify(state, target_oracle, start_oracle, fp_cfg)
         fidelity = float(abs(np.vdot(spectra[target].ground_vector, state)) ** 2)

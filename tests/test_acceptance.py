@@ -57,7 +57,7 @@ def fifty_site_runs():
     runs = {}
     for m0, g0_sq in REFERENCE_POINTS:
         spec = ModelSpec(n_sites=50, spacing=SPACING_50, bare_mass=m0, coupling_sq=g0_sq)
-        mpo = compile_mpo(build_hamiltonian(spec))
+        mpo = compile_mpo(build_hamiltonian(spec), spec.flavors)
         t0 = time.time()
         state, report = dmrg_ground_state(mpo, epsilon_goal=1e-8, max_bond=64, seed=3)
         runs[(m0, g0_sq)] = (spec, state, report, time.time() - t0)
@@ -81,7 +81,7 @@ def energy_ladders():
         for n in range(2, 21):
             spec = ModelSpec(n_sites=n, spacing=SPACING_50, bare_mass=m0, coupling_sq=g0_sq)
             _state, report = dmrg_ground_state(
-                compile_mpo(build_hamiltonian(spec)), epsilon_goal=1e-9, max_bond=48, seed=3
+                compile_mpo(build_hamiltonian(spec), spec.flavors), epsilon_goal=1e-9, max_bond=48, seed=3
             )
             data.append((n, report.energy))
         ladders[(m0, g0_sq)] = data
@@ -97,7 +97,7 @@ def test_criterion_01_dmrg_matches_dense():
             op = build_hamiltonian(spec)
             t0 = time.time()
             _state, report = dmrg_ground_state(
-                compile_mpo(op), epsilon_goal=1e-10, max_bond=64, seed=3
+                compile_mpo(op, spec.flavors), epsilon_goal=1e-10, max_bond=64, seed=3
             )
             elapsed = time.time() - t0
             dense = ground_state_dense(op)
@@ -171,7 +171,7 @@ def test_criterion_04_overlap_plateau():
         spec = ModelSpec(n_sites=2, spacing=SPACING_DESK, bare_mass=m0, coupling_sq=g0_sq)
         states = {}
         for n in range(2, 15):
-            mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
+            mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)), spec.flavors)
             states[n], report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
             ok = ok and report.converged
         series = consecutive_overlaps(states, pad_state(PadKind.UNIFORM, 1))
@@ -217,14 +217,14 @@ def test_criterion_05_energy_predictability(energy_ladders, fifty_site_fits):
 def test_criterion_06_variance_error_bound():
     spec = ModelSpec(n_sites=4, spacing=SPACING_DESK, bare_mass=0.2, coupling_sq=1.5)
     op = build_hamiltonian(spec)
-    mpo = compile_mpo(op)
+    mpo = compile_mpo(op, spec.flavors)
     _evals, evecs = np.linalg.eigh(op.to_matrix())
     ratios = []
     bound_ok = True
     for delta in (1e-2, 1e-3, 1e-4):
         mixed = evecs[:, 0] + delta * evecs[:, -1]
         mixed /= np.linalg.norm(mixed)
-        mps = MatrixProductState.from_dense(mixed, grouped_dims(op.n_qubits))
+        mps = MatrixProductState.from_dense(mixed, grouped_dims(op.n_qubits, spec.flavors))
         eps = epsilon_measure(mps, mpo)
         bound_ok = bound_ok and delta <= np.sqrt(eps)
         ratios.append(eps / delta**2)

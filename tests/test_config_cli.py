@@ -13,7 +13,7 @@ from gnlab.model import Boundary, ModelSpec, build_hamiltonian
 from gnlab.mps import MatrixProductState, compile_mpo
 from gnlab.overlaps import PadKind, pad_state
 
-from oracles import gnmps001_bytes
+from oracles import gnmps001_bytes, mps_to_dense
 
 BASE_CONFIG = """\
 [model]
@@ -575,7 +575,7 @@ class TestCliCommands:
         spec = ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         for row in rows:
             op = build_hamiltonian(spec.with_sites(int(row["N"])))
-            _state, cold = dmrg_ground_state(compile_mpo(op), epsilon_goal=1e-10, max_bond=32, seed=7)
+            _state, cold = dmrg_ground_state(compile_mpo(op, spec.flavors), epsilon_goal=1e-10, max_bond=32, seed=7)
             assert float(row["energy"]) == pytest.approx(cold.energy, rel=1e-10)
             if op.n_qubits <= 10:
                 assert float(row["energy"]) == pytest.approx(ground_state_dense(op).ground_energy, rel=1e-8)
@@ -676,19 +676,48 @@ class TestCliCommands:
         assert f"config error: {victim}: {message}" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("g0_sq, failing_size, sweeps", [(1.5, 3, 2), (0.0, 2, 26)])
-    def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(
-            self, config_file, tmp_path, capsys, g0_sq, failing_size, sweeps):
-        # two-site DMRG loses a sector with two flavours: at g0^2 = 1.5 the size grown from the
-        # converged N = 2 stops lowering its energy at eps ~ 4e-3, at g0^2 = 0 the cold N = 2 at eps ~ 9e-3
+    @staticmethod
+    def two_flavour_config(config_file, g0_sq):
         path = Path(config_file({"model": "flavors = 2"}))
         text = path.read_text().replace("max_bond = 32", "max_bond = 64")
         path.write_text(text.replace("coupling_sq = 1.5", f"coupling_sq = {g0_sq}"))
-        assert main(["solve", "--config", str(path), "--seed", "3"]) == 3
-        assert f"DMRG did not converge at {failing_size} sites in {sweeps} sweep(s)" in capsys.readouterr().err
+        return str(path)
+
+    def test_two_flavour_solve_meets_its_goal(self, config_file, tmp_path):
+        # one MPS tensor per lattice site: every size, cold or grown, converges in one sweep
+        path = self.two_flavour_config(config_file, 1.5)
+        assert main(["solve", "--config", path, "--seed", "3"]) == 0
+        rows = read_csv(tmp_path / "out" / "energies.csv")
+        assert [(int(r["N"]), int(r["sweeps"])) for r in rows] == [(2, 1), (3, 1), (4, 1)]
+        spec = load_config(path).model
+        for row in rows[:2]:
+            dense = ground_state_dense(build_hamiltonian(spec.with_sites(int(row["N"])))).ground_energy
+            assert float(row["energy"]) == pytest.approx(dense, rel=1e-8)
+
+    def test_two_flavour_solve_that_misses_its_goal_is_numerical_failure(self, config_file, tmp_path, capsys):
+        # at g0^2 = 0 the two flavours decouple and the N = 4 vacuum needs more than bond 64
+        path = self.two_flavour_config(config_file, 0.0)
+        assert main(["solve", "--config", path, "--seed", "3"]) == 3
+        assert ("DMRG did not converge at 4 sites in 3 sweep(s): epsilon 1.123e-07, goal 1.000e-10"
+                in capsys.readouterr().err)
         # no CSV, and no checkpoint but those of the converged sizes below the failing one
         written = sorted(p.name.split("_")[1] for p in (tmp_path / "out").glob("*"))
-        assert written == [f"N{n}" for n in range(2, failing_size)]
+        assert written == ["N2", "N3"]
+
+    def test_checkpoint_with_one_tensor_per_flavour_is_config_error(self, config_file, tmp_path, capsys):
+        # two-flavour checkpoints of the interleaved layout hold two tensors of dimension 4 per lattice site
+        path = self.two_flavour_config(config_file, 1.5)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--sizes", "2..3"]) == 0
+        (out / "energies.csv").unlink()
+        victim = sorted(out.glob("state_N2_*.mps"))[0]
+        state, report = MatrixProductState.load(victim)
+        MatrixProductState.from_dense(mps_to_dense(state), (4,) * 4).save(victim, report)
+        capsys.readouterr()
+        assert main(["overlap", "--config", path, "--sizes", "2..3"]) == 2
+        message = f"config error: {victim}: site dimensions (4, 4, 4, 4), not the lattice's (16, 16)"
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("n_sites, max_bond, goal, epsilon", [
         (16, 8, "1e-12", "2.305e-07"),   # stalls at the bond cap

@@ -224,7 +224,7 @@ class TestBlockEigensystem:
         spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         ham = build_hamiltonian(spec)
         mat = ham.to_matrix()
-        blocks = _invariant_blocks(ham)
+        blocks = _invariant_blocks(list(ham._actions()), ham.n_qubits)
         popcounts = [{bin(int(i)).count("1") for i in idx} for idx in blocks]
         assert all(len(p) == 1 for p in popcounts)
         assert sorted(p.pop() for p in popcounts) == list(range(9))
@@ -256,13 +256,26 @@ class TestBlockEigensystem:
     def test_random_pauli_sum_is_one_block_and_matches_eigh(self, rng):
         op = random_hermitian_pauli_sum(5, 10, rng)
         mat = op.to_matrix()
-        assert len(_invariant_blocks(op)) == 1
+        assert len(_invariant_blocks(list(op._actions()), op.n_qubits)) == 1
         evals, evecs = np.linalg.eigh(mat)
         prop = ExactPropagator(op)
         assert np.max(np.abs(prop.evals - evals)) <= 1e-12 * np.max(np.abs(evals))
         overlaps = np.abs(np.sum(evecs.conj() * prop.from_eigenbasis(np.eye(len(mat))), axis=0))
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
+
+    def test_action_tables_built_once_per_solve(self, monkeypatch):
+        op = build_hamiltonian(ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        actions, calls = PauliSumOperator._actions, []
+
+        def counted(self):
+            calls.append(self.n_qubits)
+            return actions(self)
+
+        monkeypatch.setattr(PauliSumOperator, "_actions", counted)
+        ground_state_dense(op)
+        ExactPropagator(op)
+        assert calls == [op.n_qubits] * 2
 
     def test_block_eigensystems_equal_eigh_of_matrix_blocks(self):
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))

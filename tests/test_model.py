@@ -98,7 +98,8 @@ class TestBuildHamiltonian:
         assert ham.terms == ref.terms
         assert repr(ham.terms) == repr(ref.terms)  # signed zeros count
         span = ham.n_qubits  # covers the periodic wrap
-        for got, want in zip(compile_mpo(ham, span).tensors, compile_mpo(ref, span).tensors, strict=True):
+        mpos = [compile_mpo(op, spec.flavors, span) for op in (ham, ref)]
+        for got, want in zip(mpos[0].tensors, mpos[1].tensors, strict=True):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 

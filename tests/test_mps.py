@@ -52,11 +52,11 @@ def transverse_field_ising(n_qubits, coupling=1.0, field=0.7):
 class TestMatrixProductState:
     def test_dense_roundtrip(self, rng):
         vec = random_state_vector(64, rng)
-        mps = MatrixProductState.from_dense(vec, grouped_dims(6))
+        mps = MatrixProductState.from_dense(vec, grouped_dims(6, 1))
         assert np.max(np.abs(mps_to_dense(mps) - vec)) < 1e-12
 
     def test_canonicalize_idempotent(self, rng):
-        mps = MatrixProductState.random(grouped_dims(8), bond_dim=5, seed=1)
+        mps = MatrixProductState.random(grouped_dims(8, 1), bond_dim=5, seed=1)
         mps.canonicalize(2)
         once = [t.copy() for t in mps.tensors]
         mps.canonicalize(2)
@@ -64,14 +64,14 @@ class TestMatrixProductState:
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_norm_after_canonicalization(self):
-        mps = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=7)
+        mps = MatrixProductState.random(grouped_dims(6, 1), bond_dim=4, seed=7)
         assert mps.norm() == pytest.approx(1.0, abs=1e-10)
         mps.canonicalize(2)
         assert mps.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_save_load_roundtrip(self, tmp_path, rng):
         vec = random_state_vector(256, rng)
-        mps = MatrixProductState.from_dense(vec, grouped_dims(8))
+        mps = MatrixProductState.from_dense(vec, grouped_dims(8, 1))
         report = DmrgReport(energy=float(-rng.exponential(20)), epsilon=float(rng.exponential(1e-11)),
                             sweeps=7, max_bond=max(mps.bond_dims), converged=True)
         path = tmp_path / "state.mps"
@@ -96,7 +96,7 @@ class TestMatrixProductState:
 
     @pytest.mark.parametrize("damage", ["previous format", "truncated", "trailing byte"])
     def test_load_rejects_other_checkpoints_naming_them(self, tmp_path, damage):
-        mps = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=2)
+        mps = MatrixProductState.random(grouped_dims(6, 1), bond_dim=4, seed=2)
         path = tmp_path / "state.mps"
         mps.save(path, DmrgReport(energy=-3.5, epsilon=1e-12, sweeps=2, max_bond=4, converged=True))
         path.write_bytes({"previous format": gnmps001_bytes(mps),
@@ -108,7 +108,7 @@ class TestMatrixProductState:
 
 class TestOverlap:
     def test_self_overlap_is_one(self):
-        mps = MatrixProductState.random(grouped_dims(6), bond_dim=6, seed=3)
+        mps = MatrixProductState.random(grouped_dims(6, 1), bond_dim=6, seed=3)
         assert mps_overlap(mps, mps) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_states_factorize(self, rng):
@@ -120,15 +120,16 @@ class TestOverlap:
         assert mps_overlap(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_conjugate_symmetry(self, rng):
-        a = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=5)
-        b = MatrixProductState.random(grouped_dims(6), bond_dim=4, seed=6)
+        a = MatrixProductState.random(grouped_dims(6, 1), bond_dim=4, seed=5)
+        b = MatrixProductState.random(grouped_dims(6, 1), bond_dim=4, seed=6)
         assert mps_overlap(a, b) == pytest.approx(np.conj(mps_overlap(b, a)), abs=1e-14)
 
     def test_dense_ground_vector_embedding(self, small_spec):
         from gnlab.exact import ground_state_dense
 
         result = ground_state_dense(build_hamiltonian(small_spec))
-        mps = MatrixProductState.from_dense(result.ground_vector, grouped_dims(small_spec.n_qubits))
+        dims = grouped_dims(small_spec.n_qubits, small_spec.flavors)
+        mps = MatrixProductState.from_dense(result.ground_vector, dims)
         assert abs(mps_overlap(mps, mps)) >= 1 - 1e-10
         dense_again = mps_to_dense(mps)
         assert abs(np.vdot(dense_again, result.ground_vector)) >= 1 - 1e-8
@@ -142,7 +143,7 @@ class TestOverlap:
 
 class TestAppendSite:
     def test_uniform_pad_has_zero_entanglement(self, rng):
-        state = MatrixProductState.random(grouped_dims(8), bond_dim=6, seed=2)
+        state = MatrixProductState.random(grouped_dims(8, 1), bond_dim=6, seed=2)
         pad = np.full(4, 0.5, dtype=complex)
         grown = append_site(state, pad)
         svals = np.linalg.svd(mps_to_dense(grown).reshape(-1, 4), compute_uv=False)
@@ -151,14 +152,14 @@ class TestAppendSite:
 
     def test_projecting_pad_back_recovers_state(self, rng):
         vec = random_state_vector(64, rng)
-        state = MatrixProductState.from_dense(vec, grouped_dims(6))
+        state = MatrixProductState.from_dense(vec, grouped_dims(6, 1))
         pad = random_state_vector(4, rng)
         grown_dense = mps_to_dense(append_site(state, pad))
         recovered = grown_dense.reshape(64, 4) @ pad.conj()
         assert np.max(np.abs(recovered - vec)) < 1e-10
 
     def test_norm_preserved(self):
-        state = MatrixProductState.random(grouped_dims(6), bond_dim=3, seed=9)
+        state = MatrixProductState.random(grouped_dims(6, 1), bond_dim=3, seed=9)
         pad = np.zeros(4, dtype=complex)
         pad[1] = pad[2] = 1 / np.sqrt(2)
         grown = append_site(state, pad)
@@ -166,29 +167,27 @@ class TestAppendSite:
         assert grown.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_unnormalized_pad_rejected(self):
-        state = MatrixProductState.random(grouped_dims(4), bond_dim=2, seed=0)
+        state = MatrixProductState.random(grouped_dims(4, 1), bond_dim=2, seed=0)
         with pytest.raises(ValueError):
             append_site(state, np.ones(4))
 
-    def test_multi_site_pad(self, rng):
-        state = MatrixProductState.random(grouped_dims(4), bond_dim=2, seed=1)
-        pad = random_state_vector(16, rng)
-        grown = append_site(state, pad)
-        assert grown.n_sites == state.n_sites + 2
-        expected = np.kron(mps_to_dense(state), pad)
-        assert np.max(np.abs(mps_to_dense(grown) - expected)) < 1e-10
+    @pytest.mark.parametrize("flavors, length", [(1, 16), (1, 2), (2, 4), (2, 64)])
+    def test_pad_of_another_site_dimension_rejected(self, rng, flavors, length):
+        state = MatrixProductState.random(grouped_dims(4 * flavors, flavors), bond_dim=2, seed=1)
+        with pytest.raises(ValueError, match=f"pad length {length} is not the site dimension {4**flavors}"):
+            append_site(state, random_state_vector(length, rng))
 
 
 class TestCompileMpo:
     def test_identity_has_bond_dimension_one(self):
-        mpo = compile_mpo(PauliSumOperator.identity(8, 2.5))
+        mpo = compile_mpo(PauliSumOperator.identity(8, 2.5), 1)
         assert mpo.max_bond == 1
-        mpo_small = compile_mpo(PauliSumOperator.identity(4, 2.5))
+        mpo_small = compile_mpo(PauliSumOperator.identity(4, 2.5), 1)
         assert np.allclose(mpo_to_matrix(mpo_small), 2.5 * np.eye(16))
 
     def test_ising_expectations_match_dense(self, rng):
         op = transverse_field_ising(4)
-        mpo = compile_mpo(op)
+        mpo = compile_mpo(op, 1)
         dense = op.to_matrix()
         for _ in range(20):
             vecs = [random_state_vector(4, rng) for _ in range(2)]
@@ -199,7 +198,7 @@ class TestCompileMpo:
     def test_gross_neveu_expectations_match_dense(self, rng):
         spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
         op = build_hamiltonian(spec)
-        mpo = compile_mpo(op)
+        mpo = compile_mpo(op, spec.flavors)
         dense = op.to_matrix()
         for _ in range(20):
             vecs = [random_state_vector(4, rng) for _ in range(4)]
@@ -209,25 +208,37 @@ class TestCompileMpo:
 
     def test_exact_dense_equality_small(self, small_spec):
         op = build_hamiltonian(small_spec)
-        assert np.max(np.abs(mpo_to_matrix(compile_mpo(op)) - op.to_matrix())) < 1e-12
+        assert np.max(np.abs(mpo_to_matrix(compile_mpo(op, small_spec.flavors)) - op.to_matrix())) < 1e-12
+
+    def test_two_flavour_sites_are_lattice_sites(self, rng):
+        spec = ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2)
+        op = build_hamiltonian(spec)
+        mpo = compile_mpo(op, spec.flavors)
+        assert mpo.phys_dims == (16, 16, 16)
+        assert np.max(np.abs(mpo_to_matrix(mpo) - op.to_matrix())) < 1e-12
+        vec = random_state_vector(1 << op.n_qubits, rng)
+        mps = MatrixProductState.from_dense(vec, grouped_dims(op.n_qubits, spec.flavors))
+        assert pauli_sum_expectation(mps, op) == pytest.approx(np.vdot(vec, op.apply(vec)), abs=1e-10)
+        with pytest.raises(ValueError, match="cannot be grouped in blocks of 4"):
+            compile_mpo(PauliSumOperator.identity(6, 1.0), 2)
 
     def test_long_range_rejected(self):
         op = PauliSumOperator.from_terms(8, [(1.0, "X" + "I" * 6 + "X")])
         with pytest.raises(MpoRangeError):
-            compile_mpo(op, max_span=2)
+            compile_mpo(op, 1, max_span=2)
 
     def test_support_runs_from_first_to_last_letter(self):
         # first letter on the second qubit of site 0, last on the second qubit of site 2
         op = PauliSumOperator.from_terms(8, [(3.0, "IXIIIZII"), (0.5, "IIIIIIYI")])
         with pytest.raises(MpoRangeError):
-            compile_mpo(op, max_span=2)
+            compile_mpo(op, 1, max_span=2)
         for _ in range(2):   # the shared site operators survive the coefficient scaling
-            assert np.max(np.abs(mpo_to_matrix(compile_mpo(op, max_span=3)) - op.to_matrix())) < 1e-12
+            assert np.max(np.abs(mpo_to_matrix(compile_mpo(op, 1, max_span=3)) - op.to_matrix())) < 1e-12
 
     def test_mirrored_transfer_right_to_left(self, small_spec):
         op = build_hamiltonian(small_spec)
-        mpo = compile_mpo(op)
-        mps = MatrixProductState.random(grouped_dims(small_spec.n_qubits), bond_dim=4, seed=7)
+        mpo = compile_mpo(op, small_spec.flavors)
+        mps = MatrixProductState.random(grouped_dims(small_spec.n_qubits, small_spec.flavors), bond_dim=4, seed=7)
         env = np.ones((1, 1, 1), dtype=complex)
         for t, w in zip(reversed(mps.tensors), reversed(mpo.tensors)):
             a = t.transpose(2, 1, 0)
@@ -249,7 +260,7 @@ class TestCompileMpo:
 
     def test_grow_right_is_the_mirrored_einsum(self, rng, small_spec):
         """The right environment `_grow_right` builds: the same sum over mirrored tensors."""
-        mpo = compile_mpo(build_hamiltonian(small_spec))
+        mpo = compile_mpo(build_hamiltonian(small_spec), small_spec.flavors)
         a = MatrixProductState.random(mpo.phys_dims, bond_dim=4, seed=3).tensors[1]
         w = mpo.tensors[1]
         env = rng.standard_normal((a.shape[2], w.shape[3], a.shape[2])) + 0.5j
@@ -260,28 +271,28 @@ class TestCompileMpo:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_bond_dimension_tracks_coupling_channels(self, small_spec):
-        mpo = compile_mpo(build_hamiltonian(small_spec))
+        mpo = compile_mpo(build_hamiltonian(small_spec), small_spec.flavors)
         assert mpo.max_bond <= 12
 
 
 class TestApplyMpo:
     def test_matches_dense_application(self, rng, small_spec):
         op = build_hamiltonian(small_spec)
-        mpo = compile_mpo(op)
+        mpo = compile_mpo(op, small_spec.flavors)
         vec = random_state_vector(1 << small_spec.n_qubits, rng)
-        mps = MatrixProductState.from_dense(vec, grouped_dims(small_spec.n_qubits))
+        mps = MatrixProductState.from_dense(vec, grouped_dims(small_spec.n_qubits, small_spec.flavors))
         result = apply_mpo(mpo, mps)
         assert np.max(np.abs(mps_to_dense(result) - op.to_matrix() @ vec)) < 1e-10
 
     def test_pauli_sum_expectation_matches_dense(self, rng, small_spec):
         op = build_hamiltonian(small_spec)
         vec = random_state_vector(1 << small_spec.n_qubits, rng)
-        mps = MatrixProductState.from_dense(vec, grouped_dims(small_spec.n_qubits))
+        mps = MatrixProductState.from_dense(vec, grouped_dims(small_spec.n_qubits, small_spec.flavors))
         assert pauli_sum_expectation(mps, op) == pytest.approx(
             np.vdot(vec, op.to_matrix() @ vec), abs=1e-10
         )
         # a Jordan-Wigner bilinear from site 0 to site 9, beyond compile_mpo's default range
-        mps = MatrixProductState.random(grouped_dims(20), bond_dim=4, seed=5)
+        mps = MatrixProductState.random(grouped_dims(20, 1), bond_dim=4, seed=5)
         op = jordan_wigner(0, "annihilate", 20) * jordan_wigner(19, "create", 20)
         assert pauli_sum_expectation(mps, op) == pytest.approx(
             op.expectation(mps_to_dense(mps)), abs=1e-12
@@ -349,10 +360,10 @@ class TestMergeColumns:
         ops = [build_hamiltonian(spec) for spec in specs]
         spans = [op.n_qubits if spec.boundary is Boundary.PERIODIC else mps.MPO_MAX_SPAN
                  for op, spec in zip(ops, specs)]
-        got = [compile_mpo(op, span) for op, span in zip(ops, spans)]
+        got = [compile_mpo(op, spec.flavors, span) for op, spec, span in zip(ops, specs, spans)]
         monkeypatch.setattr(mps, "_merge_columns", merge_columns_reference)
-        for mpo, op, span in zip(got, ops, spans):
-            want = compile_mpo(op, span)
+        for mpo, op, spec, span in zip(got, ops, specs, spans):
+            want = compile_mpo(op, spec.flavors, span)
             for a, b in zip(mpo.tensors, want.tensors, strict=True):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)

@@ -12,7 +12,7 @@ from oracles import free_fermion_correlations, mps_to_dense, statevector_correla
 def dense_ground_mps(spec):
     """The exactly diagonalised ground vector of `spec`, as an exact MPS."""
     vec = ground_state_dense(build_hamiltonian(spec)).ground_vector
-    return MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits))
+    return MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits, spec.flavors))
 
 
 class TestSeriesStructure:
@@ -76,14 +76,15 @@ class TestFreeTheory:
         spec = ModelSpec(n_sites=10, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
         op = build_hamiltonian(spec)
         warm, _report = dmrg_ground_state(
-            compile_mpo(op), epsilon_goal=1e-11, max_bond=64, seed=3, max_sweeps=6
+            compile_mpo(op, spec.flavors), epsilon_goal=1e-11, max_bond=64, seed=3, max_sweeps=6
         )
         energy, vec = lanczos_lowest(
             op.apply, mps_to_dense(warm), tol=1e-9,
             max_restarts=40, krylov_dim=30,
         )
         assert np.linalg.norm(op.apply(vec) - energy * vec) <= 1e-9
-        series = two_point_correlator(MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits)), spec)
+        series = two_point_correlator(
+            MatrixProductState.from_dense(vec, grouped_dims(spec.n_qubits, spec.flavors)), spec)
         correl = free_fermion_correlations(free_quadratic_form(spec))
         gamma0 = majorana_gammas().gamma0
         for idx, (_k, i, j) in enumerate(centered_pairs(spec.n_sites)):
@@ -98,7 +99,7 @@ class TestFreeTheory:
 class TestPaths:
     def test_mps_and_dense_paths_agree(self, small_spec):
         ground = ground_state_dense(build_hamiltonian(small_spec)).ground_vector
-        mps = MatrixProductState.from_dense(ground, grouped_dims(small_spec.n_qubits))
+        mps = MatrixProductState.from_dense(ground, grouped_dims(small_spec.n_qubits, small_spec.flavors))
         dense_values = statevector_correlator_blocks(ground, small_spec)[:, 0, 0].real
         mps_series = two_point_correlator(mps, small_spec)
         assert np.allclose(dense_values, mps_series.values, atol=1e-10)
@@ -143,7 +144,7 @@ class TestMpsContraction:
     @pytest.mark.parametrize("flavor", [0, 1])
     def test_two_flavors_skip_the_other_flavor(self, flavor):
         spec = ModelSpec(n_sites=3, spacing=0.5, bare_mass=0.2, coupling_sq=1.5, flavors=2)
-        mps = MatrixProductState.random(grouped_dims(spec.n_qubits), bond_dim=8, seed=5 + flavor)
+        mps = MatrixProductState.random(grouped_dims(spec.n_qubits, spec.flavors), bond_dim=8, seed=5 + flavor)
         self.assert_paths_agree(mps, spec, flavor)
 
     def test_dmrg_vacuum_at_chain50_parameters(self):
@@ -151,7 +152,7 @@ class TestMpsContraction:
 
         spec = ModelSpec(n_sites=6, spacing=1 / 50, bare_mass=0.2, coupling_sq=1.5)
         mps, _report = dmrg_ground_state(
-            compile_mpo(build_hamiltonian(spec)), epsilon_goal=1e-8, max_bond=32, seed=3
+            compile_mpo(build_hamiltonian(spec), spec.flavors), epsilon_goal=1e-8, max_bond=32, seed=3
         )
         self.assert_paths_agree(mps, spec)
 

@@ -15,14 +15,15 @@ def dense_states(spec, sizes):
     states = {}
     for n in sizes:
         op = build_hamiltonian(spec.with_sites(n))
-        states[n] = MatrixProductState.from_dense(ground_state_dense(op).ground_vector, grouped_dims(op.n_qubits))
+        dims = grouped_dims(op.n_qubits, spec.flavors)
+        states[n] = MatrixProductState.from_dense(ground_state_dense(op).ground_vector, dims)
     return states
 
 
 def dmrg_states(spec, sizes, epsilon_goal):
     states = {}
     for n in sizes:
-        mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
+        mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)), spec.flavors)
         states[n], report = dmrg_ground_state(mpo, epsilon_goal=epsilon_goal, max_bond=64, seed=3)
         assert report.converged
     return states
@@ -130,7 +131,7 @@ class TestFreeDeterminantYardstick:
         spec = ModelSpec(n_sites=29, spacing=0.25, bare_mass=1.0, coupling_sq=0.0)
         states, bound = {}, 0.0
         for n in (29, 30):
-            mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)))
+            mpo = compile_mpo(build_hamiltonian(spec.with_sites(n)), spec.flavors)
             states[n], report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
             assert report.converged
             gap = float(np.min(np.abs(np.linalg.eigvalsh(free_quadratic_form(spec.with_sites(n))))))

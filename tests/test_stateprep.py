@@ -215,9 +215,8 @@ class TestEstimationKernel:
 
 class TestReflections:
     def test_ideal_reflection_phases_ground_only(self, four_qubit_instance):
-        op, result, evals, evecs = four_qubit_instance
-        cfg = pe_config(op, result)
-        oracle = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
+        _op, result, _evals, evecs = four_qubit_instance
+        oracle = state_reflection(result.ground_vector)
         flipped = oracle.apply(result.ground_vector, np.pi)
         assert np.allclose(flipped, -result.ground_vector, atol=1e-10)
         untouched = oracle.apply(evecs[:, 3], np.pi)
@@ -225,9 +224,8 @@ class TestReflections:
         assert oracle.calls == 2
 
     def test_opposite_phases_cancel(self, four_qubit_instance):
-        op, result, *_ = four_qubit_instance
-        cfg = pe_config(op, result)
-        oracle = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
+        _op, result, *_ = four_qubit_instance
+        oracle = state_reflection(result.ground_vector)
         rng = np.random.default_rng(0)
         state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state /= np.linalg.norm(state)
@@ -239,8 +237,8 @@ class TestReflections:
         op, result, *_ = four_qubit_instance
         eps = 0.01
         cfg = pe_config(op, result, extra_bits=4)
-        ideal = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.IDEAL)
-        estimated = ground_oracle_reflection(ExactPropagator(op), cfg, OracleMode.PHASE_ESTIMATION)
+        ideal = state_reflection(result.ground_vector)
+        estimated = ground_oracle_reflection(ExactPropagator(op), cfg)
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(50):
