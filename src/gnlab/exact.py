@@ -3,12 +3,17 @@
 The dense solvers work on the invariant blocks of the Pauli action
 (`PauliSumOperator._actions`) and never form a dim x dim array: they find
 the blocks by label propagation over the actions and fill each block's
-matrix from them.  `ExactPropagator` diagonalises every block with `eigh`
-and keeps the eigenvectors per block.  `ground_state_dense` needs only the
-lowest two eigenvalues and one vector, so it diagonalises one block and
-rules most others out by a Cholesky test.  A Kronecker sum
-A (x) 1 + 1 (x) B is not diagonalised at all: `ExactPropagator.kronecker_sum`
-pairs the factors' blocks and eigenpairs.
+matrix from them.  When a Pauli string U that flips every bit commutes with
+every term (`_flip_phases`; every Gross-Neveu Hamiltonian has one), U maps
+each block onto a block: a block mapped onto itself (the half-filled
+sector) splits into its U = +1 and U = -1 halves, and a block mapped onto
+a later one, its twin, lends the twin its eigensystem.  `ExactPropagator`
+diagonalises every half and untwinned block with `eigh` and keeps the
+eigenvectors per block.  `ground_state_dense` needs only the lowest two
+eigenvalues and one vector, so it diagonalises one half and rules most
+others out by a Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not
+diagonalised at all: `ExactPropagator.kronecker_sum` pairs the factors'
+blocks and eigenpairs.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliSumOperator
+from .pauli import PauliSumOperator, _masks
 
 DENSE_CAP_DEFAULT = 14
 
@@ -57,38 +62,42 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
 
 def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumResult:
-    """Lowest two eigenvalues and the ground vector (fixed phase convention), one block diagonalised.
+    """Lowest two eigenvalues and the ground vector (fixed phase convention), one piece diagonalised.
 
-    The blocks are visited by their smallest diagonal entry, which bounds
-    each block's lowest eigenvalue from above, and the first is solved by
-    `eigh`.  A later block is skipped when a Cholesky factorisation of
-    B - E1 1 succeeds: by Sylvester's law of inertia every eigenvalue of B
-    then exceeds E1, the second lowest so far.  Any other block gives its
-    lowest eigenvalue by `eigvalsh`, and only one that undercuts E0 is
-    solved by `eigh` for its vector.  E0 and the vector are those of
-    `ExactPropagator(op).spectrum()` bit for bit, ties going to the block of
-    smaller index as there; E1 agrees to rounding.
+    The pieces of `_split_blocks` (twins never enter) are visited by their
+    smallest diagonal entry, which bounds each piece's lowest eigenvalue
+    from above, and the first is solved by `eigh`.  A later piece is skipped
+    when a Cholesky factorisation of B - E1 1 succeeds: by Sylvester's law of
+    inertia every eigenvalue of B then exceeds E1, the second lowest so far.
+    Any other piece gives its lowest eigenvalue by `eigvalsh`, and only one
+    that undercuts E0 is solved by `eigh` for its vector.  A level of a
+    block with a twin occurs twice, so E1 = E0 when the ground block has one.
+    E0 and the vector are those of `ExactPropagator(op).spectrum()` bit for
+    bit, ties going to the piece of smaller index as there; E1 agrees to
+    rounding.
     """
-    blocks, mats = _dense_blocks(op, dense_cap)
+    blocks, pieces, twins = _split_blocks(op, dense_cap)
+    twinned = {k for k, _phi in twins.values()}
     e0 = e1 = np.inf
     owner, vector = -1, None
-    for k in sorted(range(len(mats)), key=lambda k: mats[k].diagonal().real.min()):
-        mat = mats[k]
+    for c in sorted(range(len(pieces)), key=lambda c: pieces[c][1].diagonal().real.min()):
+        k, mat = pieces[c][:2]
         if e1 < np.inf and _exceeds(mat, e1):
             continue
         if owner >= 0:
             low = float(np.linalg.eigvalsh(mat)[0])
-            if (low, k) > (e0, owner):
+            if (low, c) > (e0, owner):
                 e1 = min(e1, low)
                 continue
         w, v = np.linalg.eigh(mat)
-        if (w[0], k) < (e0, owner):
-            e1 = min(e0, float(w[1]) if len(w) > 1 else np.inf)
-            e0, owner, vector = float(w[0]), k, v[:, 0]
+        if (w[0], c) < (e0, owner):
+            e1 = min(e0, float(w[1]) if len(w) > 1 else np.inf, float(w[0]) if k in twinned else np.inf)
+            e0, owner, vector = float(w[0]), c, v[:, :1]
         else:
             e1 = min(e1, float(w[0]))
+    k, _mat, phi, sign = pieces[owner]
     ground = np.zeros(1 << op.n_qubits, dtype=complex)
-    ground[blocks[owner]] = vector
+    ground[blocks[k]] = _lift(vector, phi, sign)[:, 0]
     return SpectrumResult(ground_energy=e0, first_excited_energy=e1, gap=max(e1 - e0, 0.0),
                           ground_vector=fix_phase(ground))
 
@@ -212,17 +221,14 @@ def _invariant_blocks(actions: list[tuple[np.ndarray, np.ndarray]], n_qubits: in
     until nothing changes.  Each component's indices are ascending, and the
     components are ordered by their smallest index.
     """
-    links = []
-    for perm, diag in actions:
-        # perm is an involution, so the linked set is closed under it and
-        # one gather covers both directions
-        nz = np.flatnonzero((diag != 0) | (diag[perm] != 0))
-        links.append((nz, perm[nz]))
+    # perm is an involution, so the linked set is closed under it and one
+    # gather covers both directions; a boolean mask per table is all that is kept
+    links = [(perm, (diag != 0) | (diag[perm] != 0)) for perm, diag in actions]
     labels = np.arange(1 << n_qubits)
     while True:
         new = labels.copy()
-        for nz, partner in links:
-            new[nz] = np.minimum(new[nz], labels[partner])
+        for perm, linked in links:
+            np.minimum(new, labels[perm], out=new, where=linked)
         new = new[new]
         if np.array_equal(new, labels):
             break
@@ -232,8 +238,10 @@ def _invariant_blocks(actions: list[tuple[np.ndarray, np.ndarray]], n_qubits: in
     return np.split(order, np.cumsum(counts)[:-1])
 
 
-def _block_matrices(actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The matrix of a Pauli action, given as its `_actions()` tables, restricted to each block.
+def _block_matrices(
+    actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[np.ndarray], dim: int
+) -> list[np.ndarray]:
+    """The matrix of a Pauli action on `dim` states, given as its `_actions()` tables, on each listed block.
 
     Entry (perm[i], i) is the coefficient diag[i] of the one flip mask that
     maps i to perm[i], so each entry equals the full matrix's bit for bit.
@@ -242,24 +250,62 @@ def _block_matrices(actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[n
     sizes = np.array([len(idx) for idx in blocks])
     offsets = np.cumsum(sizes**2) - sizes**2
     members = np.concatenate(blocks)
-    block_of = np.empty(len(members), dtype=np.intp)
+    block_of = np.full(dim, -1)   # -1 outside the listed blocks
     block_of[members] = np.repeat(np.arange(len(blocks)), sizes)
-    pos = np.empty(len(members), dtype=np.intp)
+    pos = np.empty(dim, dtype=np.intp)
     pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
     for perm, diag in actions:
-        cols = np.flatnonzero(diag)
+        cols = np.flatnonzero((diag != 0) & (block_of >= 0))
         b = block_of[cols]
         flat[offsets[b] + pos[perm[cols]] * sizes[b] + pos[cols]] = diag[cols]
     return [flat[o:o + s * s].reshape(s, s) for o, s in zip(offsets, sizes)]
 
 
-def _dense_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The invariant blocks of a Hermitian `op` within the dense cap, and their matrices.
+def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
+    """The phases phi of a Pauli string U that flips every bit and commutes with each term of `op`, or None.
+
+    U is Y on the qubits of a mask z and X on the others, so U|i> =
+    phi_i |i ^ x> with x all ones and phi_i = i^|z| (-1)^|i & z|, and U^2 = 1.
+    U commutes with a term (xt, zt) iff |zt| + |z & xt| is even: one linear
+    equation over GF(2) per term, eliminated with one row per leading bit
+    and solved from the lowest leading bit up, free bits clear.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for _coeff, string in op.terms:
+        row, zt = _masks(string)
+        rhs = zt.bit_count() & 1
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, rhs)
+                break
+            row, rhs = row ^ pivots[top][0], rhs ^ pivots[top][1]
+        else:
+            if rhs:   # 0 = 1: no such U
+                return None
+    z = 0
+    for top in sorted(pivots):   # a row's other bits lie below its leading bit
+        row, rhs = pivots[top]
+        z |= (rhs ^ ((row & z).bit_count() & 1)) << top
+    phase = 1j ** (z.bit_count() % 4)
+    return np.where(np.bitwise_count(np.arange(1 << op.n_qubits) & z) & 1, -phase, phase)
+
+
+def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[tuple], dict]:
+    """The invariant blocks of a Hermitian `op` within the dense cap, the pieces to diagonalise, and the twins.
 
     No dim x dim array is formed: the memory guard counts the block
-    matrices and their eigenvectors, 2 x 16 x sum |block|^2 bytes.  An
-    operator with no invariant split is one block.
+    matrices and their eigenvectors, 2 x 16 x sum |block|^2 bytes.  A piece
+    is (block, Hermitian matrix, phi or None, sign), in block order; without
+    a flip symmetry (`_flip_phases`) each block is one.  With one, U maps
+    each block onto the block holding x - (its largest index), as every
+    `_actions` table is the same at i ^ x up to one sign.  A block mapped
+    onto itself lists R, its indices with the top bit clear, first and their
+    partners T = x - R last in reverse order; its pieces are the U = +-1
+    halves B+- = B_RR +- B_RT diag(phi_R).  A block mapped onto a later one,
+    its twin, is one piece; `twins` maps the twin to (that block, phi on
+    it), and no twin's matrix is built.
     """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
@@ -271,17 +317,57 @@ def _dense_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         2 * 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    return blocks, _block_matrices(actions, blocks)
+    phases = _flip_phases(op)
+    if phases is None:
+        mats = _block_matrices(actions, blocks, 1 << op.n_qubits)
+        return blocks, [(k, mat, None, 1) for k, mat in enumerate(mats)], {}
+    first = {int(idx[0]): k for k, idx in enumerate(blocks)}
+    mirror = [first[len(phases) - 1 - int(idx[-1])] for idx in blocks]
+    kept = [k for k in range(len(blocks)) if mirror[k] >= k]
+    pieces, twins = [], {}
+    for k, mat in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], len(phases))):
+        idx = blocks[k]
+        if mirror[k] > k:
+            pieces.append((k, mat, None, 1))
+            twins[mirror[k]] = (k, phases[idx])
+        else:
+            half = len(idx) // 2
+            phi = phases[idx[:half]]
+            cross = mat[:half, ::-1][:, :half] * phi
+            pieces += [(k, mat[:half, :half] + sign * cross, phi, sign) for sign in (1, -1)]
+    return blocks, pieces, twins
+
+
+def _lift(vecs: np.ndarray, phi: np.ndarray | None, sign: int) -> np.ndarray:
+    """A piece's eigenvector columns in its block's basis: a half's rows R
+    take vecs / sqrt 2, and their partners sign phi vecs / sqrt 2 (U v = sign v)."""
+    if phi is None:
+        return vecs
+    scaled = vecs * np.sqrt(0.5)
+    return np.concatenate([scaled, (sign * phi[:, None] * scaled)[::-1]])
 
 
 def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:
-    """All eigenvalues ascending, and one `eigh` eigensystem per invariant block.
+    """All eigenvalues ascending, and one eigensystem per invariant block.
 
-    Block eigenvalues are merged by a stable sort; each block records the
-    columns its eigenvalues took.
+    Each piece of `_split_blocks` is solved by `eigh`; a split block takes
+    its + half's eigenpairs, then its - half's.  A twin takes its earlier
+    block's eigenvalues, and its eigenvectors mapped by U: rows multiplied
+    by phi and reversed, which is exact.  Block eigenvalues are merged by a
+    stable sort; each block records the columns its eigenvalues took.
     """
-    blocks, mats = _dense_blocks(op, dense_cap)
-    return _merged(blocks, [np.linalg.eigh(mat) for mat in mats])
+    blocks, pieces, twins = _split_blocks(op, dense_cap)
+    solved: list = [None] * len(blocks)
+    for k, mat, phi, sign in pieces:
+        w, v = np.linalg.eigh(mat)
+        v = _lift(v, phi, sign)
+        if solved[k] is not None:
+            w, v = np.concatenate([solved[k][0], w]), np.hstack([solved[k][1], v])
+        solved[k] = (w, v)
+    for k, (j, phi) in twins.items():
+        w, v = solved[j]
+        solved[k] = (w, (phi[:, None] * v)[::-1])
+    return _merged(blocks, solved)
 
 
 def _merged(blocks: list[np.ndarray], solved: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, Blocks]:
@@ -308,8 +394,9 @@ class ExactPropagator:
 
     `evals` holds every eigenvalue in ascending order; `blocks` holds, per
     invariant block, its basis indices, the columns of its eigenvalues in
-    `evals` and its eigenvectors.  Each basis change is one small matmul
-    per block.  `ExactPropagator(op)` diagonalises `op`;
+    `evals` and its eigenvectors, square even where a flip symmetry split
+    the block or made it a twin (`_eigensystem`).  Each basis change is one
+    small matmul per block.  `ExactPropagator(op)` diagonalises `op`;
     `ExactPropagator.kronecker_sum(left, right)` builds the same fields
     from two existing propagators without an `eigh`.
     """

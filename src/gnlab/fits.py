@@ -193,7 +193,8 @@ def _fit_coefficients(model: EnergyModel, sizes: np.ndarray, energies: np.ndarra
     # Only C3 enters nonlinearly: C0..C2 are solved for each C3 (variable
     # projection), so Gauss-Newton refines C3 alone from the best point of a
     # fixed logarithmic grid.
-    grid = np.geomspace(0.05, 50.0, 60) / float(np.median(sizes))
+    # the median of the ascending sizes, without np.median (which imports numpy.ma)
+    grid = np.geomspace(0.05, 50.0, 60) / float((sizes[(len(sizes) - 1) // 2] + sizes[len(sizes) // 2]) / 2)
     costs = [float(r @ r) for _, r in map(solve_linear, grid)]
     c3, _ = damped_gauss_newton(
         lambda c: solve_linear(c)[1], float(grid[np.argmin(costs)]), feasible=lambda c: c > 0
@@ -259,9 +260,9 @@ def fit_energy_extrapolation(
     if gap <= 0:
         raise ValueError("gap must be positive")
     pairs = sorted((float(n), float(e)) for n, e in energies)
-    sizes = np.array([p[0] for p in pairs])
-    if len(np.unique(sizes)) != len(sizes):
+    if len({n for n, _e in pairs}) != len(pairs):   # a set: np.unique of floats imports numpy.ma
         raise ValueError("duplicate sizes in energy data")
+    sizes = np.array([p[0] for p in pairs])
     vals = np.array([p[1] for p in pairs])
     need = _design(model, sizes[:1], 1.0).shape[1] + (model is EnergyModel.CASIMIR)   # C0.. and C3
     if len(sizes) < need + 1:

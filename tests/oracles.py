@@ -2,17 +2,20 @@
 
 Everything here is built directly from dense matrices and textbook
 formulas, bypassing the package's Pauli/MPS machinery, so agreement is a
-genuine cross-check rather than a tautology.  Two helpers run on the
-package's Pauli layer: `arpack_lowest`, which runs scipy's ARPACK, an
-eigensolver independent of the package's, on the matrix-free Pauli action;
-and `statevector_correlator_blocks`, which evaluates the two-point
-correlator as Pauli-sum expectations of Jordan-Wigner images on a state
-vector, independent of the MPS contraction the package measures with.
-The `*_reference` helpers, `epsilon_uncompressed` and `lanczos_reference`
-are the plain forms of faster package kernels (letter loops, pairwise
-scans, the three-term recurrence), kept to pin the fast forms to the same
-results.  `gnmps001_bytes` writes a checkpoint in the previous format by
-hand, for the tests that the reader refuses it.
+genuine cross-check rather than a tautology.  `flip_symmetric_block_eigh`
+slices a bit-flip symmetry's halves from the assembled matrix, with the
+symmetry given as the dense matrix of a Pauli string (`pauli_matrix`).
+Two helpers run on the package's Pauli layer: `arpack_lowest`, which runs
+scipy's ARPACK, an eigensolver independent of the package's, on the
+matrix-free Pauli action; and `statevector_correlator_blocks`, which
+evaluates the two-point correlator as Pauli-sum expectations of
+Jordan-Wigner images on a state vector, independent of the MPS contraction
+the package measures with.  The `*_reference` helpers,
+`epsilon_uncompressed` and `lanczos_reference` are the plain forms of
+faster package kernels (letter loops, pairwise scans, the three-term
+recurrence), kept to pin the fast forms to the same results.
+`gnmps001_bytes` writes a checkpoint in the previous format by hand, for
+the tests that the reader refuses it.
 """
 
 from __future__ import annotations
@@ -66,6 +69,59 @@ def block_eigh(matrix: np.ndarray, blocks: list[np.ndarray]) -> list[tuple[np.nd
     diagonalise each slice.
     """
     return [np.linalg.eigh(matrix[np.ix_(idx, idx)]) for idx in blocks]
+
+
+def pauli_matrix(string: str) -> np.ndarray:
+    """The dense matrix of one Pauli string, a Kronecker product of 2 x 2 matrices (qubit 0 leftmost)."""
+    letters = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Y": SIGMA_Y, "Z": SIGMA_Z}
+    out = np.ones((1, 1), dtype=complex)
+    for letter in string:
+        out = np.kron(out, letters[letter])
+    return out
+
+
+def flip_symmetric_block_eigh(
+    matrix: np.ndarray, blocks: list[np.ndarray], flip: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Block eigensystems of an assembled dense matrix that commutes with `flip`, a
+    unitary that maps each basis state |i> to phi_i |i ^ x>, x all ones.
+
+    A block that `flip` maps onto itself is diagonalised in its two
+    eigenspaces: with R its indices i < i ^ x and T = R ^ x, the Hermitian
+    halves B+- = B_RR +- B_RT diag(phi_R) are sliced from the matrix, and
+    each half eigenvector a becomes (a on R, +-phi_R a on T) / sqrt 2, the
+    + half's eigenpairs first.  A block that it maps onto an earlier block
+    takes that block's eigenvalues, and its eigenvectors with row i moved to
+    i ^ x and multiplied by phi_i.  Any other block is sliced and diagonalised
+    as in `block_eigh`.
+    """
+    flipped = np.arange(len(matrix)) ^ (len(matrix) - 1)
+    phi = flip[flipped, np.arange(len(matrix))]
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for k, idx in enumerate(blocks):
+        image = np.sort(flipped[idx])
+        j = next(j for j, other in enumerate(blocks) if np.array_equal(other, image))
+        if j < k:
+            evals, evecs = out[j]
+            moved = np.empty_like(evecs)
+            moved[np.searchsorted(idx, flipped[blocks[j]])] = phi[blocks[j]][:, None] * evecs
+            out.append((evals, moved))
+        elif j == k:
+            rows = idx[idx < flipped[idx]]
+            partners = flipped[rows]
+            rr, rt = matrix[np.ix_(rows, rows)], matrix[np.ix_(rows, partners)]
+            halves = []
+            for sign in (1, -1):
+                evals, evecs = np.linalg.eigh(rr + sign * (rt * phi[rows]))
+                scaled = evecs * np.sqrt(0.5)
+                vecs = np.empty((len(idx), len(evals)), dtype=complex)
+                vecs[np.searchsorted(idx, rows)] = scaled
+                vecs[np.searchsorted(idx, partners)] = sign * phi[rows][:, None] * scaled
+                halves.append((evals, vecs))
+            out.append((np.concatenate([w for w, _ in halves]), np.hstack([v for _, v in halves])))
+        else:
+            out.append(np.linalg.eigh(matrix[np.ix_(idx, idx)]))
+    return out
 
 
 def arpack_lowest(op: PauliSumOperator, k: int) -> np.ndarray:

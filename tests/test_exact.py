@@ -9,13 +9,14 @@ from gnlab.exact import (
     ConvergenceError,
     ExactPropagator,
     _eigensystem,
+    _flip_phases,
     _invariant_blocks,
     _lowest_pair,
     fix_phase,
     ground_state_dense,
     lanczos_lowest,
 )
-from gnlab.model import ModelSpec, build_hamiltonian
+from gnlab.model import Boundary, ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind, pad_state
 from gnlab.pauli import PauliSumOperator
 from gnlab.stateprep import (
@@ -27,7 +28,14 @@ from gnlab.stateprep import (
     projector_pauli_expansion,
 )
 
-from oracles import arpack_lowest, block_eigh, dense_hamiltonian, lanczos_reference
+from oracles import (
+    arpack_lowest,
+    block_eigh,
+    dense_hamiltonian,
+    flip_symmetric_block_eigh,
+    lanczos_reference,
+    pauli_matrix,
+)
 
 
 def no_matrix(_self):
@@ -87,6 +95,7 @@ class TestDense:
         # the first; dropping it as "numerically zero" would give gap 0 and a
         # basis state instead of |1>|->
         op = PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")])
+        assert _flip_phases(op) is None
         result = ground_state_dense(op)
         assert result.gap == pytest.approx(2e-13, rel=1e-3, abs=0.0)
         expected = np.kron([0.0, 1.0], [1.0, -1.0]) / np.sqrt(2.0)
@@ -117,6 +126,7 @@ class TestDense:
         coupling = 0.3
         terms = [(h, "I" * q + "Z" + "I" * (13 - q)) for q, h in enumerate(fields)]
         op = PauliSumOperator.from_terms(14, terms + [(coupling, "XX" + "I" * 12)])
+        assert _flip_phases(op) is None
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: 7 * 2**30)
         monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
         prop = ExactPropagator(op)
@@ -198,17 +208,32 @@ class TestPrunedLowestPair:
         assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
 
     def test_five_sites_diagonalise_one_block(self, monkeypatch):
-        # the vacuum lies in the 252-dim half-filled block and E1 in the two
-        # 210-dim blocks; the other eight blocks pass the Cholesky test at E1
+        # the vacuum lies in one 126-dim half of the 252-dim half-filled block
+        # and E1 in the first 210-dim block, whose twin is never touched; the
+        # other half and that block fail the Cholesky test at E1, and the
+        # blocks of 0..3 particles pass it (their twins are not visited)
         op = build_hamiltonian(ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
         ground_state_dense(op)
-        assert [call for call in calls if call[0] == "eigh"] == [("eigh", 252, True)]
-        assert sum(name == "cholesky" for name, _size, _ok in calls) == 10
-        eigvalsh = [k for k, (name, _size, _ok) in enumerate(calls) if name == "eigvalsh"]
-        assert sorted(calls[k][1] for k in eigvalsh) == [210, 210]
-        for k in eigvalsh:
-            assert calls[k - 1] == ("cholesky", calls[k][1], False)
+        assert calls == [
+            ("eigh", 126, True),
+            ("cholesky", 126, False), ("eigvalsh", 126, True),
+            ("cholesky", 210, False), ("eigvalsh", 210, True),
+            ("cholesky", 120, True), ("cholesky", 45, True), ("cholesky", 10, True), ("cholesky", 1, True),
+        ]
+
+    def test_ground_level_in_a_twin_pair_is_twice_degenerate(self, monkeypatch):
+        # -ZZ commutes with XX: |00> and its twin |11> share E0 = -1, so E1 = E0
+        # without a look at {11}; {01} lies above E1 and its twin {10} is skipped
+        op = PauliSumOperator.from_terms(2, [(-1.0, "ZZ")])
+        full = _full_lowest_pair(op)
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
+        pruned = ground_state_dense(op)
+        assert calls == [("eigh", 1, True), ("cholesky", 1, True)]
+        assert pruned.ground_energy == pruned.first_excited_energy == full.first_excited_energy == -1.0
+        assert pruned.gap == 0.0
+        assert np.array_equal(pruned.ground_vector, full.ground_vector)
+        assert np.array_equal(pruned.ground_vector, [1, 0, 0, 0])
 
 
 def _unitary_eigensystem_residuals(mat, prop):
@@ -256,6 +281,7 @@ class TestBlockEigensystem:
     def test_random_pauli_sum_is_one_block_and_matches_eigh(self, rng):
         op = random_hermitian_pauli_sum(5, 10, rng)
         mat = op.to_matrix()
+        assert _flip_phases(op) is None
         assert len(_invariant_blocks(list(op._actions()), op.n_qubits)) == 1
         evals, evecs = np.linalg.eigh(mat)
         prop = ExactPropagator(op)
@@ -278,13 +304,62 @@ class TestBlockEigensystem:
         assert calls == [op.n_qubits] * 2
 
     def test_block_eigensystems_equal_eigh_of_matrix_blocks(self):
+        # a chemical potential on every mode keeps the fermion-number blocks
+        # and breaks the particle-hole flip, so every block is solved whole
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        ham = ham + PauliSumOperator.from_terms(8, [(0.3, "I" * q + "Z" + "I" * (7 - q)) for q in range(8)])
+        assert _flip_phases(ham) is None
         prop = ExactPropagator(ham)
         reference = block_eigh(ham.to_matrix(), [idx for idx, _cols, _vecs in prop.blocks])
         assert len(reference) == len(prop.blocks) == 9
         for (_idx, cols, vecs), (evals, evecs) in zip(prop.blocks, reference):
             assert np.array_equal(prop.evals[cols], evals)
             assert np.array_equal(vecs, evecs)
+
+    def test_split_block_eigensystems_equal_the_flip_symmetric_oracle(self):
+        ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        mat, flip = ham.to_matrix(), pauli_matrix("YX" * 4)
+        assert np.allclose(flip @ mat, mat @ flip, rtol=0.0, atol=1e-14)
+        assert np.array_equal(_flip_phases(ham), flip[np.arange(256) ^ 255, np.arange(256)])
+        prop = ExactPropagator(ham)
+        reference = flip_symmetric_block_eigh(mat, [idx for idx, _cols, _vecs in prop.blocks], flip)
+        assert len(reference) == len(prop.blocks) == 9
+        for (_idx, cols, vecs), (evals, evecs) in zip(prop.blocks, reference):
+            assert np.array_equal(prop.evals[cols], evals)
+            assert np.array_equal(vecs, evecs)
+        # blocks k and 8 - k share one spectrum exactly
+        for k in range(4):
+            assert np.array_equal(prop.evals[prop.blocks[k][1]], prop.evals[prop.blocks[8 - k][1]])
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
+        ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2),
+        ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, boundary=Boundary.PERIODIC),
+        ModelSpec(n_sites=4, spacing=0.25, bare_mass=1.0, coupling_sq=0.0),
+        ModelSpec(n_sites=3, spacing=0.5, bare_mass=-0.3, coupling_sq=1.0, wilson_r=0.5),
+    ], ids=["one-flavor", "two-flavors", "periodic", "free", "negative-mass-r-half"])
+    def test_gross_neveu_commutes_with_yx_on_every_mode_pair(self, spec):
+        ham = build_hamiltonian(spec)
+        flip = pauli_matrix("YX" * (ham.n_qubits // 2))
+        dim = 1 << ham.n_qubits
+        assert np.array_equal(_flip_phases(ham), flip[np.arange(dim) ^ (dim - 1), np.arange(dim)])
+        mat = dense_hamiltonian(spec)
+        assert np.allclose(flip @ mat, mat @ flip, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [5, 6])
+    def test_split_propagator_matches_independent_solvers(self, n_sites):
+        ham = build_hamiltonian(ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        assert _flip_phases(ham) is not None
+        prop = ExactPropagator(ham)
+        scale = np.max(np.abs(prop.evals))
+        reference = arpack_lowest(ham, 6)
+        assert np.max(np.abs(prop.evals[:6] - reference)) <= 1e-12 * scale
+        if n_sites == 5:
+            mat = ham.to_matrix()
+            assert np.max(np.abs(prop.evals - np.linalg.eigvalsh(mat))) <= 1e-12 * scale
+            unitarity, residual = _unitary_eigensystem_residuals(mat, prop)
+            assert unitarity <= 1e-12
+            assert residual <= 1e-10
 
     @pytest.mark.parametrize("shape", [(256,), (256, 3)])
     def test_eigenbasis_round_trip(self, rng, shape):
@@ -323,6 +398,12 @@ def kronecker_instance(request):
 
 
 class TestKroneckerSum:
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    def test_factor_propagators_are_split(self, n_sites):
+        # the fixture's H_prev has the flip, so the round trips below run through halves and twins
+        h_prev = build_hamiltonian(ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        assert _flip_phases(h_prev) is not None
+
     def test_operator_is_the_term_by_term_start_operator(self, kronecker_instance):
         prop, reference, _gap = kronecker_instance
         assert prop.op == reference.op

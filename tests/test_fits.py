@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,22 @@ class TestEnergyExtrapolation:
             fit_energy_extrapolation(
                 [(n, float(n)) for n in range(2, 6)], EnergyModel.INVERSE_SERIES, gap=1.0
             )
+
+    def test_fits_do_not_import_numpy_ma(self):
+        # np.unique of floats and np.median import numpy.ma (10-14 ms) on first use
+        script = (
+            "import sys\n"
+            "from gnlab.fits import fit_energy_extrapolation\n"
+            "data = [(n, -2.0 * n + 0.1 / n**2 + 0.01 / n**3) for n in range(2, 9)]\n"
+            "for model in ('linear', 'casimir'):\n"
+            "    fit_energy_extrapolation(data, model, 1.0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(fits.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_gap_must_be_positive(self):
         data = [(n, float(n)) for n in range(2, 8)]
