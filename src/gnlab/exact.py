@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliSumOperator, _masks
+from .pauli import PauliSumOperator, _masks, _parities
 
 DENSE_CAP_DEFAULT = 14
 
@@ -239,9 +239,9 @@ def _invariant_blocks(actions: list[tuple[np.ndarray, np.ndarray]], n_qubits: in
 
 
 def _block_matrices(
-    actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[np.ndarray], dim: int
+    actions: list[tuple[np.ndarray, np.ndarray]], blocks: list[np.ndarray], n_qubits: int
 ) -> list[np.ndarray]:
-    """The matrix of a Pauli action on `dim` states, given as its `_actions()` tables, on each listed block.
+    """The matrix of a Pauli action on `n_qubits`, given as its `_actions()` tables, on each listed block.
 
     Entry (perm[i], i) is the coefficient diag[i] of the one flip mask that
     maps i to perm[i], so each entry equals the full matrix's bit for bit.
@@ -249,7 +249,7 @@ def _block_matrices(
     """
     sizes = np.array([len(idx) for idx in blocks])
     offsets = np.cumsum(sizes**2) - sizes**2
-    members = np.concatenate(blocks)
+    members, dim = np.concatenate(blocks), 1 << n_qubits
     block_of = np.full(dim, -1)   # -1 outside the listed blocks
     block_of[members] = np.repeat(np.arange(len(blocks)), sizes)
     pos = np.empty(dim, dtype=np.intp)
@@ -289,7 +289,7 @@ def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
         row, rhs = pivots[top]
         z |= (rhs ^ ((row & z).bit_count() & 1)) << top
     phase = 1j ** (z.bit_count() % 4)
-    return np.where(np.bitwise_count(np.arange(1 << op.n_qubits) & z) & 1, -phase, phase)
+    return np.where(_parities(op.n_qubits)[np.arange(1 << op.n_qubits) & z], -phase, phase)
 
 
 def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[tuple], dict]:
@@ -317,19 +317,17 @@ def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         2 * 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    phases = _flip_phases(op)
-    if phases is None:
-        mats = _block_matrices(actions, blocks, 1 << op.n_qubits)
-        return blocks, [(k, mat, None, 1) for k, mat in enumerate(mats)], {}
+    phases, top = _flip_phases(op), (1 << op.n_qubits) - 1
     first = {int(idx[0]): k for k, idx in enumerate(blocks)}
-    mirror = [first[len(phases) - 1 - int(idx[-1])] for idx in blocks]
-    kept = [k for k in range(len(blocks)) if mirror[k] >= k]
-    pieces, twins = [], {}
-    for k, mat in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], len(phases))):
+    # U maps block k onto block mirror[k]; without U onto none, and every block is kept whole
+    mirror = [len(blocks) if phases is None else first[top - int(idx[-1])] for idx in blocks]
+    kept = [k for k, m in enumerate(mirror) if m >= k]
+    twins = {m: (k, phases[blocks[k]]) for k, m in enumerate(mirror) if k < m < len(blocks)}
+    pieces = []
+    for k, mat in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], op.n_qubits)):
         idx = blocks[k]
         if mirror[k] > k:
             pieces.append((k, mat, None, 1))
-            twins[mirror[k]] = (k, phases[idx])
         else:
             half = len(idx) // 2
             phi = phases[idx[:half]]

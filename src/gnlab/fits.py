@@ -192,8 +192,7 @@ def _fit_coefficients(model: EnergyModel, sizes: np.ndarray, energies: np.ndarra
         return tuple(float(c) for c in solve_linear()[0])
     # Only C3 enters nonlinearly: C0..C2 are solved for each C3 (variable
     # projection), so Gauss-Newton refines C3 alone from the best point of a
-    # fixed logarithmic grid.
-    # the median of the ascending sizes, without np.median (which imports numpy.ma)
+    # fixed logarithmic grid over the median size (by index, as np.median imports numpy.ma).
     grid = np.geomspace(0.05, 50.0, 60) / float((sizes[(len(sizes) - 1) // 2] + sizes[len(sizes) // 2]) / 2)
     costs = [float(r @ r) for _, r in map(solve_linear, grid)]
     c3, _ = damped_gauss_newton(

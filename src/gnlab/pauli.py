@@ -36,6 +36,14 @@ def _masks(string: str) -> tuple[int, int]:
     return int(string.translate(_X_BITS), 2), int(string.translate(_Z_BITS), 2)
 
 
+def _parities(n_qubits: int) -> np.ndarray:
+    """Parity of the set bits of every index below 2**n_qubits, tabulated by doubling: i + 2**k flips it."""
+    parity = np.zeros(1, dtype=bool)
+    for _ in range(n_qubits):
+        parity = np.concatenate([parity, ~parity])
+    return parity
+
+
 def _mul_strings(a: str, b: str) -> tuple[complex, str]:
     """(phase, c) with a*b = phase*c, on the masks (see the module docstring)."""
     (xa, za), (xb, zb) = _masks(a), _masks(b)
@@ -159,10 +167,7 @@ class PauliSumOperator:
             x, z = _masks(string)
             groups.setdefault(x, []).append((coeff * 1j ** (x & z).bit_count(), z))
         idx = np.arange(1 << self.n_qubits)
-        # parity of every index, tabulated by doubling: i + 2**k flips it
-        parity = np.zeros(1, dtype=bool)
-        for _ in range(self.n_qubits):
-            parity = np.concatenate([parity, ~parity])
+        parity = _parities(self.n_qubits)
         for x, members in groups.items():
             diag = np.zeros(len(idx), dtype=complex)
             for c, z in members:

@@ -331,13 +331,18 @@ class TestBlockEigensystem:
         for k in range(4):
             assert np.array_equal(prop.evals[prop.blocks[k][1]], prop.evals[prop.blocks[8 - k][1]])
 
+    # the one-flavour N = 2, 3, 4 cases are the Kronecker-sum fixtures' H_prev,
+    # so their round trips run through halves and twins
     @pytest.mark.parametrize("spec", [
+        ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
+        ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
         ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
         ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2),
         ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, boundary=Boundary.PERIODIC),
         ModelSpec(n_sites=4, spacing=0.25, bare_mass=1.0, coupling_sq=0.0),
         ModelSpec(n_sites=3, spacing=0.5, bare_mass=-0.3, coupling_sq=1.0, wilson_r=0.5),
-    ], ids=["one-flavor", "two-flavors", "periodic", "free", "negative-mass-r-half"])
+    ], ids=["one-flavor-2", "one-flavor-3", "one-flavor-4", "two-flavors", "periodic", "free",
+            "negative-mass-r-half"])
     def test_gross_neveu_commutes_with_yx_on_every_mode_pair(self, spec):
         ham = build_hamiltonian(spec)
         flip = pauli_matrix("YX" * (ham.n_qubits // 2))
@@ -345,6 +350,14 @@ class TestBlockEigensystem:
         assert np.array_equal(_flip_phases(ham), flip[np.arange(dim) ^ (dim - 1), np.arange(dim)])
         mat = dense_hamiltonian(spec)
         assert np.allclose(flip @ mat, mat @ flip, rtol=0.0, atol=1e-12)
+
+    def test_flip_phases_need_no_numpy_2(self, monkeypatch):
+        # np.bitwise_count exists from NumPy 2.0 only; the declared floor is 1.24
+        ham = build_hamiltonian(ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        expected = _flip_phases(ham)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert np.array_equal(_flip_phases(ham), expected)
+        assert ground_state_dense(ham).ground_energy == ExactPropagator(ham).evals[0]
 
     @pytest.mark.parametrize("n_sites", [5, 6])
     def test_split_propagator_matches_independent_solvers(self, n_sites):
@@ -398,12 +411,6 @@ def kronecker_instance(request):
 
 
 class TestKroneckerSum:
-    @pytest.mark.parametrize("n_sites", [2, 3, 4])
-    def test_factor_propagators_are_split(self, n_sites):
-        # the fixture's H_prev has the flip, so the round trips below run through halves and twins
-        h_prev = build_hamiltonian(ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
-        assert _flip_phases(h_prev) is not None
-
     def test_operator_is_the_term_by_term_start_operator(self, kronecker_instance):
         prop, reference, _gap = kronecker_instance
         assert prop.op == reference.op

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnlab.pauli import PAULI_CHARS, PauliSumOperator, _mul_strings, jordan_wigner
+from gnlab.pauli import PAULI_CHARS, PauliSumOperator, _mul_strings, _parities, jordan_wigner
 
 from oracles import ladder_operators, pauli_product_reference
 
@@ -87,6 +87,10 @@ def test_long_string_product_matches_letter_table(strings):
     ref_phase, ref_string = pauli_product_reference(sa, sb)
     assert string == ref_string
     assert phase == ref_phase
+
+
+def test_parities_count_set_bits():
+    assert [bool(p) for p in _parities(6)] == [bin(i).count("1") % 2 == 1 for i in range(64)]
 
 
 def test_apply_matches_matrix(rng):
