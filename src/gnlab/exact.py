@@ -12,8 +12,8 @@ diagonalises every half and untwinned block with `eigh` and keeps the
 eigenvectors per block.  `ground_state_dense` needs only the lowest two
 eigenvalues and one vector, so it diagonalises one half and rules most
 others out by a Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not
-diagonalised at all: `ExactPropagator.kronecker_sum` pairs the factors'
-blocks and eigenpairs.
+diagonalised at all: `KroneckerSumPropagator` keeps the factors'
+propagators and changes basis one factor at a time.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -365,12 +365,6 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Bloc
     for k, (j, phi) in twins.items():
         w, v = solved[j]
         solved[k] = (w, (phi[:, None] * v)[::-1])
-    return _merged(blocks, solved)
-
-
-def _merged(blocks: list[np.ndarray], solved: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, Blocks]:
-    """Every block's (eigenvalues, eigenvectors) merged: eigenvalues ascending by a stable
-    sort, and per block (indices, the columns its eigenvalues took, eigenvectors)."""
     evals = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals, kind="stable")
     column = np.empty(len(evals), dtype=np.intp)
@@ -394,44 +388,12 @@ class ExactPropagator:
     invariant block, its basis indices, the columns of its eigenvalues in
     `evals` and its eigenvectors, square even where a flip symmetry split
     the block or made it a twin (`_eigensystem`).  Each basis change is one
-    small matmul per block.  `ExactPropagator(op)` diagonalises `op`;
-    `ExactPropagator.kronecker_sum(left, right)` builds the same fields
-    from two existing propagators without an `eigh`.
+    small matmul per block.
     """
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
         self.op = op
         self.evals, self.blocks = _eigensystem(op, dense_cap)
-
-    @classmethod
-    def kronecker_sum(cls, left: ExactPropagator, right: ExactPropagator) -> ExactPropagator:
-        """Propagator of left.op (x) 1 + 1 (x) right.op, built from the two factors' eigensystems.
-
-        Nothing is diagonalised: each pair of factor blocks (il, ir) is one
-        invariant block with basis indices il * dim_r + ir, eigenvectors
-        kron(V_l, V_r) and eigenvalues e_l + e_r.  The memory guard counts the
-        eigenvectors, 16 x sum (|il| |ir|)^2 bytes.  There is no dense cap:
-        `prepare_vacuum`'s sums have the qubit count of a size it has
-        already diagonalised under the cap.
-        """
-        n_l, n_r = left.op.n_qubits, right.op.n_qubits
-        op = PauliSumOperator.from_terms(n_l + n_r, [
-            *((c, s + "I" * n_r) for c, s in left.op.terms),
-            *((c, "I" * n_l + s) for c, s in right.op.terms),
-        ])
-        pairs = [(bl, br) for bl in left.blocks for br in right.blocks]
-        _require_memory(
-            16 * sum((len(il) * len(ir)) ** 2 for (il, _, _), (ir, _, _) in pairs),
-            f"the complex block eigenvectors of a {n_l + n_r}-qubit Kronecker sum",
-        )
-        blocks, solved = [], []
-        for (il, cl, vl), (ir, cr, vr) in pairs:
-            blocks.append((il[:, None] * (1 << n_r) + ir[None, :]).ravel())
-            solved.append(((left.evals[cl][:, None] + right.evals[cr][None, :]).ravel(), np.kron(vl, vr)))
-        prop = cls.__new__(cls)
-        prop.op = op
-        prop.evals, prop.blocks = _merged(blocks, solved)
-        return prop
 
     def spectrum(self) -> SpectrumResult:
         """The lowest two eigenpairs as `ground_state_dense` reports them: E0 and the vector exactly, E1 to rounding."""
@@ -447,3 +409,36 @@ class ExactPropagator:
 
     def from_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
         return _from_eigenbasis(self.blocks, amps)
+
+
+class KroneckerSumPropagator:
+    """Eigensystem of left.op (x) 1 + 1 (x) right.op, kept as the two factors' propagators.
+
+    No Kronecker product is formed: eigencomponent (k_l, k_r), at index
+    k_l dim_r + k_r (not ascending), has eigenvalue left.evals[k_l] +
+    right.evals[k_r], and a basis change applies the left factor's to the
+    rows of the state as a (dim_l, dim_r) array, then the right factor's to
+    its columns: (A (x) B) vec(X) = vec(A X B^T) for row-major vec.
+    """
+
+    def __init__(self, left: ExactPropagator, right: ExactPropagator):
+        n_l, n_r = left.op.n_qubits, right.op.n_qubits
+        self.op = PauliSumOperator.from_terms(n_l + n_r, [
+            *((c, s + "I" * n_r) for c, s in left.op.terms),
+            *((c, "I" * n_l + s) for c, s in right.op.terms),
+        ])
+        self.evals = (left.evals[:, None] + right.evals[None, :]).ravel()
+        self._left, self._right = left, right
+
+    def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:
+        """Eigenbasis amplitudes of `state`, shape (dim,) or (dim, k)."""
+        return self._per_factor(state, self._left.to_eigenbasis, self._right.to_eigenbasis)
+
+    def from_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
+        return self._per_factor(amps, self._left.from_eigenbasis, self._right.from_eigenbasis)
+
+    def _per_factor(self, state: np.ndarray, change_left: Callable, change_right: Callable) -> np.ndarray:
+        dim_l, dim_r = len(self._left.evals), len(self._right.evals)
+        rows = change_left(state.reshape(dim_l, -1)).reshape(dim_l, dim_r, -1)
+        cols = change_right(rows.transpose(1, 0, 2).reshape(dim_r, -1))
+        return cols.reshape(dim_r, dim_l, -1).transpose(1, 0, 2).reshape(state.shape)

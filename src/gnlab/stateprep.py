@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import DENSE_CAP_DEFAULT, ExactPropagator, _require_memory, ground_state_dense
+from .exact import DENSE_CAP_DEFAULT, ExactPropagator, KroneckerSumPropagator, _require_memory, ground_state_dense
 from .fits import EnergyFit
 from .model import ModelSpec, build_hamiltonian
 from .pauli import PAULI_CHARS, PauliSumOperator
@@ -188,7 +188,7 @@ def phase_estimate(
         votes.append(abs(e_hat - cfg.energy_estimate) <= cfg.gap_bound / 2.0)
     decision = Decision.GROUND if sum(votes) * 2 > len(votes) else Decision.NOT_GROUND
     post = prop.from_eigenbasis(psi)
-    return decision, post, float(np.median(samples))
+    return decision, post, sorted(samples)[len(samples) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +369,13 @@ class PreparationError(RuntimeError):
         self.trace = trace
 
 
-def _start_propagator(prev_prop: ExactPropagator, pad: np.ndarray, penalty: float) -> ExactPropagator:
+def _start_propagator(prev_prop: ExactPropagator, pad: np.ndarray, penalty: float) -> KroneckerSumPropagator:
     """Eigensystem of H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), whose ground state is |g_prev> (x) |pad>.
 
     A Kronecker sum: only the pad's penalty operator is diagonalised, next to H_prev's `prev_prop`.
     """
     complement = PauliSumOperator.identity(int(math.log2(len(pad)))) - projector_pauli_expansion(pad)
-    return ExactPropagator.kronecker_sum(prev_prop, ExactPropagator(penalty * complement))
+    return KroneckerSumPropagator(prev_prop, ExactPropagator(penalty * complement))
 
 
 def projector_pauli_expansion(vector: np.ndarray) -> PauliSumOperator:
@@ -418,8 +418,8 @@ def prepare_vacuum(
     half-gap check refuses a zero gap, so the ground space is that one
     vector.  In phase-estimation mode its propagator gives both the
     spectrum and the target oracle, and no start operator is diagonalised:
-    its eigensystem is the Kronecker sum of the previous size's propagator
-    and that of the 2-qubit pad penalty.
+    its eigensystem is kept as the previous size's propagator and that of
+    the 2-qubit pad penalty (`KroneckerSumPropagator`).
     """
     mode = OracleMode(mode)
     if n0 < 2:

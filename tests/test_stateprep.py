@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,6 +106,25 @@ class TestPhaseEstimate:
         cfg = pe_config(op, result)
         _d, _post, sample = phase_estimate(four_qubit_prop, result.ground_vector, cfg, seed=3)
         assert abs(sample - result.ground_energy) <= result.gap / 2
+
+    def test_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma (10-14 ms) on first use
+        script = (
+            "import sys\n"
+            "from gnlab.exact import ExactPropagator\n"
+            "from gnlab.model import ModelSpec, build_hamiltonian\n"
+            "from gnlab.stateprep import PhaseEstimationConfig, ancilla_bits_for, phase_estimate\n"
+            "prop = ExactPropagator(build_hamiltonian(ModelSpec(n_sites=2, spacing=0.5, bare_mass=0.2, coupling_sq=1.5)))\n"
+            "gap = float(prop.evals[1] - prop.evals[0])\n"
+            "cfg = PhaseEstimationConfig(ancilla_bits_for(prop.op, gap), float(prop.evals[0]), gap, repetitions=5)\n"
+            "phase_estimate(prop, prop.spectrum().ground_vector, cfg, seed=0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(gnlab.stateprep.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_resolution_validation(self, four_qubit_instance, four_qubit_prop):
         op, result, *_ = four_qubit_instance
