@@ -428,6 +428,13 @@ class TestKroneckerSum:
         state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.max(np.abs(prop.from_eigenbasis(prop.to_eigenbasis(state)) - state)) <= 1e-13
 
+    def test_every_eigencomponent_is_one_eigenpair(self, kronecker_instance):
+        # evals are in factor-major, unsorted order: column k of the eigenbasis must carry evals[k]
+        prop, reference, _gap = kronecker_instance
+        unitarity, residual = _unitary_eigensystem_residuals(reference.op.to_matrix(), prop)
+        assert unitarity <= 1e-12
+        assert residual <= 1e-10
+
     def test_phase_estimation_reflection_agrees(self, kronecker_instance, rng):
         prop, reference, gap = kronecker_instance
         cfg = PhaseEstimationConfig(
