@@ -3,17 +3,23 @@
 The dense solvers work on the invariant blocks of the Pauli action
 (`PauliSumOperator._actions`) and never form a dim x dim array: they find
 the blocks by label propagation over the actions and fill each block's
-matrix from them.  When a Pauli string U that flips every bit commutes with
-every term (`_flip_phases`; every Gross-Neveu Hamiltonian has one), U maps
-each block onto a block: a block mapped onto itself (the half-filled
-sector) splits into its U = +1 and U = -1 halves, and a block mapped onto
-a later one, its twin, lends the twin its eigensystem.  `ExactPropagator`
-diagonalises every half and untwinned block with `eigh` and keeps the
-eigenvectors per block.  `ground_state_dense` needs only the lowest two
-eigenvalues and one vector, so it diagonalises one half and rules most
-others out by a Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not
-diagonalised at all: `KroneckerSumPropagator` keeps the factors'
-propagators and changes basis one factor at a time.
+matrix from them.  Every Gross-Neveu Hamiltonian commutes term by term with
+two signed permutations, found by a GF(2) solve over the terms' masks:
+the particle-hole flip U, a Pauli string that flips every bit
+(`_flip_phases`), and the lattice mirror R, the qubit reversal followed by
+Z on every other qubit (`_mirror_signs`).  U maps each block onto a block:
+a block mapped onto a later one, its twin, lends the twin its eigensystem.
+A block that U or R maps onto itself splits into their joint eigenspaces
+(`_split_blocks`): at one flavour the half-filled block gives four pieces
+and every other kept block of more than one state two.  Exact
+diagonalisation in symmetry-adapted blocks is standard (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010), arXiv:1101.3281).  `ExactPropagator` diagonalises
+every piece with `eigh` and keeps the eigenvectors per block, stacked by
+block size.  `ground_state_dense` needs only the lowest two eigenvalues and
+one vector, so it diagonalises one piece and rules most others out by a
+Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not diagonalised at
+all: `KroneckerSumPropagator` keeps the factors' propagators and changes
+basis one factor at a time.
 
 All eigenvectors follow one phase convention so that overlap tables are
 reproducible bit-for-bit: the first amplitude whose magnitude exceeds
@@ -24,11 +30,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .pauli import PauliSumOperator, _masks, _parities
+from .pauli import _X_BITS, PauliSumOperator, _masks, _parities
 
 DENSE_CAP_DEFAULT = 14
 
@@ -47,8 +53,9 @@ class SpectrumResult:
     ground_vector: np.ndarray
 
 
-#: Per invariant block: (basis indices, eigenvalue columns, eigenvectors).
-Blocks = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: Per invariant-block size s, over its g blocks: (basis indices (g, s),
+#: eigenvalue columns (g, s), eigenvectors (g, s, s)).
+Groups = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -95,9 +102,9 @@ def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT)
             e0, owner, vector = float(w[0]), c, v[:, :1]
         else:
             e1 = min(e1, float(w[0]))
-    k, _mat, phi, sign = pieces[owner]
+    k, _mat, lifts = pieces[owner]
     ground = np.zeros(1 << op.n_qubits, dtype=complex)
-    ground[blocks[k]] = _lift(vector, phi, sign)[:, 0]
+    ground[blocks[k]] = _lift(vector, lifts)[:, 0]
     return SpectrumResult(ground_energy=e0, first_excited_energy=e1, gap=max(e1 - e0, 0.0),
                           ground_vector=fix_phase(ground))
 
@@ -113,10 +120,10 @@ def _exceeds(mat: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _lowest_pair(evals: np.ndarray, blocks: Blocks) -> SpectrumResult:
+def _lowest_pair(evals: np.ndarray, groups: Groups) -> SpectrumResult:
     lowest = np.zeros(len(evals), dtype=complex)
     lowest[0] = 1.0
-    ground = fix_phase(_from_eigenbasis(blocks, lowest))
+    ground = fix_phase(_from_eigenbasis(groups, lowest))
     e0, e1 = float(evals[0]), float(evals[1])
     return SpectrumResult(
         ground_energy=e0,
@@ -262,19 +269,14 @@ def _block_matrices(
     return [flat[o:o + s * s].reshape(s, s) for o, s in zip(offsets, sizes)]
 
 
-def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
-    """The phases phi of a Pauli string U that flips every bit and commutes with each term of `op`, or None.
+def _gf2_solution(equations: Iterable[tuple[int, int]]) -> int | None:
+    """The mask z with |row & z| = rhs (mod 2) for every equation (row, rhs), or None if there is none.
 
-    U is Y on the qubits of a mask z and X on the others, so U|i> =
-    phi_i |i ^ x> with x all ones and phi_i = i^|z| (-1)^|i & z|, and U^2 = 1.
-    U commutes with a term (xt, zt) iff |zt| + |z & xt| is even: one linear
-    equation over GF(2) per term, eliminated with one row per leading bit
-    and solved from the lowest leading bit up, free bits clear.
+    Eliminated with one row per leading bit and solved from the lowest
+    leading bit up, free bits clear.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    for _coeff, string in op.terms:
-        row, zt = _masks(string)
-        rhs = zt.bit_count() & 1
+    for row, rhs in equations:
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
@@ -282,30 +284,195 @@ def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
                 break
             row, rhs = row ^ pivots[top][0], rhs ^ pivots[top][1]
         else:
-            if rhs:   # 0 = 1: no such U
+            if rhs:   # 0 = 1
                 return None
     z = 0
     for top in sorted(pivots):   # a row's other bits lie below its leading bit
         row, rhs = pivots[top]
         z |= (rhs ^ ((row & z).bit_count() & 1)) << top
+    return z
+
+
+def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
+    """The phases phi of a Pauli string U that flips every bit and commutes with each term of `op`, or None.
+
+    U is Y on the qubits of a mask z and X on the others, so U|i> =
+    phi_i |i ^ x> with x all ones and phi_i = i^|z| (-1)^|i & z|, and U^2 = 1.
+    U commutes with a term (xt, zt) iff |zt| + |z & xt| is even: one linear
+    equation over GF(2) per term (`_gf2_solution`).
+    """
+    masks = [_masks(string) for _coeff, string in op.terms]
+    z = _gf2_solution((xt, zt.bit_count() & 1) for xt, zt in masks)
+    if z is None:
+        return None
     phase = 1j ** (z.bit_count() % 4)
     return np.where(_parities(op.n_qubits)[np.arange(1 << op.n_qubits) & z], -phase, phase)
+
+
+def _reversal(n_qubits: int) -> np.ndarray:
+    """rev(i) of every index below 2**n_qubits, qubit q moved to n_qubits - 1 - q.
+
+    Tabulated by doubling: a new leading bit b lands last, rev(b 2^n + j) = 2 rev(j) + b.
+    """
+    rev = np.zeros(1, dtype=np.intp)
+    for _ in range(n_qubits):
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    return rev
+
+
+def _mirror_signs(op: PauliSumOperator) -> np.ndarray | None:
+    """The signs s of a mirror R with R|i> = s_i |rev(i)> that commutes with each term of `op`, or None.
+
+    R reverses the qubit order (`_reversal`), then applies Z on the qubits of
+    a mask z: s_i = (-1)^|rev(i) & z|, and R^2 is Z on z ^ rev(z).  It maps a
+    term c P onto c (-1)^|x' & z| P', P' the reversed string and x' its X/Y
+    mask, so R commutes with `op` iff each reversed string is a term of
+    coefficient c' = +-c and |x' & z| is odd exactly when c' = -c: one linear
+    equation over GF(2) per term, solved as in `_flip_phases`.  On a
+    Gross-Neveu Hamiltonian z marks the first qubit of every mode pair, and
+    R mirrors the lattice, x -> N - 1 - x, reversing the flavours and the
+    two components of every site.
+    """
+    coeffs = {string: coeff for coeff, string in op.terms}
+    equations = []
+    for coeff, string in op.terms:
+        image = coeffs.get(string[::-1])
+        if image != coeff and image != -coeff:
+            return None
+        equations.append((int(string[::-1].translate(_X_BITS), 2), int(image != coeff)))
+    z = _gf2_solution(equations)
+    if z is None:
+        return None
+    return np.where(_parities(op.n_qubits)[_reversal(op.n_qubits) & z], -1.0, 1.0)
+
+
+#: One eigenspace of an involution S e_j = s_j e_perm(j) whose basis is in
+#: `_pairing` order: (r pairs, f fixed points, s on the pairs'
+#: representatives, the fixed points it holds (of 0..f-1), its eigenvalue tau).
+Space = tuple[int, int, np.ndarray, np.ndarray, int]
+
+
+def _pairing(perm: np.ndarray) -> tuple[np.ndarray, int]:
+    """The order [representatives j < perm(j), fixed points, partners perm(j) of the representatives] of an
+    involution's basis, and the number of pairs."""
+    at = np.arange(len(perm))
+    ahead = perm > at
+    reps = at[ahead]
+    return np.concatenate([reps, at[perm == at], perm[ahead]]), len(reps)
+
+
+def _eigenspaces(signs: np.ndarray, r: int) -> list[Space]:
+    """The +1 and -1 eigenspaces of an involution S e_j = s_j e_perm(j), S^2 = 1, on a basis in `_pairing` order.
+
+    `signs` holds s on the r representatives, then on the fixed points.  A
+    pair gives (e_j + tau s_j e_perm(j)) / sqrt 2 to the tau space, and a
+    fixed point goes whole to the s_j space.  [] when S is +-1.
+    """
+    held = signs[r:] == 1
+    keeps = np.flatnonzero(held), np.flatnonzero(~held)
+    if not (r or (len(keeps[0]) and len(keeps[1]))):
+        return []
+    return [(r, len(held), signs[:r], keep, tau) for keep, tau in zip(keeps, (1, -1))]
+
+
+def _project(mat: np.ndarray, spaces: list[Space]) -> list[np.ndarray]:
+    """The Hermitian `mat`, in `_pairing` order and commuting with an involution, on each of its `_eigenspaces`.
+
+    With v_a the pair vectors: <v_a| mat |v_b> = mat_ab + tau s_b mat_(a, perm b),
+    <v_a| mat |e_f> = sqrt 2 mat_af, and the fixed points keep mat_fg.
+    """
+    r, f, s, _keep, _tau = spaces[0]
+    same, cross = mat[:r, :r], mat[:r, r + f:] * s
+    out = []
+    for _r, _f, _s, keep, tau in spaces:
+        piece = np.empty((r + len(keep), r + len(keep)), dtype=complex)
+        (np.add if tau > 0 else np.subtract)(same, cross, out=piece[:r, :r])
+        if len(keep):
+            rows = r + keep
+            np.multiply(mat[rows, :r], np.sqrt(2.0), out=piece[r:, :r])
+            piece[:r, r:] = piece[r:, :r].conj().T
+            piece[r:, r:] = mat[rows[:, None], rows]
+        out.append(piece)
+    return out
+
+
+def _arranged(idx: np.ndarray, phases: np.ndarray | None, rev: np.ndarray | None,
+              signs: np.ndarray | None) -> tuple[np.ndarray, list]:
+    """A kept block's indices in the order its splits read, and its plan [(space, subplan)]; [] keeps it whole.
+
+    The splits are by the involutions that map the block onto itself: U
+    when `phases` are given (its j-th index pairs with its j-th from last),
+    then the mirror R (`rev`, `signs`) where it maps the block onto itself,
+    squares to one sign there (taken as iR when that sign is -1) and
+    commutes with U.  On U's pair vectors v_a, R acts as an involution:
+    v_a goes to v_perm(a), or with the sign tau phi_a s_(partner of a) to
+    the pair vector whose partner perm(a) is.  Each split's basis is in
+    `_pairing` order, U's spaces' in the order of R's pairing, so
+    `_project` reads slices of the block matrix built in this order.
+    """
+    n = len(idx)
+    mirror = None
+    if signs is not None:
+        image = rev[idx]
+        perm = np.searchsorted(idx, image)
+        if (idx.take(perm, mode="clip") == image).all():
+            s = signs[idx]
+            square = s * s[perm]
+            if (square == square[0]).all():
+                mirror = perm, (s if square[0] > 0 else 1j * s)
+    if phases is None:
+        if mirror is None:
+            return idx, []
+        perm, s = mirror
+        order, r = _pairing(perm)
+        return idx[order], [(space, []) for space in _eigenspaces(s[order[:n - r]], r)]
+    half, phi = n // 2, phases[idx]
+    order, subplans = np.arange(half), {1: [], -1: []}
+    # R U e_j = phi_j s_(n-1-j) e_(n-1-perm(j)) against U R e_j = s_j phi_perm(j) e_(n-1-perm(j))
+    if mirror is not None and np.array_equal(mirror[1] * phi[mirror[0]], phi * mirror[1][::-1]):
+        perm, s = mirror
+        crossed = perm[:half] >= half
+        order, r = _pairing(np.where(crossed, n - 1 - perm[:half], perm[:half]))
+        for tau in (1, -1):
+            on_half = np.where(crossed, tau * phi[:half] * s[::-1][:half], s[:half])
+            subplans[tau] = [(space, []) for space in _eigenspaces(on_half[order[:half - r]], r)]
+    plan = [(space, subplans[space[4]]) for space in _eigenspaces(phi[order], half)]
+    return np.concatenate([idx[order], idx[::-1][order]]), plan
+
+
+def _projected_entries(plan: list) -> int:
+    """The entries of every matrix `_pieces` projects for `plan`."""
+    return sum((space[0] + len(space[3])) ** 2 + _projected_entries(sub) for space, sub in plan)
+
+
+def _pieces(mat: np.ndarray, plan: list, lifts: tuple[Space, ...] = ()) -> list[tuple[np.ndarray, tuple]]:
+    """(matrix, lifts) of each leaf of `plan`, lifts innermost first."""
+    if not plan:
+        return [(mat, lifts)]
+    parts = _project(mat, [space for space, _sub in plan])
+    return [piece for (space, sub), part in zip(plan, parts) for piece in _pieces(part, sub, (space, *lifts))]
 
 
 def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[tuple], dict]:
     """The invariant blocks of a Hermitian `op` within the dense cap, the pieces to diagonalise, and the twins.
 
-    No dim x dim array is formed: the memory guard counts the block
-    matrices and their eigenvectors, 2 x 16 x sum |block|^2 bytes.  A piece
-    is (block, Hermitian matrix, phi or None, sign), in block order; without
-    a flip symmetry (`_flip_phases`) each block is one.  With one, U maps
-    each block onto the block holding x - (its largest index), as every
-    `_actions` table is the same at i ^ x up to one sign.  A block mapped
-    onto itself lists R, its indices with the top bit clear, first and their
-    partners T = x - R last in reverse order; its pieces are the U = +-1
-    halves B+- = B_RR +- B_RT diag(phi_R).  A block mapped onto a later one,
-    its twin, is one piece; `twins` maps the twin to (that block, phi on
-    it), and no twin's matrix is built.
+    A piece is (block, Hermitian matrix, lifts), in block order; `_lift`
+    takes its eigenvectors through the lifts into the block's basis.  A
+    kept block is split by the flip U (`_flip_phases`), then by the mirror
+    R (`_mirror_signs`) on each of U's spaces (`_arranged`); each split is
+    one `_project`.  So the half-filled block of a one-flavour Gross-Neveu
+    Hamiltonian gives four pieces and every other kept block of more than
+    one state two; without either symmetry a block is one piece.  A kept block's indices are returned in
+    the order of its splits, not ascending.  U maps each block onto the
+    block holding x - (its largest index), as every `_actions` table is the
+    same at i ^ x up to one sign.  A block mapped onto a later one, its
+    twin, is not built: its indices are x - those of that block, and
+    `twins` maps it to (that block, phi on it).
+
+    No dim x dim array is formed.  The memory guard counts, before any
+    allocation, the kept block matrices, every projected matrix (or the
+    copy `eigh` takes of a whole block) and every block's eigenvectors, 16
+    bytes an entry.
     """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
@@ -313,102 +480,137 @@ def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         raise ValueError("operator must be Hermitian")
     actions = list(op._actions())
     blocks = _invariant_blocks(actions, op.n_qubits)
+    phases, signs, top = _flip_phases(op), _mirror_signs(op), (1 << op.n_qubits) - 1
+    rev = None if signs is None else _reversal(op.n_qubits)
+    first = {int(idx[0]): k for k, idx in enumerate(blocks)}
+    # U maps block k onto block image[k]; without U onto none, and no block has a twin
+    image = [len(blocks) if phases is None else first[top - int(idx[-1])] for idx in blocks]
+    kept = [k for k, m in enumerate(image) if m >= k]
+    plans = []
+    for k in kept:
+        blocks[k], plan = _arranged(blocks[k], phases if image[k] == k else None, rev, signs)
+        plans.append(plan)
+    twins = {}
+    for k, m in enumerate(image):
+        if k < m < len(blocks):
+            blocks[m], twins[m] = top - blocks[k], (k, phases[blocks[k]])
     _require_memory(
-        2 * 16 * sum(len(idx) ** 2 for idx in blocks),
+        16 * sum(len(blocks[k]) ** 2 + (_projected_entries(plan) or len(blocks[k]) ** 2)
+                 for k, plan in zip(kept, plans))
+        + 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
-    phases, top = _flip_phases(op), (1 << op.n_qubits) - 1
-    first = {int(idx[0]): k for k, idx in enumerate(blocks)}
-    # U maps block k onto block mirror[k]; without U onto none, and every block is kept whole
-    mirror = [len(blocks) if phases is None else first[top - int(idx[-1])] for idx in blocks]
-    kept = [k for k, m in enumerate(mirror) if m >= k]
-    twins = {m: (k, phases[blocks[k]]) for k, m in enumerate(mirror) if k < m < len(blocks)}
     pieces = []
-    for k, mat in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], op.n_qubits)):
-        idx = blocks[k]
-        if mirror[k] > k:
-            pieces.append((k, mat, None, 1))
-        else:
-            half = len(idx) // 2
-            phi = phases[idx[:half]]
-            cross = mat[:half, ::-1][:, :half] * phi
-            pieces += [(k, mat[:half, :half] + sign * cross, phi, sign) for sign in (1, -1)]
+    for k, mat, plan in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], op.n_qubits), plans):
+        pieces += [(k, part, lifts) for part, lifts in _pieces(mat, plan)]
     return blocks, pieces, twins
 
 
-def _lift(vecs: np.ndarray, phi: np.ndarray | None, sign: int) -> np.ndarray:
-    """A piece's eigenvector columns in its block's basis: a half's rows R
-    take vecs / sqrt 2, and their partners sign phi vecs / sqrt 2 (U v = sign v)."""
-    if phi is None:
-        return vecs
-    scaled = vecs * np.sqrt(0.5)
-    return np.concatenate([scaled, (sign * phi[:, None] * scaled)[::-1]])
+def _lift(vecs: np.ndarray, lifts: tuple[Space, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """A piece's eigenvector columns in its block's basis, through each space of `lifts`, innermost first.
+
+    A pair vector's amplitude a goes to its representative as a / sqrt 2
+    and to its partner as tau s a / sqrt 2; a fixed point's is kept.  The
+    result is written into `out` when one is given.
+    """
+    for level, (r, f, s, keep, tau) in enumerate(lifts, 1):
+        last = level == len(lifts)
+        lifted = out if last and out is not None else np.empty((2 * r + f, vecs.shape[1]), dtype=complex)
+        np.multiply(vecs[:r], np.sqrt(0.5), out=lifted[:r])
+        np.multiply(tau * s[:, None], lifted[:r], out=lifted[r + f:])
+        if f:
+            lifted[r:r + f] = 0.0
+            lifted[r + keep] = vecs[r:]
+        vecs = lifted
+    if out is not None and not lifts:
+        out[:] = vecs
+    return vecs
 
 
-def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Blocks]:
-    """All eigenvalues ascending, and one eigensystem per invariant block.
+def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Groups]:
+    """All eigenvalues ascending, and the block eigensystems grouped by block size.
 
-    Each piece of `_split_blocks` is solved by `eigh`; a split block takes
-    its + half's eigenpairs, then its - half's.  A twin takes its earlier
-    block's eigenvalues, and its eigenvectors mapped by U: rows multiplied
-    by phi and reversed, which is exact.  Block eigenvalues are merged by a
-    stable sort; each block records the columns its eigenvalues took.
+    Each piece of `_split_blocks` is solved by `eigh`, lifted into the
+    next columns of its block and let go, so the block matrices are freed
+    with the last whole block.  A twin takes its earlier block's
+    eigenvalues, and its eigenvectors mapped by U, rows multiplied by phi,
+    which is exact.  The eigenvectors of all blocks of one size share one
+    (count, size, size) array, allocated when the first of them is solved.
+    Block eigenvalues are merged by a stable sort; each block records the
+    columns its eigenvalues took.
     """
     blocks, pieces, twins = _split_blocks(op, dense_cap)
-    solved: list = [None] * len(blocks)
-    for k, mat, phi, sign in pieces:
+    members: dict[int, list[int]] = {}
+    for k, idx in enumerate(blocks):
+        members.setdefault(len(idx), []).append(k)
+    slot = {k: i for ks in members.values() for i, k in enumerate(ks)}
+    stacks: dict[int, np.ndarray] = {}
+
+    def vecs(k: int) -> np.ndarray:
+        size = len(blocks[k])
+        if size not in stacks:
+            stacks[size] = np.empty((len(members[size]), size, size), dtype=complex)
+        return stacks[size][slot[k]]
+
+    evals: list[list[np.ndarray]] = [[] for _ in blocks]
+    pieces.reverse()
+    while pieces:
+        k, mat, lifts = pieces.pop()
         w, v = np.linalg.eigh(mat)
-        v = _lift(v, phi, sign)
-        if solved[k] is not None:
-            w, v = np.concatenate([solved[k][0], w]), np.hstack([solved[k][1], v])
-        solved[k] = (w, v)
+        done = sum(map(len, evals[k]))
+        _lift(v, lifts, out=vecs(k)[:, done:done + len(w)])
+        evals[k].append(w)
     for k, (j, phi) in twins.items():
-        w, v = solved[j]
-        solved[k] = (w, (phi[:, None] * v)[::-1])
-    evals = np.concatenate([w for w, _ in solved])
-    order = np.argsort(evals, kind="stable")
-    column = np.empty(len(evals), dtype=np.intp)
-    column[order] = np.arange(len(evals))
+        evals[k] = evals[j]
+        np.multiply(phi[:, None], vecs(j), out=vecs(k))
+    values = np.concatenate([w for ws in evals for w in ws])
+    order = np.argsort(values, kind="stable")
+    column = np.empty(len(values), dtype=np.intp)
+    column[order] = np.arange(len(values))
     columns = np.split(column, np.cumsum([len(idx) for idx in blocks])[:-1])
-    return evals[order], [(idx, cols, v) for idx, cols, (_, v) in zip(blocks, columns, solved)]
+    groups = [(np.array([blocks[k] for k in ks]), np.array([columns[k] for k in ks]), stacks[size])
+              for size, ks in members.items()]
+    return values[order], groups
 
 
-def _from_eigenbasis(blocks: Blocks, amps: np.ndarray) -> np.ndarray:
+def _from_eigenbasis(groups: Groups, amps: np.ndarray) -> np.ndarray:
     """Computational-basis vector(s) of eigenbasis amplitudes, shape (dim,) or (dim, k)."""
-    out = np.empty(amps.shape, dtype=complex)
-    for idx, cols, vecs in blocks:
-        out[idx] = vecs @ amps[cols]
-    return out
+    flat = amps.reshape(len(amps), -1)
+    out = np.empty(flat.shape, dtype=complex)
+    for idx, cols, vecs in groups:
+        out[idx] = vecs @ flat[cols]
+    return out.reshape(amps.shape)
 
 
 class ExactPropagator:
     """Eigendecomposition of one fixed operator `op`, with basis changes to and from it.
 
-    `evals` holds every eigenvalue in ascending order; `blocks` holds, per
-    invariant block, its basis indices, the columns of its eigenvalues in
-    `evals` and its eigenvectors, square even where a flip symmetry split
-    the block or made it a twin (`_eigensystem`).  Each basis change is one
-    small matmul per block.
+    `evals` holds every eigenvalue in ascending order; `groups` holds, per
+    invariant-block size, the basis indices of those blocks, the columns of
+    their eigenvalues in `evals` and their eigenvectors, square even where a
+    symmetry split the block or made it a twin (`_eigensystem`).  Each basis
+    change is one stacked matmul per block size.
     """
 
     def __init__(self, op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT):
         self.op = op
-        self.evals, self.blocks = _eigensystem(op, dense_cap)
+        self.evals, self.groups = _eigensystem(op, dense_cap)
 
     def spectrum(self) -> SpectrumResult:
         """The lowest two eigenpairs as `ground_state_dense` reports them: E0 and the vector exactly, E1 to rounding."""
-        return _lowest_pair(self.evals, self.blocks)
+        return _lowest_pair(self.evals, self.groups)
 
     def to_eigenbasis(self, state: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes of `state`, shape (dim,) or (dim, k)."""
-        out = np.empty(state.shape, dtype=complex)
-        for idx, cols, vecs in self.blocks:
+        flat = state.reshape(len(state), -1)
+        out = np.empty(flat.shape, dtype=complex)
+        for idx, cols, vecs in self.groups:
             # V^H x as conj(V^T conj(x)): no conjugated copy of V
-            out[cols] = (vecs.T @ state[idx].conj()).conj()
-        return out
+            out[cols] = (vecs.transpose(0, 2, 1) @ flat[idx].conj()).conj()
+        return out.reshape(state.shape)
 
     def from_eigenbasis(self, amps: np.ndarray) -> np.ndarray:
-        return _from_eigenbasis(self.blocks, amps)
+        return _from_eigenbasis(self.groups, amps)
 
 
 class KroneckerSumPropagator:

@@ -4,7 +4,9 @@ Everything here is built directly from dense matrices and textbook
 formulas, bypassing the package's Pauli/MPS machinery, so agreement is a
 genuine cross-check rather than a tautology.  `flip_symmetric_block_eigh`
 slices a bit-flip symmetry's halves from the assembled matrix, with the
-symmetry given as the dense matrix of a Pauli string (`pauli_matrix`).
+symmetry given as the dense matrix of a Pauli string (`pauli_matrix`);
+`symmetry_sector_eigh` projects each block on the joint eigenspaces of
+several symmetries given letter by letter (`pauli_mirror_action`).
 Two helpers run on the package's Pauli layer: `arpack_lowest`, which runs
 scipy's ARPACK, an eigensolver independent of the package's, on the
 matrix-free Pauli action; and `statevector_correlator_blocks`, which
@@ -121,6 +123,67 @@ def flip_symmetric_block_eigh(
             out.append((np.concatenate([w for w, _ in halves]), np.hstack([v for _, v in halves])))
         else:
             out.append(np.linalg.eigh(matrix[np.ix_(idx, idx)]))
+    return out
+
+
+def pauli_mirror_action(string: str, reverse: bool, index: int) -> tuple[int, complex]:
+    """(j, amp) with S|index> = amp |j>, S the Pauli string `string` after, if `reverse`, the qubit reversal.
+
+    Letter by letter from the 2 x 2 matrices of `pauli_matrix` (qubit 0 the
+    most significant bit); the reversal reads the index's binary digits
+    backwards.
+    """
+    n = len(string)
+    bits = format(index, f"0{n}b")
+    if reverse:
+        bits = bits[::-1]
+    j, amp = 0, 1.0 + 0j
+    letters = {letter: pauli_matrix(letter) for letter in set(string)}
+    for letter, bit in zip(string, bits):
+        column = letters[letter][:, int(bit)]
+        out = int(np.flatnonzero(column)[0])
+        j, amp = 2 * j + out, amp * column[out]
+    return j, amp
+
+
+def symmetry_sector_eigh(
+    matrix: np.ndarray, blocks: list[np.ndarray], symmetries: list
+) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Per block of an assembled dense matrix, its eigensystem in each joint eigenspace of `symmetries`.
+
+    A symmetry is a function i -> (j, amp) of a unitary S|i> = amp |j> that
+    commutes with `matrix`.  On a block that S maps onto itself, S or iS
+    (where S^2 = -1) is a Hermitian involution with projectors (1 +- S) / 2;
+    the product of one projector per such symmetry, P, has its range read
+    from `eigh(P)`, and one `eigh` of the matrix on that range gives the
+    sector's eigenvalues and eigenvectors in the block's basis.  Each block
+    yields [(P, evals, evecs)] over its non-empty sectors.
+    """
+    out = []
+    for idx in blocks:
+        where = {int(i): a for a, i in enumerate(idx)}
+        involutions = []
+        for symmetry in symmetries:
+            sym = np.zeros((len(idx), len(idx)), dtype=complex)
+            for a, i in enumerate(idx):
+                j, amp = symmetry(int(i))
+                if j not in where:
+                    break
+                sym[where[j], a] = amp
+            else:
+                square = sym @ sym
+                involutions.append(sym if np.allclose(square, np.eye(len(idx))) else 1j * sym)
+        projectors = [np.eye(len(idx), dtype=complex)]
+        for sym in involutions:
+            projectors = [p @ (np.eye(len(idx)) + sign * sym) / 2 for p in projectors for sign in (1, -1)]
+        sectors = []
+        for proj in projectors:
+            weights, basis = np.linalg.eigh(proj)
+            basis = basis[:, weights > 0.5]
+            if basis.shape[1]:
+                evals, evecs = np.linalg.eigh(basis.conj().T @ matrix[np.ix_(idx, idx)] @ basis)
+                sectors.append((proj, evals, basis @ evecs))
+        out.append(sectors)
     return out
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -14,6 +15,8 @@ from gnlab.exact import (
     _flip_phases,
     _invariant_blocks,
     _lowest_pair,
+    _mirror_signs,
+    _split_blocks,
     fix_phase,
     ground_state_dense,
     lanczos_lowest,
@@ -37,11 +40,23 @@ from oracles import (
     flip_symmetric_block_eigh,
     lanczos_reference,
     pauli_matrix,
+    pauli_mirror_action,
+    symmetry_sector_eigh,
 )
 
 
 def no_matrix(_self):
     raise AssertionError("to_matrix called by the dense solver")
+
+
+def per_block(prop):
+    """(basis indices, eigenvalue columns, eigenvectors) of each invariant block of `prop`, by smallest
+    index, with the indices ascending and the eigenvector rows in their order."""
+    blocks = []
+    for idx, cols, vecs in prop.groups:
+        order = np.argsort(idx, axis=1)
+        blocks += [(idx[i, order[i]], cols[i], vecs[i][order[i]]) for i in range(len(idx))]
+    return sorted(blocks, key=lambda block: block[0][0])
 
 
 def random_hermitian_pauli_sum(n, n_terms, rng):
@@ -98,6 +113,7 @@ class TestDense:
         # basis state instead of |1>|->
         op = PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")])
         assert _flip_phases(op) is None
+        assert _mirror_signs(op) is None
         result = ground_state_dense(op)
         assert result.gap == pytest.approx(2e-13, rel=1e-3, abs=0.0)
         expected = np.kron([0.0, 1.0], [1.0, -1.0]) / np.sqrt(2.0)
@@ -132,7 +148,8 @@ class TestDense:
         monkeypatch.setattr(gnlab.exact, "_physical_memory_bytes", lambda: 7 * 2**30)
         monkeypatch.setattr(PauliSumOperator, "to_matrix", no_matrix)
         prop = ExactPropagator(op)
-        assert max(len(idx) for idx, _cols, _vecs in prop.blocks) == 2
+        # one stacked eigensystem of the 8192 blocks
+        assert [vecs.shape for _idx, _cols, vecs in prop.groups] == [(8192, 2, 2)]
         # the XX pair mixes |00> with |11> and |01> with |10>; Z_q adds +-h_q
         pair = np.array([1.0, -1.0])[:, None] * np.hypot(
             [fields[0] + fields[1], fields[0] - fields[1]], coupling
@@ -184,44 +201,49 @@ class TestPrunedLowestPair:
         assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
 
     def test_ground_block_without_the_smallest_diagonal_undercuts(self, monkeypatch):
-        # blocks {00}, {01, 10} and {11} have diagonals 1, (0, 0) and -1; the
-        # hopping XX + YY splits the middle block into -2 and 2, below {11}'s -1
-        op = PauliSumOperator.from_terms(2, [(0.5, "ZI"), (0.5, "IZ"), (1.0, "XX"), (1.0, "YY")])
+        # blocks {00}, {01, 10} and {11} have diagonals 1, (0.75, -0.75) and -1;
+        # the hopping XX + YY splits the middle block into -1.25 and 1.25, below
+        # {11}'s -1; unequal fields leave no mirror to split the middle block by
+        op = PauliSumOperator.from_terms(2, [(0.875, "ZI"), (0.125, "IZ"), (0.5, "XX"), (0.5, "YY")])
+        assert _mirror_signs(op) is None
         full = _full_lowest_pair(op)
         calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
         pruned = ground_state_dense(op)
         # {11} first, then the undercut middle block; {00} lies above E1 = -1
         assert calls == [("eigh", 1, True), ("eigvalsh", 2, True), ("eigh", 2, True), ("cholesky", 1, True)]
-        assert (pruned.ground_energy, pruned.first_excited_energy) == (-2.0, -1.0)
+        assert (pruned.ground_energy, pruned.first_excited_energy) == (-1.25, -1.0)
         assert pruned.ground_energy == full.ground_energy
         assert np.array_equal(pruned.ground_vector, full.ground_vector)
         assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
 
     def test_first_excited_level_in_another_block(self, monkeypatch):
-        # as above with hopping 0.2: the middle block's -0.4 is E1, above {11}'s E0 = -1
-        op = PauliSumOperator.from_terms(2, [(0.5, "ZI"), (0.5, "IZ"), (0.2, "XX"), (0.2, "YY")])
+        # as above with hopping 0.15625: the middle block's -0.8125 is E1, above {11}'s E0 = -1
+        op = PauliSumOperator.from_terms(2, [(0.875, "ZI"), (0.125, "IZ"), (0.15625, "XX"), (0.15625, "YY")])
         full = _full_lowest_pair(op)
         calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
         pruned = ground_state_dense(op)
         assert calls == [("eigh", 1, True), ("eigvalsh", 2, True), ("cholesky", 1, True)]
         assert pruned.ground_energy == full.ground_energy == -1.0
         assert np.array_equal(pruned.ground_vector, full.ground_vector)
-        assert pruned.first_excited_energy == pytest.approx(-0.4, rel=1e-13, abs=0.0)
+        assert pruned.first_excited_energy == pytest.approx(-0.8125, rel=1e-13, abs=0.0)
         assert pruned.first_excited_energy == pytest.approx(full.first_excited_energy, rel=1e-13, abs=0.0)
 
     def test_five_sites_diagonalise_one_block(self, monkeypatch):
-        # the vacuum lies in one 126-dim half of the 252-dim half-filled block
-        # and E1 in the first 210-dim block, whose twin is never touched; the
-        # other half and that block fail the Cholesky test at E1, and the
-        # blocks of 0..3 particles pass it (their twins are not visited)
+        # the vacuum lies in a 71-dim quarter (U = +1, R = -1) of the 252-dim
+        # half-filled block, and E1 in the 110-dim R = +1 piece of the first
+        # 210-dim block, whose twin is never touched; on the way down two more
+        # quarters fail the Cholesky test at the E1 of the moment, and every
+        # other piece passes it (no twin is visited)
         op = build_hamiltonian(ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
         ground_state_dense(op)
         assert calls == [
-            ("eigh", 126, True),
-            ("cholesky", 126, False), ("eigvalsh", 126, True),
-            ("cholesky", 210, False), ("eigvalsh", 210, True),
-            ("cholesky", 120, True), ("cholesky", 45, True), ("cholesky", 10, True), ("cholesky", 1, True),
+            ("eigh", 71, True),
+            ("cholesky", 55, False), ("eigvalsh", 55, True), ("cholesky", 55, True),
+            ("cholesky", 71, False), ("eigvalsh", 71, True), ("cholesky", 60, True),
+            ("cholesky", 110, False), ("eigvalsh", 110, True),
+            ("cholesky", 100, True), ("cholesky", 60, True), ("cholesky", 5, True), ("cholesky", 20, True),
+            ("cholesky", 25, True), ("cholesky", 5, True), ("cholesky", 1, True),
         ]
 
     def test_ground_level_in_a_twin_pair_is_twice_degenerate(self, monkeypatch):
@@ -283,6 +305,7 @@ class TestBlockEigensystem:
         op = random_hermitian_pauli_sum(5, 10, rng)
         mat = op.to_matrix()
         assert _flip_phases(op) is None
+        assert _mirror_signs(op) is None
         assert len(_invariant_blocks(list(op._actions()), op.n_qubits)) == 1
         evals, evecs = np.linalg.eigh(mat)
         prop = ExactPropagator(op)
@@ -305,32 +328,40 @@ class TestBlockEigensystem:
         assert calls == [op.n_qubits] * 2
 
     def test_block_eigensystems_equal_eigh_of_matrix_blocks(self):
-        # a chemical potential on every mode keeps the fermion-number blocks
-        # and breaks the particle-hole flip, so every block is solved whole
+        # a potential on every mode, rising along the chain, keeps the
+        # fermion-number blocks and breaks the particle-hole flip and the
+        # mirror, so every block is solved whole
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
-        ham = ham + PauliSumOperator.from_terms(8, [(0.3, "I" * q + "Z" + "I" * (7 - q)) for q in range(8)])
+        ham = ham + PauliSumOperator.from_terms(8, [(0.3 + 0.05 * q, "I" * q + "Z" + "I" * (7 - q)) for q in range(8)])
         assert _flip_phases(ham) is None
+        assert _mirror_signs(ham) is None
         prop = ExactPropagator(ham)
-        reference = block_eigh(ham.to_matrix(), [idx for idx, _cols, _vecs in prop.blocks])
-        assert len(reference) == len(prop.blocks) == 9
-        for (_idx, cols, vecs), (evals, evecs) in zip(prop.blocks, reference):
+        blocks = per_block(prop)
+        reference = block_eigh(ham.to_matrix(), [idx for idx, _cols, _vecs in blocks])
+        assert len(reference) == len(blocks) == 9
+        for (_idx, cols, vecs), (evals, evecs) in zip(blocks, reference):
             assert np.array_equal(prop.evals[cols], evals)
             assert np.array_equal(vecs, evecs)
 
     def test_split_block_eigensystems_equal_the_flip_symmetric_oracle(self):
+        # Z Z on the first two modes commutes with the flip and breaks the
+        # mirror, so U alone splits the half-filled block
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        ham = ham + PauliSumOperator.from_terms(8, [(0.3, "ZZ" + "I" * 6)])
+        assert _mirror_signs(ham) is None
         mat, flip = ham.to_matrix(), pauli_matrix("YX" * 4)
         assert np.allclose(flip @ mat, mat @ flip, rtol=0.0, atol=1e-14)
         assert np.array_equal(_flip_phases(ham), flip[np.arange(256) ^ 255, np.arange(256)])
         prop = ExactPropagator(ham)
-        reference = flip_symmetric_block_eigh(mat, [idx for idx, _cols, _vecs in prop.blocks], flip)
-        assert len(reference) == len(prop.blocks) == 9
-        for (_idx, cols, vecs), (evals, evecs) in zip(prop.blocks, reference):
+        blocks = per_block(prop)
+        reference = flip_symmetric_block_eigh(mat, [idx for idx, _cols, _vecs in blocks], flip)
+        assert len(reference) == len(blocks) == 9
+        for (_idx, cols, vecs), (evals, evecs) in zip(blocks, reference):
             assert np.array_equal(prop.evals[cols], evals)
             assert np.array_equal(vecs, evecs)
         # blocks k and 8 - k share one spectrum exactly
         for k in range(4):
-            assert np.array_equal(prop.evals[prop.blocks[k][1]], prop.evals[prop.blocks[8 - k][1]])
+            assert np.array_equal(prop.evals[blocks[k][1]], prop.evals[blocks[8 - k][1]])
 
     # the one-flavour N = 2, 3, 4 cases are the Kronecker-sum fixtures' H_prev,
     # so their round trips run through halves and twins
@@ -356,9 +387,17 @@ class TestBlockEigensystem:
         # np.bitwise_count exists from NumPy 2.0 only; the declared floor is 1.24
         ham = build_hamiltonian(ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         expected = _flip_phases(ham)
+        split = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        signs = _mirror_signs(split)
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         assert np.array_equal(_flip_phases(ham), expected)
         assert ground_state_dense(ham).ground_energy == ExactPropagator(ham).evals[0]
+        # the mirror split of the half-filled block into quarters
+        assert np.array_equal(_mirror_signs(split), signs)
+        assert sum(k == 4 for k, _mat, _lifts in _split_blocks(split, DENSE_CAP_DEFAULT)[1]) == 4
+        dense, full = ground_state_dense(split), ExactPropagator(split).spectrum()
+        assert dense.ground_energy == full.ground_energy
+        assert np.array_equal(dense.ground_vector, full.ground_vector)
 
     @pytest.mark.parametrize("n_sites", [5, 6])
     def test_split_propagator_matches_independent_solvers(self, n_sites):
@@ -383,6 +422,111 @@ class TestBlockEigensystem:
         amps = prop.to_eigenbasis(state)
         assert amps.shape == shape
         assert np.max(np.abs(prop.from_eigenbasis(amps) - state)) <= 1e-13
+
+
+def mirror_oracle(n_qubits):
+    """R|i> = amp |j> by letters: the qubit reversal, then Z on the first qubit of every mode pair."""
+    return partial(pauli_mirror_action, "ZI" * (n_qubits // 2), True)
+
+
+def flip_oracle(n_qubits):
+    """U|i> = amp |j> by letters: Y X on every mode pair."""
+    return partial(pauli_mirror_action, "YX" * (n_qubits // 2), False)
+
+
+def action_table(symmetry, n_qubits):
+    """(images, amplitudes) of a symmetry i -> (j, amp) over every basis index."""
+    images, amps = zip(*(symmetry(i) for i in range(1 << n_qubits)))
+    return np.array(images), np.array(amps)
+
+
+MIRROR_CASES = [
+    *(ModelSpec(n_sites=n, spacing=0.25, bare_mass=0.2, coupling_sq=1.5) for n in range(2, 7)),
+    *(ModelSpec(n_sites=n, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2) for n in (2, 3)),
+    ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, boundary=Boundary.PERIODIC),
+    ModelSpec(n_sites=4, spacing=0.25, bare_mass=1.0, coupling_sq=0.0),
+    ModelSpec(n_sites=3, spacing=0.5, bare_mass=-0.3, coupling_sq=1.0, wilson_r=0.5),
+]
+MIRROR_IDS = [*(f"one-flavor-{n}" for n in range(2, 7)), "two-flavors-2", "two-flavors-3", "periodic", "free",
+              "negative-mass-r-half"]
+
+
+class TestMirror:
+    """The mirror R: qubit reversal, then Z on the first qubit of each mode pair (`_mirror_signs`)."""
+
+    @pytest.mark.parametrize("spec", MIRROR_CASES, ids=MIRROR_IDS)
+    def test_gross_neveu_commutes_with_the_mirror(self, spec, rng):
+        ham = build_hamiltonian(spec)
+        n, dim = ham.n_qubits, 1 << ham.n_qubits
+        images, amps = action_table(mirror_oracle(n), n)
+        # the GF(2) solve finds z: R|i> = signs_i |rev(i)>
+        assert np.array_equal(_mirror_signs(ham), amps)
+
+        def mirrored(vec):
+            out = np.empty_like(vec)
+            out[images] = amps * vec
+            return out
+
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        h_psi = ham.apply(psi)
+        assert np.linalg.norm(ham.apply(mirrored(psi)) - mirrored(h_psi)) <= 1e-12 * np.linalg.norm(h_psi)
+        # R maps each block onto a block (two flavours: sectors of swapped flavour
+        # numbers onto each other), and R^2 = +-1 on each
+        blocks = _invariant_blocks(list(ham._actions()), n)
+        by_start = {int(idx[0]): idx for idx in blocks}
+        selfmapped = 0
+        for idx in blocks:
+            image = np.sort(images[idx])
+            assert np.array_equal(image, by_start[int(image[0])])
+            selfmapped += np.array_equal(image, idx)
+            square = amps[idx] * amps[images[idx]]
+            assert square[0] in (1, -1) and np.all(square == square[0])
+        assert selfmapped == (len(blocks) if spec.flavors == 1 else (spec.n_qubits // 2 + 1))
+        # U and R commute on the half-filled block
+        flipped, phases = action_table(flip_oracle(n), n)
+        half = np.array([i for i in range(dim) if bin(i).count("1") == n // 2])
+        assert np.array_equal(flipped[images[half]], images[flipped[half]])
+        assert np.array_equal(amps[half] * phases[images[half]], phases[half] * amps[flipped[half]])
+
+    def test_operators_without_a_mirror_keep_whole_blocks(self, rng):
+        for op in (PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")]), random_hermitian_pauli_sum(5, 10, rng)):
+            assert _mirror_signs(op) is None
+            blocks, pieces, twins = _split_blocks(op, DENSE_CAP_DEFAULT)
+            assert twins == {}
+            assert [k for k, _mat, _lifts in pieces] == list(range(len(blocks)))
+            for idx, (_k, mat, lifts) in zip(blocks, pieces):
+                assert lifts == ()
+                assert np.array_equal(idx, np.sort(idx))
+                assert np.array_equal(mat, op.to_matrix()[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
+        ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5),
+        ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2),
+    ], ids=["one-flavor-4", "one-flavor-5", "two-flavors-3"])
+    def test_block_eigensystems_match_the_symmetry_sector_oracle(self, spec):
+        ham = build_hamiltonian(spec)
+        n, mat = ham.n_qubits, ham.to_matrix()
+        prop = ExactPropagator(ham)
+        blocks = per_block(prop)
+        reference = symmetry_sector_eigh(mat, [idx for idx, _cols, _vecs in blocks], [flip_oracle(n), mirror_oracle(n)])
+        scale = np.max(np.abs(prop.evals))
+        unitarity = residual = 0.0
+        for (idx, cols, vecs), sectors in zip(blocks, reference):
+            # each eigenvector lies in one sector, whose eigenvalues it shares
+            sector_of = np.full(len(idx), -1)
+            for s, (proj, evals, _evecs) in enumerate(sectors):
+                inside = np.linalg.norm(proj @ vecs, axis=0) > 0.5
+                assert np.all(sector_of[inside] == -1)
+                sector_of[inside] = s
+                assert np.max(np.abs(proj @ vecs[:, inside] - vecs[:, inside])) <= 1e-12
+                assert np.max(np.abs(np.sort(prop.evals[cols[inside]]) - evals)) <= 1e-12 * scale
+            assert np.all(sector_of >= 0)
+            # `_unitary_eigensystem_residuals`, summed block by block (the full eigenvector matrix is block-diagonal)
+            unitarity += np.linalg.norm(vecs.conj().T @ vecs - np.eye(len(idx))) ** 2
+            residual += np.linalg.norm(mat[np.ix_(idx, idx)] @ vecs - vecs * prop.evals[cols]) ** 2
+        assert np.sqrt(unitarity) <= 1e-12
+        assert np.sqrt(residual) / np.linalg.norm(mat) <= 1e-10
 
 
 def term_by_term_start_operator(h_prev, pad, penalty):
