@@ -15,7 +15,7 @@ from .model import (
     lattice_momenta,
     majorana_gammas,
 )
-from .pauli import PauliSumOperator, jordan_wigner
+from .pauli import PauliSumOperator
 from .exact import (
     ConvergenceError,
     SpectrumResult,

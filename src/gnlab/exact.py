@@ -320,18 +320,18 @@ def _reversal(n_qubits: int) -> np.ndarray:
     return rev
 
 
-def _mirror_signs(op: PauliSumOperator) -> np.ndarray | None:
+def _mirror_signs(op: PauliSumOperator, rev: np.ndarray) -> np.ndarray | None:
     """The signs s of a mirror R with R|i> = s_i |rev(i)> that commutes with each term of `op`, or None.
 
-    R reverses the qubit order (`_reversal`), then applies Z on the qubits of
-    a mask z: s_i = (-1)^|rev(i) & z|, and R^2 is Z on z ^ rev(z).  It maps a
-    term c P onto c (-1)^|x' & z| P', P' the reversed string and x' its X/Y
-    mask, so R commutes with `op` iff each reversed string is a term of
-    coefficient c' = +-c and |x' & z| is odd exactly when c' = -c: one linear
-    equation over GF(2) per term, solved as in `_flip_phases`.  On a
-    Gross-Neveu Hamiltonian z marks the first qubit of every mode pair, and
-    R mirrors the lattice, x -> N - 1 - x, reversing the flavours and the
-    two components of every site.
+    R reverses the qubit order (`rev`, the `_reversal` of op's qubits), then
+    applies Z on the qubits of a mask z: s_i = (-1)^|rev(i) & z|, and R^2 is
+    Z on z ^ rev(z).  It maps a term c P onto c (-1)^|x' & z| P', P' the
+    reversed string and x' its X/Y mask, so R commutes with `op` iff each
+    reversed string is a term of coefficient c' = +-c and |x' & z| is odd
+    exactly when c' = -c: one linear equation over GF(2) per term, solved as
+    in `_flip_phases`.  On a Gross-Neveu Hamiltonian z marks the first qubit
+    of every mode pair, and R mirrors the lattice, x -> N - 1 - x, reversing
+    the flavours and the two components of every site.
     """
     coeffs = {string: coeff for coeff, string in op.terms}
     equations = []
@@ -343,7 +343,7 @@ def _mirror_signs(op: PauliSumOperator) -> np.ndarray | None:
     z = _gf2_solution(equations)
     if z is None:
         return None
-    return np.where(_parities(op.n_qubits)[_reversal(op.n_qubits) & z], -1.0, 1.0)
+    return np.where(_parities(op.n_qubits)[rev & z], -1.0, 1.0)
 
 
 #: One eigenspace of an involution S e_j = s_j e_perm(j) whose basis is in
@@ -396,7 +396,7 @@ def _project(mat: np.ndarray, spaces: list[Space]) -> list[np.ndarray]:
     return out
 
 
-def _arranged(idx: np.ndarray, phases: np.ndarray | None, rev: np.ndarray | None,
+def _arranged(idx: np.ndarray, phases: np.ndarray | None, rev: np.ndarray,
               signs: np.ndarray | None) -> tuple[np.ndarray, list]:
     """A kept block's indices in the order its splits read, and its plan [(space, subplan)]; [] keeps it whole.
 
@@ -480,8 +480,8 @@ def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         raise ValueError("operator must be Hermitian")
     actions = list(op._actions())
     blocks = _invariant_blocks(actions, op.n_qubits)
-    phases, signs, top = _flip_phases(op), _mirror_signs(op), (1 << op.n_qubits) - 1
-    rev = None if signs is None else _reversal(op.n_qubits)
+    rev, top = _reversal(op.n_qubits), (1 << op.n_qubits) - 1
+    phases, signs = _flip_phases(op), _mirror_signs(op, rev)
     first = {int(idx[0]): k for k, idx in enumerate(blocks)}
     # U maps block k onto block image[k]; without U onto none, and no block has a twin
     image = [len(blocks) if phases is None else first[top - int(idx[-1])] for idx in blocks]

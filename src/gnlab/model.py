@@ -18,8 +18,11 @@ Hamiltonian is
 
 The first three lines are the one-body matrix h of `free_quadratic_form`,
 written once and read both by the free-theory checks and by
-`build_hamiltonian`, which maps h and the interaction through the
-Jordan-Wigner transformation.
+`build_hamiltonian`.  That maps h and the interaction to qubits by the
+Jordan-Wigner transformation, c_p = Z_0 ... Z_{p-1} (X_p + i Y_p)/2, written
+in closed form term by term (Somma, Ortiz, Gubernatis, Knill and Laflamme,
+PRA 65, 042323 (2002)): a bilinear c+_p c_q is four strings on modes p and q
+with Z on every mode strictly between them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import sin, sqrt
 
 import numpy as np
 
-from .pauli import PauliSumOperator, jordan_wigner
+from .pauli import PauliSumOperator
 
 class Boundary(str, Enum):
     DIRICHLET = "dirichlet"
@@ -99,13 +102,25 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _one_body(h: np.ndarray, modes: range, n_qubits: int) -> list[tuple[complex, str]]:
-    """Uncanonicalised terms of sum_ij h[i,j] c+_{modes[i]} c_{modes[j]}."""
+def _one_body(h: np.ndarray) -> list[tuple[complex, str]]:
+    """Uncanonicalised terms of sum_ij h[i,j] c+_i c_j, entry by entry in `np.nonzero` order.
+
+    c+_p c_p = (I - Z_p)/2, and for p < q, c+_p c_q = (XX + iXY - iYX + YY)/4
+    on modes p and q with Z on every mode strictly between them; c+_q c_p
+    takes the conjugate coefficients.
+    """
+    n = len(h)
     rows, cols = np.nonzero(h)
     raw = []
     for i, j, m in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()):
-        op = jordan_wigner(modes[i], "create", n_qubits) * jordan_wigner(modes[j], "annihilate", n_qubits)
-        raw.extend((m * c, s) for c, s in op.terms)
+        if i == j:
+            raw += [(0.5 * m, "I" * n), (-0.5 * m, "I" * i + "Z" + "I" * (n - i - 1))]
+            continue
+        p, q = min(i, j), max(i, j)
+        head, between, tail = "I" * p, "Z" * (q - p - 1), "I" * (n - q - 1)
+        xy = 0.25j if i < j else -0.25j
+        raw += [(m * c, head + a + between + b + tail)
+                for c, a, b in ((0.25, "X", "X"), (xy, "X", "Y"), (-xy, "Y", "X"), (0.25, "Y", "Y"))]
     return raw
 
 
@@ -113,17 +128,23 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
     """Qubit Hamiltonian for `spec`; Hermitian, real coefficients.
 
     The Jordan-Wigner image of `free_quadratic_form`, the very matrix the
-    free-theory checks diagonalise, plus -g0^2/(2a) sum_x S_x^2, where S_x
-    is the one-body form of gamma0 on site x's modes.
+    free-theory checks diagonalise, written in closed form by `_one_body`
+    (Somma et al., PRA 65, 042323), plus -g0^2/(2a) sum_x S_x^2.  S_x, the one-body form of gamma0 on one
+    site's modes, is the same operator at every site up to placement, so
+    S_x^2 is expanded once on 2*flavors qubits (`PauliSumOperator.from_matrix`)
+    and its strings are placed at each site.
     """
     n = spec.n_qubits
-    raw = _one_body(free_quadratic_form(spec), range(n), n)
+    raw = _one_body(free_quadratic_form(spec))
     if spec.coupling_sq != 0.0:
         width = 2 * spec.flavors  # modes per site
         density = np.kron(np.eye(spec.flavors), majorana_gammas().gamma0)
+        s_x = PauliSumOperator.from_terms(width, _one_body(density)).to_matrix()
+        square = PauliSumOperator.from_matrix(s_x @ s_x)
+        scale = -spec.coupling_sq / (2 * spec.spacing)
         for x in range(spec.n_sites):
-            s_x = PauliSumOperator.from_terms(n, _one_body(density, range(width * x, width * (x + 1)), n))
-            raw += [(-spec.coupling_sq / (2 * spec.spacing) * c, s) for c, s in (s_x * s_x).terms]
+            head, tail = "I" * (width * x), "I" * (n - width * (x + 1))
+            raw += [(scale * c, head + s + tail) for c, s in square.terms]
     return PauliSumOperator.from_terms(n, raw).hermitized()
 
 

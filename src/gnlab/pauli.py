@@ -6,17 +6,16 @@ computational-basis index).  Operators are stored canonically: terms
 sorted lexicographically by string, duplicate strings merged, and
 coefficients with |c| <= COEFF_DROP_TOL discarded.
 
-Arithmetic runs on the symplectic form (Aaronson & Gottesman, PRA 70, 052328
-(2004)): a string is the integer pair (x, z), x marking its X/Y letters and z
-its Y/Z letters, so that it equals i^{|x&z|} X^x Z^z.  The product of (xa, za)
-and (xb, zb) is i^k (xa^xb, za^zb), k = |xa&za| + |xb&zb| + 2|za&xb| - |x&z|
-(mod 4), where x, z are the product's masks and |.| counts set bits.
+`_actions` and `from_matrix` run on the symplectic form (Aaronson &
+Gottesman, PRA 70, 052328 (2004)): a string is the integer pair (x, z), x
+marking its X/Y letters and z its Y/Z letters, so that it equals
+i^{|x&z|} X^x Z^z, |.| counting set bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,14 +43,11 @@ def _parities(n_qubits: int) -> np.ndarray:
     return parity
 
 
-def _mul_strings(a: str, b: str) -> tuple[complex, str]:
-    """(phase, c) with a*b = phase*c, on the masks (see the module docstring)."""
-    (xa, za), (xb, zb) = _masks(a), _masks(b)
-    x, z = xa ^ xb, za ^ zb
-    k = (xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
+def _string(x: int, z: int, n_qubits: int) -> str:
+    """The Pauli string of the masks (x, z), the inverse of `_masks`."""
     # read as hex, the binary masks give one digit x + 2z per qubit; one translate spells them
     digits = int(format(x, "b"), 16) + 2 * int(format(z, "b"), 16)
-    return 1j ** (k % 4), format(digits, "x").zfill(len(a)).translate(_LETTERS)
+    return format(digits, "x").zfill(n_qubits).translate(_LETTERS)
 
 
 def _canonical(n_qubits: int, raw: Iterable[tuple[complex, str]]) -> tuple[tuple[complex, str], ...]:
@@ -88,6 +84,29 @@ class PauliSumOperator:
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSumOperator":
         return cls.from_terms(n_qubits, [(coeff, "I" * n_qubits)])
 
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "PauliSumOperator":
+        """The Pauli sum of a 2^k x 2^k matrix M, the inverse of `to_matrix`.
+
+        Each coefficient is Tr(P M) / 2^k.  With P = i^{|x&z|} X^x Z^z that is
+        i^{|x&z|} sum_i (-1)^{|i&z|} M[i, i^x] / 2^k, so for each flip mask x
+        one Walsh-Hadamard sum over the entries M[i, i^x] gives every z at once.
+        """
+        mat = np.asarray(matrix, dtype=complex)
+        k = len(mat).bit_length() - 1
+        if k < 1 or mat.shape != (1 << k, 1 << k):
+            raise ValueError(f"matrix of shape {mat.shape} is not 2^k x 2^k for some k >= 1")
+        idx = np.arange(1 << k)
+        sums = mat[idx, idx[:, None] ^ idx].reshape(-1, *(2,) * k)   # sums[x, i] = M[i, i ^ x]
+        for axis in range(1, k + 1):   # one butterfly per bit of i, the most significant first
+            lo, hi = np.take(sums, 0, axis), np.take(sums, 1, axis)
+            sums = np.stack([lo + hi, lo - hi], axis)
+        sums = sums.reshape(1 << k, 1 << k) / (1 << k)
+        return cls.from_terms(k, (
+            (1j ** (x & z).bit_count() * sums[x, z], _string(x, z, k))
+            for x, z in zip(*(a.tolist() for a in np.nonzero(sums)))
+        ))
+
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "PauliSumOperator") -> "PauliSumOperator":
@@ -101,21 +120,6 @@ class PauliSumOperator:
         return PauliSumOperator.from_terms(
             self.n_qubits, ((scalar * c, s) for c, s in self.terms)
         )
-
-    def __mul__(self, other: "PauliSumOperator") -> "PauliSumOperator":
-        """Operator product, expanded term by term through the Pauli algebra."""
-        if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
-        self._check_compatible(other)
-        raw = []
-        for ca, sa in self.terms:
-            for cb, sb in other.terms:
-                phase, s = _mul_strings(sa, sb)
-                raw.append((ca * cb * phase, s))
-        return PauliSumOperator.from_terms(self.n_qubits, raw)
-
-    def __neg__(self) -> "PauliSumOperator":
-        return (-1.0) * self
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self.terms)
@@ -134,12 +138,6 @@ class PauliSumOperator:
             )
 
     # -- structure ----------------------------------------------------------
-
-    def __iter__(self) -> Iterator[tuple[complex, str]]:
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def identity_coefficient(self) -> complex:
         ident = "I" * self.n_qubits
@@ -195,31 +193,3 @@ class PauliSumOperator:
         for perm, diag in self._actions():
             mat[perm, cols] += diag
         return mat
-
-
-def jordan_wigner(
-    mode_index: int,
-    kind: Literal["create", "annihilate"],
-    n_modes: int,
-) -> PauliSumOperator:
-    """Jordan-Wigner image of a single fermionic ladder operator.
-
-    Z letters on all modes below `mode_index`, (X -+ iY)/2 on the mode
-    itself: `create` takes (X - iY)/2, `annihilate` takes (X + iY)/2.
-    The result has complex coefficients; Hermitian combinations are formed
-    by composing these images through the Pauli algebra.
-    """
-    if not 0 <= mode_index < n_modes:
-        raise ValueError(f"mode_index {mode_index} out of range for {n_modes} modes")
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    z_head = "Z" * mode_index
-    tail = "I" * (n_modes - mode_index - 1)
-    sign = -1j if kind == "create" else 1j
-    return PauliSumOperator.from_terms(
-        n_modes,
-        [
-            (0.5, z_head + "X" + tail),
-            (0.5 * sign, z_head + "Y" + tail),
-        ],
-    )

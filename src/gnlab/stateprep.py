@@ -38,7 +38,7 @@ import numpy as np
 from .exact import DENSE_CAP_DEFAULT, ExactPropagator, KroneckerSumPropagator, _require_memory, ground_state_dense
 from .fits import EnergyFit
 from .model import ModelSpec, build_hamiltonian
-from .pauli import PAULI_CHARS, PauliSumOperator
+from .pauli import PauliSumOperator
 
 _SPAN_MARGIN = 0.125
 #: 2 pi = _TWO_PI_HI + _TWO_PI_LO.  The high part has 32 significant bits, so
@@ -374,24 +374,9 @@ def _start_propagator(prev_prop: ExactPropagator, pad: np.ndarray, penalty: floa
 
     A Kronecker sum: only the pad's penalty operator is diagonalised, next to H_prev's `prev_prop`.
     """
-    complement = PauliSumOperator.identity(int(math.log2(len(pad)))) - projector_pauli_expansion(pad)
+    projector = PauliSumOperator.from_matrix(np.outer(pad, pad.conj())).hermitized()
+    complement = PauliSumOperator.identity(projector.n_qubits) - projector
     return KroneckerSumPropagator(prev_prop, ExactPropagator(penalty * complement))
-
-
-def projector_pauli_expansion(vector: np.ndarray) -> PauliSumOperator:
-    """|v><v| over k qubits as a Pauli sum (4^k coefficients <v|P|v>/2^k)."""
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
-    k = int(math.log2(len(vec)))
-    if 1 << k != len(vec):
-        raise ValueError("vector length must be a power of two")
-    strings = [""]
-    for _ in range(k):
-        strings = [s + ch for s in strings for ch in PAULI_CHARS]
-    terms = []
-    for s in strings:
-        coeff = PauliSumOperator.from_terms(k, [(1.0, s)]).expectation(vec) / (1 << k)
-        terms.append((coeff, s))
-    return PauliSumOperator.from_terms(k, terms).hermitized()
 
 
 def prepare_vacuum(

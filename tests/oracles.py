@@ -7,12 +7,16 @@ slices a bit-flip symmetry's halves from the assembled matrix, with the
 symmetry given as the dense matrix of a Pauli string (`pauli_matrix`);
 `symmetry_sector_eigh` projects each block on the joint eigenspaces of
 several symmetries given letter by letter (`pauli_mirror_action`).
-Two helpers run on the package's Pauli layer: `arpack_lowest`, which runs
+Some helpers run on the package's Pauli layer: `arpack_lowest`, which runs
 scipy's ARPACK, an eigensolver independent of the package's, on the
-matrix-free Pauli action; and `statevector_correlator_blocks`, which
+matrix-free Pauli action; `statevector_correlator_blocks`, which
 evaluates the two-point correlator as Pauli-sum expectations of
 Jordan-Wigner images on a state vector, independent of the MPS contraction
-the package measures with.  The `*_reference` helpers,
+the package measures with; and the product assembly, `jordan_wigner` and
+`operator_product` (products letter by letter from `pauli_product_reference`)
+with `hamiltonian_by_products`, which multiplies out every term the package
+writes in closed form, and `projector_by_expectations`, which reads each
+Pauli coefficient of |v><v| as an expectation.  The `*_reference` helpers,
 `epsilon_uncompressed` and `lanczos_reference` are the plain forms of
 faster package kernels (letter loops, pairwise scans, the three-term
 recurrence), kept to pin the fast forms to the same results.
@@ -22,6 +26,7 @@ the tests that the reader refuses it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 
@@ -31,7 +36,7 @@ from gnlab.bessel import bessel_k
 from gnlab.model import Boundary, ModelSpec, free_quadratic_form, majorana_gammas
 from gnlab.mps import MatrixProductOperator, MatrixProductState, expectation_value
 from gnlab.observables import centered_pairs
-from gnlab.pauli import PauliSumOperator, jordan_wigner
+from gnlab.pauli import PAULI_CHARS, PauliSumOperator
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -209,8 +214,8 @@ def statevector_correlator_blocks(vec: np.ndarray, spec: ModelSpec, flavor: int 
 
     def raw(i: int, j: int) -> np.ndarray:
         return np.array([[
-            (jordan_wigner(spec.mode_index(i, flavor, alpha), "annihilate", nq)
-             * jordan_wigner(spec.mode_index(j, flavor, c), "create", nq)).expectation(vec)
+            operator_product(jordan_wigner(spec.mode_index(i, flavor, alpha), "annihilate", nq),
+                             jordan_wigner(spec.mode_index(j, flavor, c), "create", nq)).expectation(vec)
             for c in range(2)] for alpha in range(2)])
 
     return np.array([raw(i, j) @ gamma0 / spec.spacing for _k, i, j in centered_pairs(spec.n_sites)])
@@ -404,6 +409,59 @@ def pauli_product_reference(a: str, b: str) -> tuple[complex, str]:
         phase *= p
         out.append(c)
     return phase, "".join(out)
+
+
+def operator_product(a: PauliSumOperator, b: PauliSumOperator) -> PauliSumOperator:
+    """The operator product a b, term by term with `pauli_product_reference`."""
+    raw = []
+    for ca, sa in a.terms:
+        for cb, sb in b.terms:
+            phase, string = pauli_product_reference(sa, sb)
+            raw.append((ca * cb * phase, string))
+    return PauliSumOperator.from_terms(a.n_qubits, raw)
+
+
+def jordan_wigner(mode: int, kind: str, n_modes: int) -> PauliSumOperator:
+    """Jordan-Wigner image of one ladder operator: Z on every mode below `mode`, and
+    (X - iY)/2 on it for `create`, (X + iY)/2 for `annihilate`."""
+    head, tail = "Z" * mode, "I" * (n_modes - mode - 1)
+    sign = -1j if kind == "create" else 1j
+    return PauliSumOperator.from_terms(n_modes, [(0.5, head + "X" + tail), (0.5 * sign, head + "Y" + tail)])
+
+
+def hamiltonian_by_products(spec: ModelSpec) -> PauliSumOperator:
+    """`build_hamiltonian(spec)` with every term multiplied out: each h[i, j] c+_i c_j of
+    `free_quadratic_form` as a product of two `jordan_wigner` images, then each site's
+    S_x^2 as the product of S_x with itself on all qubits, in the package's emit order."""
+    n = spec.n_qubits
+
+    def one_body(h: np.ndarray, modes: range) -> list[tuple[complex, str]]:
+        rows, cols = np.nonzero(h)
+        raw = []
+        for i, j, m in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()):
+            op = operator_product(jordan_wigner(modes[i], "create", n), jordan_wigner(modes[j], "annihilate", n))
+            raw += [(m * c, s) for c, s in op.terms]
+        return raw
+
+    raw = one_body(free_quadratic_form(spec), range(n))
+    if spec.coupling_sq != 0.0:
+        width = 2 * spec.flavors
+        density = np.kron(np.eye(spec.flavors), majorana_gammas().gamma0)
+        for x in range(spec.n_sites):
+            s_x = PauliSumOperator.from_terms(n, one_body(density, range(width * x, width * (x + 1))))
+            raw += [(-spec.coupling_sq / (2 * spec.spacing) * c, s) for c, s in operator_product(s_x, s_x).terms]
+    return PauliSumOperator.from_terms(n, raw).hermitized()
+
+
+def projector_by_expectations(vector: np.ndarray) -> PauliSumOperator:
+    """|v><v| over k qubits as a Pauli sum, one string at a time: coefficient <v|P|v> / 2^k."""
+    vec = np.asarray(vector, dtype=complex)
+    k = len(vec).bit_length() - 1
+    terms = []
+    for letters in itertools.product(PAULI_CHARS, repeat=k):
+        string = "".join(letters)
+        terms.append((PauliSumOperator.from_terms(k, [(1.0, string)]).expectation(vec) / (1 << k), string))
+    return PauliSumOperator.from_terms(k, terms).hermitized()
 
 
 def truncated_rank_reference(s: np.ndarray, max_bond: int | None, discarded_weight: float) -> int:

@@ -16,6 +16,7 @@ from gnlab.exact import (
     _invariant_blocks,
     _lowest_pair,
     _mirror_signs,
+    _reversal,
     _split_blocks,
     fix_phase,
     ground_state_dense,
@@ -30,7 +31,6 @@ from gnlab.stateprep import (
     PhaseEstimationReflection,
     _start_propagator,
     ancilla_bits_for,
-    projector_pauli_expansion,
 )
 
 from oracles import (
@@ -113,7 +113,7 @@ class TestDense:
         # basis state instead of |1>|->
         op = PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")])
         assert _flip_phases(op) is None
-        assert _mirror_signs(op) is None
+        assert _mirror_signs(op, _reversal(op.n_qubits)) is None
         result = ground_state_dense(op)
         assert result.gap == pytest.approx(2e-13, rel=1e-3, abs=0.0)
         expected = np.kron([0.0, 1.0], [1.0, -1.0]) / np.sqrt(2.0)
@@ -205,7 +205,7 @@ class TestPrunedLowestPair:
         # the hopping XX + YY splits the middle block into -1.25 and 1.25, below
         # {11}'s -1; unequal fields leave no mirror to split the middle block by
         op = PauliSumOperator.from_terms(2, [(0.875, "ZI"), (0.125, "IZ"), (0.5, "XX"), (0.5, "YY")])
-        assert _mirror_signs(op) is None
+        assert _mirror_signs(op, _reversal(op.n_qubits)) is None
         full = _full_lowest_pair(op)
         calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
         pruned = ground_state_dense(op)
@@ -305,7 +305,7 @@ class TestBlockEigensystem:
         op = random_hermitian_pauli_sum(5, 10, rng)
         mat = op.to_matrix()
         assert _flip_phases(op) is None
-        assert _mirror_signs(op) is None
+        assert _mirror_signs(op, _reversal(op.n_qubits)) is None
         assert len(_invariant_blocks(list(op._actions()), op.n_qubits)) == 1
         evals, evecs = np.linalg.eigh(mat)
         prop = ExactPropagator(op)
@@ -334,7 +334,7 @@ class TestBlockEigensystem:
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         ham = ham + PauliSumOperator.from_terms(8, [(0.3 + 0.05 * q, "I" * q + "Z" + "I" * (7 - q)) for q in range(8)])
         assert _flip_phases(ham) is None
-        assert _mirror_signs(ham) is None
+        assert _mirror_signs(ham, _reversal(ham.n_qubits)) is None
         prop = ExactPropagator(ham)
         blocks = per_block(prop)
         reference = block_eigh(ham.to_matrix(), [idx for idx, _cols, _vecs in blocks])
@@ -348,7 +348,7 @@ class TestBlockEigensystem:
         # mirror, so U alone splits the half-filled block
         ham = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         ham = ham + PauliSumOperator.from_terms(8, [(0.3, "ZZ" + "I" * 6)])
-        assert _mirror_signs(ham) is None
+        assert _mirror_signs(ham, _reversal(ham.n_qubits)) is None
         mat, flip = ham.to_matrix(), pauli_matrix("YX" * 4)
         assert np.allclose(flip @ mat, mat @ flip, rtol=0.0, atol=1e-14)
         assert np.array_equal(_flip_phases(ham), flip[np.arange(256) ^ 255, np.arange(256)])
@@ -388,12 +388,12 @@ class TestBlockEigensystem:
         ham = build_hamiltonian(ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         expected = _flip_phases(ham)
         split = build_hamiltonian(ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
-        signs = _mirror_signs(split)
+        signs = _mirror_signs(split, _reversal(split.n_qubits))
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         assert np.array_equal(_flip_phases(ham), expected)
         assert ground_state_dense(ham).ground_energy == ExactPropagator(ham).evals[0]
         # the mirror split of the half-filled block into quarters
-        assert np.array_equal(_mirror_signs(split), signs)
+        assert np.array_equal(_mirror_signs(split, _reversal(split.n_qubits)), signs)
         assert sum(k == 4 for k, _mat, _lifts in _split_blocks(split, DENSE_CAP_DEFAULT)[1]) == 4
         dense, full = ground_state_dense(split), ExactPropagator(split).spectrum()
         assert dense.ground_energy == full.ground_energy
@@ -460,7 +460,7 @@ class TestMirror:
         n, dim = ham.n_qubits, 1 << ham.n_qubits
         images, amps = action_table(mirror_oracle(n), n)
         # the GF(2) solve finds z: R|i> = signs_i |rev(i)>
-        assert np.array_equal(_mirror_signs(ham), amps)
+        assert np.array_equal(_mirror_signs(ham, _reversal(ham.n_qubits)), amps)
 
         def mirrored(vec):
             out = np.empty_like(vec)
@@ -490,7 +490,7 @@ class TestMirror:
 
     def test_operators_without_a_mirror_keep_whole_blocks(self, rng):
         for op in (PauliSumOperator.from_terms(2, [(1.0, "ZI"), (1e-13, "IX")]), random_hermitian_pauli_sum(5, 10, rng)):
-            assert _mirror_signs(op) is None
+            assert _mirror_signs(op, _reversal(op.n_qubits)) is None
             blocks, pieces, twins = _split_blocks(op, DENSE_CAP_DEFAULT)
             assert twins == {}
             assert [k for k, _mat, _lifts in pieces] == list(range(len(blocks)))
@@ -529,9 +529,14 @@ class TestMirror:
         assert np.sqrt(residual) / np.linalg.norm(mat) <= 1e-10
 
 
+def pad_complement(pad):
+    """1 - |pad><pad| on the pad's two qubits, expanded as `_start_propagator` expands it."""
+    return PauliSumOperator.identity(2) - PauliSumOperator.from_matrix(np.outer(pad, pad.conj())).hermitized()
+
+
 def term_by_term_start_operator(h_prev, pad, penalty):
     """H_prev (x) 1 + penalty (1 (x) (1 - |pad><pad|)), one Pauli string at a time."""
-    complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
+    complement = pad_complement(pad)
     n = h_prev.n_qubits
     return PauliSumOperator.from_terms(n + 2, [
         *((c, s + "II") for c, s in h_prev.terms),
@@ -549,8 +554,7 @@ def kronecker_instance(request):
     gap = prev.evals[1] - prev.evals[0]
     penalty = max(1.0, 2.0 * gap)
     pad = pad_state(kind, 1)
-    complement = PauliSumOperator.identity(2) - projector_pauli_expansion(pad)
-    prop = KroneckerSumPropagator(prev, ExactPropagator(penalty * complement))
+    prop = KroneckerSumPropagator(prev, ExactPropagator(penalty * pad_complement(pad)))
     reference = ExactPropagator(term_by_term_start_operator(h_prev, pad, penalty))
     return prop, reference, min(gap, penalty)
 

@@ -18,13 +18,15 @@ from gnlab.mps import (
     transfer,
     truncated_svd,
 )
-from gnlab.pauli import PauliSumOperator, jordan_wigner
+from gnlab.pauli import PauliSumOperator
 
 from oracles import (
     gnmps001_bytes,
+    jordan_wigner,
     merge_columns_reference,
     mpo_to_matrix,
     mps_to_dense,
+    operator_product,
     transfer_reference,
     truncated_rank_reference,
 )
@@ -293,7 +295,7 @@ class TestApplyMpo:
         )
         # a Jordan-Wigner bilinear from site 0 to site 9, beyond compile_mpo's default range
         mps = MatrixProductState.random(grouped_dims(20, 1), bond_dim=4, seed=5)
-        op = jordan_wigner(0, "annihilate", 20) * jordan_wigner(19, "create", 20)
+        op = operator_product(jordan_wigner(0, "annihilate", 20), jordan_wigner(19, "create", 20))
         assert pauli_sum_expectation(mps, op) == pytest.approx(
             op.expectation(mps_to_dense(mps)), abs=1e-12
         )

@@ -12,6 +12,7 @@ from gnlab.exact import ExactPropagator, ground_state_dense
 from gnlab.fits import EnergyModel, fit_energy_extrapolation
 from gnlab.model import ModelSpec, build_hamiltonian
 from gnlab.overlaps import PadKind, pad_state
+from gnlab.pauli import PauliSumOperator
 from gnlab.stateprep import (
     Decision,
     FixedPointConfig,
@@ -25,12 +26,11 @@ from gnlab.stateprep import (
     ground_oracle_reflection,
     phase_estimate,
     prepare_vacuum,
-    projector_pauli_expansion,
     repetitions_for,
     state_reflection,
 )
 from gnlab.stateprep import _WINDOW_CELLS, _estimation_kernel, _estimation_register
-from oracles import fixed_point_success, phase_estimation_probabilities
+from oracles import fixed_point_success, phase_estimation_probabilities, projector_by_expectations
 
 
 @pytest.fixture(scope="module")
@@ -343,11 +343,22 @@ class TestFixedPointAmplify:
 
 
 class TestProjectorExpansion:
+    """|v><v| as a Pauli sum, the form `_start_propagator` diagonalises the pad's penalty in."""
+
     def test_projector_roundtrip(self, rng):
         vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         vec /= np.linalg.norm(vec)
-        op = projector_pauli_expansion(vec)
+        op = PauliSumOperator.from_matrix(np.outer(vec, vec.conj())).hermitized()
         assert np.allclose(op.to_matrix(), np.outer(vec, vec.conj()), atol=1e-12)
+
+    @pytest.mark.parametrize("flavors", [1, 2])
+    @pytest.mark.parametrize("kind", list(PadKind))
+    def test_pad_projector_matches_per_string_expectations(self, kind, flavors):
+        pad = pad_state(kind, flavors)
+        op = PauliSumOperator.from_matrix(np.outer(pad, pad.conj())).hermitized()
+        ref = projector_by_expectations(pad)
+        assert op.terms == ref.terms
+        assert repr(op.terms) == repr(ref.terms)
 
 
 @pytest.fixture(scope="module")
