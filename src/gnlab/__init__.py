@@ -14,6 +14,8 @@ from .model import (
     free_quadratic_form,
     lattice_momenta,
     majorana_gammas,
+    spinor_frame_gammas,
+    spinor_frame_site,
 )
 from .pauli import PauliSumOperator
 from .exact import (

@@ -21,7 +21,8 @@ from .config import ConfigError, Engine, ExperimentConfig, load_config
 from .dmrg import DmrgReport, dmrg_ground_state
 from .exact import ConvergenceError, ground_state_dense
 from .fits import FitConvergenceError, fit_correlation_length, fit_energy_extrapolation, window_mask
-from .model import ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta
+from .model import (ModelSpec, build_hamiltonian, free_dispersion, free_quadratic_form, lattice_momenta,
+                    spinor_frame_site)
 from .mps import MatrixProductState, append_site, compile_mpo, grouped_dims
 from .observables import centered_pairs, two_point_correlator
 from .overlaps import PadKind, consecutive_overlaps, pad_state
@@ -92,11 +93,21 @@ def _state_slug(cfg: ExperimentConfig, spec: ModelSpec, lo: int | None = None) -
             f"_s{solver.seed}_e{solver.epsilon_goal!r}_b{solver.max_bond}_w{solver.max_sweeps}{grown}.mps")
 
 
+def _real_in_phase(tensor: np.ndarray) -> np.ndarray:
+    """The real part of `tensor` once one phase has turned its largest entry real and positive."""
+    top = tensor.flat[np.argmax(np.abs(tensor))]
+    return (tensor * (abs(top) / top)).real
+
+
 def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductState | None = None):
     """Converged ground state for one spec by the configured engine: (mps, report); dense states become exact MPSs.
-    DMRG starts from `start` if one is given; the dense engine ignores it."""
-    op = build_hamiltonian(spec)
+    DMRG starts from `start` if one is given; the dense engine ignores it.
+
+    DMRG runs in real arithmetic on the spinor-frame Hamiltonian V+ H V (`model`): `start` goes in
+    with V+ on every site, each tensor made real by one phase, and the answer comes out with V, so the
+    returned state, like every checkpoint, is complex and in the Majorana basis."""
     if cfg.solver.engine is Engine.DENSE:
+        op = build_hamiltonian(spec)
         result = ground_state_dense(op, dense_cap=cfg.solver.dense_cap)
         vec = result.ground_vector
         h_vec = op.apply(vec)
@@ -106,8 +117,11 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
         report = DmrgReport(energy=result.ground_energy, epsilon=eps, sweeps=0,
                             max_bond=max(mps.bond_dims), converged=True)
         return mps, report
+    frame = spinor_frame_site(spec.flavors)
+    if start is not None:
+        start = MatrixProductState([_real_in_phase(frame.conj().T @ t) for t in start.tensors], start.center)
     mps, report = dmrg_ground_state(
-        compile_mpo(op, spec.flavors),
+        compile_mpo(build_hamiltonian(spec, spinor_frame=True), spec.flavors),
         epsilon_goal=cfg.solver.epsilon_goal,
         max_bond=cfg.solver.max_bond,
         seed=cfg.solver.seed,
@@ -117,7 +131,7 @@ def _solve_point(cfg: ExperimentConfig, spec: ModelSpec, start: MatrixProductSta
     if not report.converged:
         raise ConvergenceError(f"DMRG did not converge at {spec.n_sites} sites in {report.sweeps} sweep(s): "
                                f"epsilon {report.epsilon:.3e}, goal {cfg.solver.epsilon_goal:.3e}")
-    return mps, report
+    return MatrixProductState([frame @ t for t in mps.tensors], mps.center), report
 
 
 def _ground_state(cfg: ExperimentConfig, spec: ModelSpec, reuse: bool = True, lo: int | None = None,

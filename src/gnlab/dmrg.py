@@ -13,6 +13,12 @@ squared MPO of H - E, in one transfer sweep with no truncation (Hubig,
 McCulloch and Schollwoeck, PRB 97, 045125 (2018)); its parallel channels
 are merged first, which cuts its bond from 16 to 8 for the Gross-Neveu
 chain and drops nothing.
+
+Everything runs in the dtype numpy promotes the MPO and the start to: a
+float64 MPO, such as that of the spinor-frame Hamiltonian
+(`build_hamiltonian(spec, spinor_frame=True)`), with no start or a real one
+sweeps in real arithmetic from a real random start, about half the time of
+the complex sweep; a complex MPO runs in complex128 exactly as it always has.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def epsilon_measure(state: MatrixProductState, mpo: MatrixProductOperator) -> fl
     shifted = []
     for w in mpo.tensors:
         dl, d, _, dr = w.shape
-        block = np.zeros((dl + 1, d, d, dr + 1), dtype=complex)   # H (+) 1
+        block = np.zeros((dl + 1, d, d, dr + 1), dtype=w.dtype)   # H (+) 1
         block[:dl, :, :, :dr] = w
         block[dl, :, :, dr] = np.eye(d)
         shifted.append(block)
@@ -116,8 +122,9 @@ def dmrg_ground_state(
     each one: epsilon < `epsilon_goal` ends the run converged, and a sweep
     that lowers the energy by no more than 1e-13 (1 + |E|), or raises it, as
     a bond-capped sweep may, ends it unconverged.  A given `start` is copied
-    (never mutated) and must match the MPO's physical dimensions.
-    Deterministic given `seed` and `start`.
+    (never mutated) and must match the MPO's physical dimensions.  The sweep
+    runs in the dtype of the MPO and `start` together: float64 for a real
+    MPO and a real or no start.  Deterministic given `seed` and `start`.
     """
     if epsilon_goal <= 0:
         raise ValueError("epsilon_goal must be positive")
@@ -128,21 +135,22 @@ def dmrg_ground_state(
     n = mpo.n_sites
     if n < 2:
         raise ValueError("two-site sweeps need at least two sites")
+    dtype = np.result_type(*mpo.tensors, *(start.tensors if start is not None else ()))
     if start is None:
-        psi = MatrixProductState.random(mpo.phys_dims, bond_dim=2, seed=seed)
+        psi = MatrixProductState.random(mpo.phys_dims, bond_dim=2, seed=seed, dtype=dtype)
     else:
         if start.phys_dims != mpo.phys_dims:
             raise ValueError(f"start state dims {start.phys_dims} do not match the MPO's {mpo.phys_dims}")
-        psi = MatrixProductState([t.copy() for t in start.tensors], start.center)
+        psi = MatrixProductState([t.astype(dtype) for t in start.tensors], start.center)
     psi.canonicalize(0)
     psi.normalize()
 
     right_envs: list[np.ndarray | None] = [None] * (n + 1)
-    right_envs[n] = np.ones((1, 1, 1), dtype=complex)
+    right_envs[n] = np.ones((1, 1, 1), dtype=dtype)
     for k in range(n - 1, 1, -1):
         right_envs[k] = _grow_right(right_envs[k + 1], psi.tensors[k], mpo.tensors[k])
     left_envs: list[np.ndarray | None] = [None] * (n + 1)
-    left_envs[0] = np.ones((1, 1, 1), dtype=complex)
+    left_envs[0] = np.ones((1, 1, 1), dtype=dtype)
 
     energy = float("inf")
     eps = float("inf")

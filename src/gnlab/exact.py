@@ -21,9 +21,13 @@ Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not diagonalised at
 all: `KroneckerSumPropagator` keeps the factors' propagators and changes
 basis one factor at a time.
 
-All eigenvectors follow one phase convention so that overlap tables are
-reproducible bit-for-bit: the first amplitude whose magnitude exceeds
-1e-12 times the largest is rotated to the positive real axis.
+All eigenvectors follow one phase convention (`fix_phase`): the largest
+amplitude, the one of lowest index among those within 1e-8 relative of the
+largest magnitude, is rotated to the positive real axis.  Its phase carries
+rounding only at the level of its own relative error, so two solves that
+agree to rounding give vectors that agree to rounding, phase included; the
+margin keeps the choice between symmetry-equal magnitudes (the mirror R
+maps i to rev(i)) from falling to rounding.
 """
 
 from __future__ import annotations
@@ -59,12 +63,13 @@ Groups = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant amplitude is real > 0."""
+    """Rotate the global phase so the largest amplitude is real > 0: the first whose magnitude is
+    within 1e-8 relative of the maximum."""
     mags = np.abs(vector)
     top = mags.max()
     if top == 0.0:
         return vector
-    idx = int(np.argmax(mags > 1e-12 * top))
+    idx = int(np.argmax(mags >= (1 - 1e-8) * top))
     return vector * np.exp(-1j * np.angle(vector[idx]))
 
 
@@ -157,17 +162,20 @@ def lanczos_lowest(
     Krylov product.  Each step orthogonalises A q_j against the whole basis
     by classical Gram-Schmidt twice (CGS2); the first pass's coefficient on
     q_j is alpha_j, so no separate three-term recurrence is subtracted.
+    The basis has the dtype numpy promotes `start` and the first product
+    to: real when both are, as in DMRG's real sweeps.
     """
     dim = start.shape[0]
     m_cap = min(krylov_dim, dim)
-    v = start.astype(complex)
-    nrm = np.linalg.norm(v)
+    nrm = np.linalg.norm(start)
     if nrm < 1e-14:
         raise ValueError("start vector is zero")
-    v = v / nrm
+    v = start / nrm
     product = matvec(v)   # A v of each restart vector, formed once
+    dtype = np.result_type(v, product)   # real only when the start and the products are
+    v, product = v.astype(dtype, copy=False), product.astype(dtype, copy=False)
 
-    basis = np.empty((m_cap, dim), dtype=complex)
+    basis = np.empty((m_cap, dim), dtype=dtype)
     tri = np.zeros((m_cap, m_cap))   # the tridiagonal T; eigh reads its lower triangle
     theta = 0.0
     for _ in range(max_restarts):

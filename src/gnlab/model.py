@@ -23,6 +23,19 @@ Jordan-Wigner transformation, c_p = Z_0 ... Z_{p-1} (X_p + i Y_p)/2, written
 in closed form term by term (Somma, Ortiz, Gubernatis, Knill and Laflamme,
 PRA 65, 042323 (2002)): a bilinear c+_p c_q is four strings on modes p and q
 with Z on every mode strictly between them.
+
+The spinor frame.  In the Majorana form h is imaginary, so H carries strings
+with an odd number of Y and its matrix is complex.  Rotating every spinor
+pair by u = exp(-i pi/4 sigma_x) maps the gammas to u+ gamma u (gamma0 ->
+-sigma_z, gamma1 unchanged, `spinor_frame_gammas`), under which h is real
+and every string has an even number of Y: the frame Hamiltonian
+V+ H V, V the product over spinor pairs of the Jordan-Wigner image v of u
+(`SPINOR_FRAME_PAIR`), is a real symmetric matrix.  H commutes with the
+antiunitary S K, S swapping each pair's components and K complex
+conjugation, and (S K)^2 = 1, so a real form exists (Wigner; Haake,
+Quantum Signatures of Chaos, ch. 2); V picks one that keeps every term
+local.  `build_hamiltonian(spec, spinor_frame=True)` assembles it by the
+same closed-form code, and DMRG runs on it in real arithmetic.
 """
 
 from __future__ import annotations
@@ -52,6 +65,31 @@ def majorana_gammas() -> GammaRep:
     g0 = 1j * np.array([[0.0, -1.0], [1.0, 0.0]])
     g1 = -1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     return GammaRep(gamma0=g0, gamma1=g1)
+
+
+def spinor_frame_gammas() -> GammaRep:
+    """u+ gamma u of the Majorana gammas, u = exp(-i pi/4 sigma_x): gamma0 = -sigma_z, gamma1 = -i sigma_x."""
+    g0 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    return GammaRep(gamma0=g0, gamma1=majorana_gammas().gamma1)
+
+
+#: u = exp(-i pi/4 sigma_x) on one spinor pair, in its Jordan-Wigner image on the
+#: pair's two qubits (basis |00>, |01>, |10>, |11>): it fixes the empty and the
+#: full pair and mixes the two singly occupied states.
+SPINOR_FRAME_PAIR = np.array([
+    [1, 0, 0, 0],
+    [0, sqrt(0.5), -1j * sqrt(0.5), 0],
+    [0, -1j * sqrt(0.5), sqrt(0.5), 0],
+    [0, 0, 0, 1],
+])
+
+
+def spinor_frame_site(flavors: int) -> np.ndarray:
+    """V on one lattice site: `SPINOR_FRAME_PAIR` on each flavour's pair, 4**flavors square."""
+    site = np.ones((1, 1))
+    for _ in range(flavors):
+        site = np.kron(site, SPINOR_FRAME_PAIR)
+    return site
 
 
 @dataclass(frozen=True)
@@ -124,7 +162,7 @@ def _one_body(h: np.ndarray) -> list[tuple[complex, str]]:
     return raw
 
 
-def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
+def build_hamiltonian(spec: ModelSpec, spinor_frame: bool = False) -> PauliSumOperator:
     """Qubit Hamiltonian for `spec`; Hermitian, real coefficients.
 
     The Jordan-Wigner image of `free_quadratic_form`, the very matrix the
@@ -132,13 +170,16 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
     (Somma et al., PRA 65, 042323), plus -g0^2/(2a) sum_x S_x^2.  S_x, the one-body form of gamma0 on one
     site's modes, is the same operator at every site up to placement, so
     S_x^2 is expanded once on 2*flavors qubits (`PauliSumOperator.from_matrix`)
-    and its strings are placed at each site.
+    and its strings are placed at each site.  With `spinor_frame` the gammas
+    are `spinor_frame_gammas`, which gives V+ H V: no string has an odd
+    number of Y, so the matrix is real.
     """
     n = spec.n_qubits
-    raw = _one_body(free_quadratic_form(spec))
+    gammas = spinor_frame_gammas() if spinor_frame else majorana_gammas()
+    raw = _one_body(free_quadratic_form(spec, gammas))
     if spec.coupling_sq != 0.0:
         width = 2 * spec.flavors  # modes per site
-        density = np.kron(np.eye(spec.flavors), majorana_gammas().gamma0)
+        density = np.kron(np.eye(spec.flavors), gammas.gamma0)
         s_x = PauliSumOperator.from_terms(width, _one_body(density)).to_matrix()
         square = PauliSumOperator.from_matrix(s_x @ s_x)
         scale = -spec.coupling_sq / (2 * spec.spacing)
@@ -148,18 +189,20 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSumOperator:
     return PauliSumOperator.from_terms(n, raw).hermitized()
 
 
-def free_quadratic_form(spec: ModelSpec) -> np.ndarray:
+def free_quadratic_form(spec: ModelSpec, gammas: GammaRep | None = None) -> np.ndarray:
     """One-body matrix h of the g0^2 = 0 theory: H_free = sum_ij h[i,j] c+_i c_j.
 
     Indices follow `ModelSpec.mode_index`.  The many-body free Hamiltonian is
     recovered by filling the negative-energy eigenmodes of h.  Dirichlet
     boundaries drop the hopping across the edge; periodic boundaries wrap it.
     The Wilson term is kept under both, and surviving doubler modes act as
-    extra flavors.
+    extra flavors.  The gradient reads -gamma0 gamma1 (sigma_z in the default
+    Majorana form); `spinor_frame_gammas` give the real h of the spinor frame.
     """
     a = spec.spacing
-    gamma0 = majorana_gammas().gamma0
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    gammas = gammas or majorana_gammas()
+    gamma0 = gammas.gamma0
+    sz = -(gamma0 @ gammas.gamma1)
     onsite = (spec.bare_mass + spec.wilson_r / a) * gamma0
     fwd = (1j / (2 * a)) * sz + (-spec.wilson_r / (2 * a)) * gamma0
 

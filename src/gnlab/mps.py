@@ -8,6 +8,12 @@ right bond); MPO tensors (left bond, bra physical, ket physical, right
 bond).  Site 0 is the most significant block of the dense basis index,
 matching the qubit-0-leftmost convention of the Pauli layer, so dense
 vectors and networks can be compared directly.
+
+Dtypes: an MPS holds the dtype numpy promotes its tensors to (float64 or
+complex128), and the contractions keep the dtype of what they are given.
+`compile_mpo` returns a float64 MPO when the operator is real in its Pauli
+form, as the spinor-frame Hamiltonian of `model` is, and complex128
+otherwise.  Checkpoints always store complex128.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# The same letters with Y written as i times the real [[0, -1], [1, 0]]; a string with
+# k letters Y is i^k times the product of these.
+_REAL_PAULI_MATS = {c: m.real for c, m in _PAULI_MATS.items()} | {"Y": np.array([[0.0, -1.0], [1.0, 0.0]])}
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 def grouped_dims(n_qubits: int, flavors: int) -> tuple[int, ...]:
@@ -73,9 +83,13 @@ class MatrixProductState:
     """Open-boundary MPS with a tracked orthogonality center."""
 
     def __init__(self, tensors: list[np.ndarray], center: int = 0):
+        """Tensors of one common dtype, the one numpy promotes them and float64 to:
+        float64 for real tensors, complex128 as soon as one is complex."""
         if not tensors:
             raise ValueError("an MPS needs at least one tensor")
-        self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
+        arrays = [np.asarray(t) for t in tensors]
+        dtype = np.result_type(np.float64, *arrays)
+        self.tensors = [t.astype(dtype, copy=False) for t in arrays]
         self.center = center
         self._validate()
 
@@ -106,14 +120,20 @@ class MatrixProductState:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def random(cls, phys_dims: tuple[int, ...], bond_dim: int, seed: int) -> "MatrixProductState":
+    def random(cls, phys_dims: tuple[int, ...], bond_dim: int, seed: int,
+               dtype: type = complex) -> "MatrixProductState":
+        """Seeded Gaussian tensors, normalised with its center at site 0: complex by default,
+        real and imaginary parts drawn in turn, or real for a real `dtype`."""
         rng = np.random.default_rng(seed)
+        complex_ = np.issubdtype(dtype, np.complexfloating)
         n = len(phys_dims)
         tensors = []
         left = 1
         for k, d in enumerate(phys_dims):
             right = 1 if k == n - 1 else min(bond_dim, left * d)
-            t = rng.standard_normal((left, d, right)) + 1j * rng.standard_normal((left, d, right))
+            t = rng.standard_normal((left, d, right))
+            if complex_:
+                t = t + 1j * rng.standard_normal((left, d, right))
             tensors.append(t)
             left = right
         mps = cls(tensors, center=0)
@@ -298,17 +318,25 @@ def compile_mpo(op: PauliSumOperator, flavors: int, max_span: int = MPO_MAX_SPAN
     term crossing each bond, done channel), then compressed by merging
     exactly parallel rows and columns.  The bond dimension is of the order
     of the number of distinct coupling channels crossing a bond.
+
+    Each Y is i times a real matrix.  When every coefficient times i^(its
+    number of Y) is real, as for the spinor-frame Hamiltonian, the MPO is
+    built from the real letters with those folded coefficients and is
+    float64; otherwise it is complex128, built as before.
     """
     dims = grouped_dims(op.n_qubits, flavors)
     n_sites = len(dims)
     d = dims[0]
     group = 2 * flavors
 
+    folded = [(c * _I_POWERS[s.count("Y") % 4], s) for c, s in op.terms]
+    real = all(c.imag == 0 for c, _s in folded)
+    terms, mats = ([(c.real, s) for c, s in folded], _REAL_PAULI_MATS) if real else (op.terms, _PAULI_MATS)
     # the operator of every site string, built once per call; shared, so never mutate an entry
-    site_op = cache(lambda letters: reduce(np.kron, [_PAULI_MATS[c] for c in letters]))
+    site_op = cache(lambda letters: reduce(np.kron, [mats[c] for c in letters]))
     supports = []
     site_ops = []
-    for coeff, string in op.terms:
+    for coeff, string in terms:
         first, last = len(string) - len(string.lstrip("I")), len(string.rstrip("I")) - 1
         lo, hi = (first // group, last // group) if last >= 0 else (0, 0)
         if hi - lo + 1 > max_span:
@@ -326,7 +354,7 @@ def compile_mpo(op: PauliSumOperator, flavors: int, max_span: int = MPO_MAX_SPAN
         for b in range(lo + 1, hi + 1):
             crossing[b][t] = 2 + len(crossing[b])
 
-    tensors = [np.zeros((2 + len(crossing[k]), d, d, 2 + len(crossing[k + 1])), dtype=complex)
+    tensors = [np.zeros((2 + len(crossing[k]), d, d, 2 + len(crossing[k + 1])), dtype=mats["I"].dtype)
                for k in range(n_sites)]
     for w in tensors:
         w[0, :, :, 0] = w[1, :, :, 1] = np.eye(d)
@@ -351,13 +379,14 @@ def _merge_columns(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.nd
     merges into the first such column.  One Gram product m^H m screens the
     pairs: only those with squared cosine >= 1 - 1e-6 get the residual test,
     and every pair that passes it has squared cosine >= 1 - tol**2.
+    The transfer has the dtype of `m`.
     """
     rows, cols = m.shape
     gram = m.conj().T @ m
     sq = gram.diagonal().real
     near = (np.abs(gram) ** 2 >= (1.0 - 1e-6) * np.outer(sq, sq)).tolist()
     kept: list[int] = []
-    transfer = np.zeros((cols, cols), dtype=complex)
+    transfer = np.zeros((cols, cols), dtype=m.dtype)
     scale = np.max(np.abs(m)) or 1.0
     for j in range(cols):
         col = m[:, j]
@@ -375,7 +404,7 @@ def _merge_columns(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.nd
             kept.append(j)
             transfer[len(kept) - 1, j] = 1.0
     if not kept:
-        return np.zeros((rows, 1), dtype=complex), transfer[:1]
+        return np.zeros((rows, 1), dtype=m.dtype), transfer[:1]
     return m[:, kept], transfer[: len(kept)]
 
 
@@ -411,10 +440,10 @@ def transfer(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -
 
 
 def expectation_value(state: MatrixProductState, mpo: MatrixProductOperator) -> complex:
-    """<state|mpo|state> by a single transfer sweep."""
+    """<state|mpo|state> by a single transfer sweep, in the dtype of the tensors."""
     if state.phys_dims != mpo.phys_dims:
         raise ValueError("state and operator dimensions differ")
-    env = np.ones((1, 1, 1), dtype=complex)
+    env = np.ones((1, 1, 1), dtype=np.result_type(*state.tensors, *mpo.tensors))
     for t, w in zip(state.tensors, mpo.tensors):
         env = transfer(env, t, w, t)
     return complex(env[0, 0, 0])

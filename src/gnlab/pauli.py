@@ -125,11 +125,16 @@ class PauliSumOperator:
         return all(abs(c.imag) <= tol for c, _ in self.terms)
 
     def hermitized(self, tol: float = 1e-10) -> "PauliSumOperator":
-        """Drop imaginary coefficient parts; raise if any exceed `tol`."""
+        """Drop imaginary coefficient parts; raise if any exceed `tol`.
+
+        The terms are canonical already, so one filter keeps their order and
+        drops the real parts at or below COEFF_DROP_TOL; no second canonicalisation.
+        """
         bad = max((abs(c.imag) for c, _ in self.terms), default=0.0)
         if bad > tol:
             raise ValueError(f"operator is not Hermitian: max imaginary coefficient {bad:.3e}")
-        return PauliSumOperator.from_terms(self.n_qubits, ((c.real, s) for c, s in self.terms))
+        return PauliSumOperator(self.n_qubits, tuple(
+            (complex(c.real), s) for c, s in self.terms if abs(c.real) > COEFF_DROP_TOL))
 
     def _check_compatible(self, other: "PauliSumOperator") -> None:
         if self.n_qubits != other.n_qubits:

@@ -10,7 +10,7 @@ from gnlab.dmrg import dmrg_ground_state
 from gnlab.exact import ground_state_dense
 from gnlab.fits import EnergyModel
 from gnlab.model import Boundary, ModelSpec, build_hamiltonian
-from gnlab.mps import MatrixProductState, compile_mpo
+from gnlab.mps import MatrixProductState, compile_mpo, mps_overlap
 from gnlab.overlaps import PadKind, pad_state
 
 from oracles import gnmps001_bytes, mps_to_dense
@@ -215,6 +215,35 @@ class TestCliCommands:
         assert [r["N"] for r in dense_rows] == [r["N"] for r in dmrg_rows]
         for dense, dmrg in zip(dense_rows, dmrg_rows):
             assert float(dense["energy"]) == pytest.approx(float(dmrg["energy"]), rel=1e-8)
+
+    def test_dmrg_in_the_spinor_frame_matches_dense(self, config_file, tmp_path, monkeypatch):
+        """Every grown ladder size solves in float64, meets the dense energy, and its checkpoint,
+        rotated back to the Majorana basis, is the dense vacuum."""
+        import gnlab.cli
+
+        dtypes = []
+
+        def recording(mpo, *args, start=None, **kwargs):
+            state, report = dmrg_ground_state(mpo, *args, start=start, **kwargs)
+            tensors = [*mpo.tensors, *state.tensors, *(start.tensors if start is not None else ())]
+            dtypes.append({t.dtype for t in tensors})
+            return state, report
+
+        monkeypatch.setattr(gnlab.cli, "dmrg_ground_state", recording)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config_file(), "--sizes", "2..6"]) == 0
+        assert dtypes == [{np.dtype(np.float64)}] * 5
+        assert main(["solve", "--config", config_file(), "--sizes", "2..6", "--engine", "dense"]) == 0
+        dmrg_rows, dense_rows = read_csv(out / "energies.csv"), read_csv(out / "energies_dense.csv")
+        for dmrg, dense in zip(dmrg_rows, dense_rows, strict=True):
+            assert float(dmrg["energy"]) == pytest.approx(float(dense["energy"]), rel=1e-10)
+        for n in range(2, 7):
+            grown = "" if n == 2 else "_from2"
+            dmrg, _ = MatrixProductState.load(out / f"state_N{n}_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dmrg_s7_e1e-10"
+                                                    f"_b32_w40{grown}.mps")
+            dense, _ = MatrixProductState.load(out / f"state_N{n}_a0.25_m0.2_g1.5_r1.0_f1_dirichlet_dense_s7_e1e-10"
+                                                     "_b32_w40.mps")
+            assert abs(mps_overlap(dense, dmrg)) >= 1 - 1e-9
 
     def test_dense_engine_epsilon_is_the_residual_norm(self, config_file, tmp_path):
         # ||Hv - Ev||^2 / E^2 of an exact eigenvector sits near 1e-30, below

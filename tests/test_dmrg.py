@@ -157,6 +157,33 @@ class TestDmrgGroundState:
         assert report.energy == pytest.approx(cold.energy, rel=1e-10)
 
 
+class TestRealArithmetic:
+    """A real MPO runs in float64 end to end; a complex one or a complex start promotes to complex128."""
+
+    SPEC = ModelSpec(n_sites=5, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+
+    def test_frame_solve_is_real_and_meets_the_majorana_energy(self):
+        mpo = compile_mpo(build_hamiltonian(self.SPEC, spinor_frame=True), self.SPEC.flavors)
+        state, report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3)
+        assert all(t.dtype == np.float64 for t in state.tensors)
+        assert report.converged
+        _state, reference = solve(self.SPEC)
+        assert report.energy == pytest.approx(reference.energy, rel=1e-10)
+        assert epsilon_measure(state, mpo) == report.epsilon
+
+    def test_complex_start_promotes_a_real_mpo(self):
+        mpo = compile_mpo(build_hamiltonian(self.SPEC, spinor_frame=True), self.SPEC.flavors)
+        start = MatrixProductState.random(mpo.phys_dims, bond_dim=2, seed=1)
+        state, report = dmrg_ground_state(mpo, epsilon_goal=1e-10, max_bond=64, seed=3, start=start)
+        assert all(t.dtype == np.complex128 for t in state.tensors) and report.converged
+
+    def test_random_start_dtype(self):
+        real = MatrixProductState.random((4, 4, 4), bond_dim=2, seed=1, dtype=float)
+        assert all(t.dtype == np.float64 for t in real.tensors)
+        assert MatrixProductState(real.tensors).tensors[0].dtype == np.float64
+        assert MatrixProductState([real.tensors[0].astype(complex), *real.tensors[1:]]).tensors[2].dtype == np.complex128
+
+
 class TestStopRule:
     """epsilon < goal ends a run converged; a sweep that fails to lower the energy ends it unconverged."""
 

@@ -97,8 +97,17 @@ class TestDense:
         a = ground_state_dense(build_hamiltonian(spec)).ground_vector
         b = ground_state_dense(build_hamiltonian(spec)).ground_vector
         assert np.array_equal(a, b)
-        lead = a[np.argmax(np.abs(a) > 1e-12 * np.abs(a).max())]
+        lead = a[np.argmax(np.abs(a))]
         assert lead.real > 0 and abs(lead.imag) < 1e-12
+
+    def test_phase_does_not_depend_on_the_solve_path(self):
+        """H and H + 1 have the same ground vector, solved through different roundings.  The
+        first amplitude above 1e-12 of the largest, 3.1e-9 here, set phases 5e-10 apart; the
+        largest amplitude leaves them equal to rounding."""
+        ham = build_hamiltonian(ModelSpec(n_sites=6, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
+        a = ground_state_dense(ham).ground_vector
+        b = ground_state_dense(ham + PauliSumOperator.identity(ham.n_qubits)).ground_vector
+        assert np.max(np.abs(a - b)) <= 1e-14
 
     def test_six_sites_matches_arpack(self):
         ham = build_hamiltonian(ModelSpec(n_sites=6, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
@@ -666,6 +675,17 @@ class TestLanczos:
         with pytest.raises(ValueError, match="zero"):
             lanczos_lowest(no_product, np.zeros(8), tol=1e-10)
 
+    def test_works_in_the_dtype_of_start_and_products(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((30, 30))
+        mat = a + a.T
+        start = rng.standard_normal(30)
+        theta, vec = lanczos_lowest(lambda v: mat @ v, start, tol=1e-10)
+        assert vec.dtype == np.float64
+        assert theta == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-9)
+        theta_c, vec_c = lanczos_lowest(lambda v: (1 + 0j) * mat @ v, start, tol=1e-10)
+        assert vec_c.dtype == np.complex128 and theta_c == pytest.approx(theta, abs=1e-9)
+
     def test_relative_tolerance_at_large_shift(self):
         rng = np.random.default_rng(7)
         dim = 200
@@ -732,9 +752,18 @@ class TestLanczos:
         assert abs(theta - want) <= 1e-12 * abs(want)
 
 
-def test_fix_phase_leading_amplitude_real_positive(rng):
+def test_fix_phase_largest_amplitude_real_positive(rng):
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     fixed = fix_phase(vec)
-    lead = fixed[np.argmax(np.abs(fixed) > 1e-12 * np.abs(fixed).max())]
+    lead = fixed[np.argmax(np.abs(fixed))]
     assert lead.imag == pytest.approx(0.0, abs=1e-12)
     assert lead.real > 0
+    assert np.allclose(np.abs(fixed), np.abs(vec))
+
+
+def test_fix_phase_takes_the_first_of_near_equal_largest_amplitudes():
+    # magnitudes 1 - 1e-9 and 1 lie within the 1e-8 margin: the lower index wins
+    vec = np.array([1e-3, 1j * (1 - 1e-9), 0.5, -1.0])
+    fixed = fix_phase(vec)
+    assert fixed[1] == pytest.approx(1 - 1e-9, abs=1e-15)
+    assert fixed[3] == pytest.approx(1j, abs=1e-15)

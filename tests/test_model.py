@@ -11,6 +11,8 @@ from gnlab.model import (
     free_quadratic_form,
     lattice_momenta,
     majorana_gammas,
+    spinor_frame_gammas,
+    spinor_frame_site,
 )
 from gnlab.mps import compile_mpo
 from gnlab.pauli import PauliSumOperator
@@ -53,6 +55,38 @@ class TestGammaMatrices:
         assert np.allclose(anti, 0)
         assert np.allclose(rep.gamma0 @ rep.gamma0, np.eye(2))
         assert np.allclose(rep.gamma1 @ rep.gamma1, -np.eye(2))
+
+
+class TestSpinorFrame:
+    """V+ H V, V = (x) v over the spinor pairs, is the real operator `build_hamiltonian(spec, spinor_frame=True)`."""
+
+    def test_frame_gammas_are_the_rotated_majorana_gammas(self):
+        u = (np.eye(2) - 1j * np.array([[0, 1], [1, 0]])) / math.sqrt(2)   # exp(-i pi/4 sigma_x)
+        rep, frame = majorana_gammas(), spinor_frame_gammas()
+        for g, g_frame in ((rep.gamma0, frame.gamma0), (rep.gamma1, frame.gamma1)):
+            assert np.max(np.abs(u.conj().T @ g @ u - g_frame)) < 1e-15
+        site = spinor_frame_site(2)
+        assert np.max(np.abs(site.conj().T @ site - np.eye(16))) < 1e-15
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.PERIODIC])
+    @pytest.mark.parametrize("flavors, n_sites", [(1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("coupling_sq", [0.0, 1.5])
+    @pytest.mark.parametrize("wilson_r", [1.0, 0.7])
+    def test_frame_operator_is_the_rotated_hamiltonian(self, boundary, flavors, n_sites, coupling_sq, wilson_r):
+        spec = ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=0.2, coupling_sq=coupling_sq,
+                         wilson_r=wilson_r, flavors=flavors, boundary=boundary)
+        frame_op = build_hamiltonian(spec, spinor_frame=True)
+        assert all(s.count("Y") % 2 == 0 for _c, s in frame_op.terms)
+        assert not np.any(frame_op.to_matrix().imag)
+        v = spinor_frame_site(flavors)
+        for _ in range(n_sites - 1):
+            v = np.kron(v, spinor_frame_site(flavors))
+        rotated = v.conj().T @ build_hamiltonian(spec).to_matrix() @ v
+        assert np.max(np.abs(rotated - frame_op.to_matrix())) < 1e-13
+
+    def test_fifty_sites_keep_the_term_count(self):
+        spec = ModelSpec(50, 1 / 50, 0.2, 1.5)
+        assert len(build_hamiltonian(spec, spinor_frame=True).terms) == len(build_hamiltonian(spec).terms) == 543
 
 
 class TestBuildHamiltonian:

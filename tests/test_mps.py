@@ -208,6 +208,24 @@ class TestCompileMpo:
             full = mps_to_dense(mps)
             assert expectation_value(mps, mpo) == pytest.approx(np.vdot(full, dense @ full), abs=1e-10)
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(ModelSpec(3, 0.25, 0.2, 1.5), id="3-sites"),
+        pytest.param(ModelSpec(3, 0.25, 0.2, 0.0, wilson_r=0.7, boundary=Boundary.PERIODIC), id="3-sites-free-periodic"),
+        pytest.param(ModelSpec(2, 0.25, 0.2, 1.5, flavors=2), id="2-sites-2-flavors"),
+    ])
+    def test_frame_hamiltonian_compiles_real(self, spec):
+        """The spinor-frame operator gives a float64 MPO of the same matrix; the Majorana one stays complex."""
+        span = spec.n_sites   # covers the periodic wrap
+        for frame, dtype in ((True, np.float64), (False, np.complex128)):
+            op = build_hamiltonian(spec, spinor_frame=frame)
+            mpo = compile_mpo(op, spec.flavors, span)
+            assert all(w.dtype == dtype for w in mpo.tensors)
+            assert np.max(np.abs(mpo_to_matrix(mpo) - op.to_matrix())) < 1e-12
+
+    def test_fifty_site_frame_mpo_keeps_bond_four(self):
+        mpo = compile_mpo(build_hamiltonian(ModelSpec(50, 1 / 50, 0.2, 1.5), spinor_frame=True), 1)
+        assert mpo.max_bond == 4 and mpo.tensors[0].dtype == np.float64
+
     def test_exact_dense_equality_small(self, small_spec):
         op = build_hamiltonian(small_spec)
         assert np.max(np.abs(mpo_to_matrix(compile_mpo(op, small_spec.flavors)) - op.to_matrix())) < 1e-12
