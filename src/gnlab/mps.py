@@ -121,7 +121,7 @@ class MatrixProductState:
 
     @classmethod
     def random(cls, phys_dims: tuple[int, ...], bond_dim: int, seed: int,
-               dtype: type = complex) -> "MatrixProductState":
+               dtype: np.dtype | type = complex) -> "MatrixProductState":
         """Seeded Gaussian tensors, normalised with its center at site 0: complex by default,
         real and imaginary parts drawn in turn, or real for a real `dtype`."""
         rng = np.random.default_rng(seed)

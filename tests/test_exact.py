@@ -752,7 +752,7 @@ class TestLanczos:
         assert abs(theta - want) <= 1e-12 * abs(want)
 
 
-def test_fix_phase_largest_amplitude_real_positive(rng):
+def test_fix_phase_leading_amplitude_real_positive(rng):
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     fixed = fix_phase(vec)
     lead = fixed[np.argmax(np.abs(fixed))]
