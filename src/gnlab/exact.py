@@ -7,19 +7,24 @@ matrix from them.  Every Gross-Neveu Hamiltonian commutes term by term with
 two signed permutations, found by a GF(2) solve over the terms' masks:
 the particle-hole flip U, a Pauli string that flips every bit
 (`_flip_phases`), and the lattice mirror R, the qubit reversal followed by
-Z on every other qubit (`_mirror_signs`).  U maps each block onto a block:
-a block mapped onto a later one, its twin, lends the twin its eigensystem.
-A block that U or R maps onto itself splits into their joint eigenspaces
-(`_split_blocks`): at one flavour the half-filled block gives four pieces
-and every other kept block of more than one state two.  Exact
-diagonalisation in symmetry-adapted blocks is standard (Sandvik, AIP Conf.
-Proc. 1297, 135 (2010), arXiv:1101.3281).  `ExactPropagator` diagonalises
-every piece with `eigh` and keeps the eigenvectors per block, stacked by
-block size.  `ground_state_dense` needs only the lowest two eigenvalues and
-one vector, so it diagonalises one piece and rules most others out by a
-Cholesky test.  A Kronecker sum A (x) 1 + 1 (x) B is not diagonalised at
-all: `KroneckerSumPropagator` keeps the factors' propagators and changes
-basis one factor at a time.
+Z on every other qubit (`_mirror_signs`).  With UR they form one abelian
+group G, and one rule splits every block by it (`_split_blocks`): a block
+that an element maps an earlier block onto is a twin, whose eigenvectors
+are that element applied to the earlier block's; a block that elements map
+onto itself splits by the characters of that stabiliser, each piece one
+gather of the block matrix per element on the orbit representatives
+(`_orbits`, `_gathered`; `_scattered` lifts back).  Symmetry-adapted bases
+from orbit representatives are standard (Sandvik, AIP Conf. Proc. 1297, 135
+(2010), arXiv:1101.3281, section 4).  At one flavour U twins fermion number
+k with n - k, R splits every kept block of more than one state in two and
+U and R the half-filled block in four (13 pieces at N = 5); at two flavours
+R also twins the (a, b) sector with (b, a) (14 pieces at N = 2, 23 at
+N = 3).  `ExactPropagator` diagonalises every piece with `eigh` and keeps
+the eigenvectors per block, stacked by block size.  `ground_state_dense`
+needs only the lowest two eigenvalues and one vector, so it diagonalises
+one piece and rules most others out by a Cholesky test.  A Kronecker sum
+A (x) 1 + 1 (x) B is not diagonalised at all: `KroneckerSumPropagator`
+keeps the factors' propagators and changes basis one factor at a time.
 
 All eigenvectors follow one phase convention (`fix_phase`): the largest
 amplitude, the one of lowest index among those within 1e-8 relative of the
@@ -107,9 +112,11 @@ def ground_state_dense(op: PauliSumOperator, dense_cap: int = DENSE_CAP_DEFAULT)
             e0, owner, vector = float(w[0]), c, v[:, :1]
         else:
             e1 = min(e1, float(w[0]))
-    k, _mat, lifts = pieces[owner]
+    k, _mat, piece = pieces[owner]
+    lifted = np.zeros((len(blocks[k]), 1), dtype=complex)
+    _scattered(vector, piece, lifted)
     ground = np.zeros(1 << op.n_qubits, dtype=complex)
-    ground[blocks[k]] = _lift(vector, lifts)[:, 0]
+    ground[blocks[k]] = lifted[:, 0]
     return SpectrumResult(ground_energy=e0, first_excited_energy=e1, gap=max(e1 - e0, 0.0),
                           ground_vector=fix_phase(ground))
 
@@ -238,19 +245,21 @@ def _invariant_blocks(actions: list[tuple[np.ndarray, np.ndarray]], n_qubits: in
     """
     # perm is an involution, so the linked set is closed under it and one
     # gather covers both directions; a boolean mask per table is all that is kept
-    links = [(perm, (diag != 0) | (diag[perm] != 0)) for perm, diag in actions]
-    labels = np.arange(1 << n_qubits)
+    dim = 1 << n_qubits
+    perms = np.array([perm for perm, _diag in actions], dtype=np.intp).reshape(-1, dim)
+    nonzero = np.array([diag != 0 for _perm, diag in actions], dtype=bool).reshape(-1, dim)
+    linked = nonzero | np.take_along_axis(nonzero, perms, axis=1)
+    labels = np.arange(dim)
     while True:
-        new = labels.copy()
-        for perm, linked in links:
-            np.minimum(new, labels[perm], out=new, where=linked)
+        new = np.where(linked, labels[perms], dim).min(axis=0, initial=dim)
+        np.minimum(new, labels, out=new)
         new = new[new]
         if np.array_equal(new, labels):
             break
         labels = new
     order = np.argsort(labels, kind="stable")
-    counts = np.unique(labels, return_counts=True)[1]
-    return np.split(order, np.cumsum(counts)[:-1])
+    counts = np.bincount(labels)
+    return np.split(order, np.cumsum(counts[counts > 0])[:-1])
 
 
 def _block_matrices(
@@ -265,15 +274,17 @@ def _block_matrices(
     sizes = np.array([len(idx) for idx in blocks])
     offsets = np.cumsum(sizes**2) - sizes**2
     members, dim = np.concatenate(blocks), 1 << n_qubits
-    block_of = np.full(dim, -1)   # -1 outside the listed blocks
-    block_of[members] = np.repeat(np.arange(len(blocks)), sizes)
     pos = np.empty(dim, dtype=np.intp)
     pos[members] = np.arange(len(members)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # entry (pos[j], pos[i]) of i's block sits at start[i] + pos[j] stride[i]; start is -1 outside the blocks
+    start, stride = np.full(dim, -1), np.zeros(dim, dtype=np.intp)
+    start[members] = np.repeat(offsets, sizes) + pos[members]
+    stride[members] = np.repeat(sizes, sizes)
+    inside = start >= 0
     flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
     for perm, diag in actions:
-        cols = np.flatnonzero((diag != 0) & (block_of >= 0))
-        b = block_of[cols]
-        flat[offsets[b] + pos[perm[cols]] * sizes[b] + pos[cols]] = diag[cols]
+        cols = np.flatnonzero((diag != 0) & inside)
+        flat[start[cols] + pos[perm[cols]] * stride[cols]] = diag[cols]
     return [flat[o:o + s * s].reshape(s, s) for o, s in zip(offsets, sizes)]
 
 
@@ -320,12 +331,9 @@ def _flip_phases(op: PauliSumOperator) -> np.ndarray | None:
 def _reversal(n_qubits: int) -> np.ndarray:
     """rev(i) of every index below 2**n_qubits, qubit q moved to n_qubits - 1 - q.
 
-    Tabulated by doubling: a new leading bit b lands last, rev(b 2^n + j) = 2 rev(j) + b.
+    The indices as an array of one axis per qubit, the axes reversed.
     """
-    rev = np.zeros(1, dtype=np.intp)
-    for _ in range(n_qubits):
-        rev = np.concatenate([2 * rev, 2 * rev + 1])
-    return rev
+    return np.arange(1 << n_qubits).reshape((2,) * n_qubits).transpose().ravel()
 
 
 def _mirror_signs(op: PauliSumOperator, rev: np.ndarray) -> np.ndarray | None:
@@ -354,133 +362,132 @@ def _mirror_signs(op: PauliSumOperator, rev: np.ndarray) -> np.ndarray | None:
     return np.where(_parities(op.n_qubits)[rev & z], -1.0, 1.0)
 
 
-#: One eigenspace of an involution S e_j = s_j e_perm(j) whose basis is in
-#: `_pairing` order: (r pairs, f fixed points, s on the pairs'
-#: representatives, the fixed points it holds (of 0..f-1), its eigenvalue tau).
-Space = tuple[int, int, np.ndarray, np.ndarray, int]
+#: One piece of a block (`_orbits`): per element g of the block's group,
+#: identity first, the positions g maps the piece's orbit representatives j to
+#: and the amplitudes chi(g) a_g(j), both (|G|, r); and sqrt(n_j / |G|), n_j
+#: the elements that fix j.
+Piece = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: A block's orbits under its group (`_orbits`), as `_gathered` reads them: the
+#: positions p_g(j) of all representatives, the weights a_g(j) / sqrt(n_j) and
+#: 1 / sqrt(n_j); and per piece its character e, `Piece` and kept representatives.
+Orbits = tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, Piece, np.ndarray | slice]]]
 
 
-def _pairing(perm: np.ndarray) -> tuple[np.ndarray, int]:
-    """The order [representatives j < perm(j), fixed points, partners perm(j) of the representatives] of an
-    involution's basis, and the number of pairs."""
-    at = np.arange(len(perm))
-    ahead = perm > at
-    reps = at[ahead]
-    return np.concatenate([reps, at[perm == at], perm[ahead]]), len(reps)
+def _orbits(gens: list[tuple[np.ndarray, np.ndarray]], size: int) -> Orbits:
+    """The orbits and pieces of a block of `size` states under the group that its symmetries `gens` generate.
 
-
-def _eigenspaces(signs: np.ndarray, r: int) -> list[Space]:
-    """The +1 and -1 eigenspaces of an involution S e_j = s_j e_perm(j), S^2 = 1, on a basis in `_pairing` order.
-
-    `signs` holds s on the r representatives, then on the fixed points.  A
-    pair gives (e_j + tau s_j e_perm(j)) / sqrt 2 to the tau space, and a
-    fixed point goes whole to the s_j space.  [] when S is +-1.
+    Each symmetry g|j> = a_j |p_j> commutes with the Hamiltonian, and p is
+    an involution of the block's positions; the permutations commute (a
+    complement and a reversal of bits do).  A diagonal symmetry is one
+    number on a block, a connected component of the Hamiltonian's non-zeros,
+    so g^2 and every commutator g h g^-1 h^-1 are read off the first
+    position.  A symmetry joins the group unless its permutation is already
+    an element's or it anticommutes with one, and it is taken as ig where
+    g^2 = -1.  The group G is then abelian with g^2 = 1: element g is the
+    product of the generators of the bits of g, and character e takes the
+    value chi_e(g) = (-1)^|e & g|.  Each character gives a piece: the
+    representatives j (the least positions of their orbits) with
+    chi_e(h) a_h(j) = 1 for every h that fixes j, spanning it by the states
+    |j, e> = sum_g chi_e(g) a_g(j) |p_g(j)> / sqrt(|G| n_j) (Sandvik,
+    arXiv:1101.3281, section 4).  A character without such representatives
+    gives no piece; the others come + before - on each generator, the first
+    generator's sign varying slowest.  Without symmetries the block is one
+    piece.
     """
-    held = signs[r:] == 1
-    keeps = np.flatnonzero(held), np.flatnonzero(~held)
-    if not (r or (len(keeps[0]) and len(keeps[1]))):
-        return []
-    return [(r, len(held), signs[:r], keep, tau) for keep, tau in zip(keeps, (1, -1))]
+    perms, amps = np.arange(size)[None], np.ones((1, size), dtype=complex)
+    for p, a in gens:
+        if any(q[0] == p[0] and np.array_equal(q, p) for q in perms):
+            continue
+        a = a if a[0] * a[p[0]] == 1 else 1j * a
+        if (amps[:, 0] * a[perms[:, 0]] != a[0] * amps[:, p[0]]).any():   # gh = -hg for some h
+            continue
+        perms, amps = np.concatenate([perms, p[perms]]), np.concatenate([amps, amps * a[perms]])
+    if len(perms) == 1:   # the block is its one piece
+        ones = np.ones(size)
+        return perms, amps, ones, [(0, (perms, amps, ones), slice(None))]
+    chars = np.array([[(-1) ** (e & g).bit_count() for g in range(len(perms))] for e in range(len(perms))])
+    reps = np.flatnonzero(perms.min(axis=0) == perms[0])
+    perms, amps = perms[:, reps], amps[:, reps]
+    fixed = perms == reps
+    signed = chars[:, :, None] * amps
+    keeps = ((signed == 1) | ~fixed).all(axis=1)
+    fixed = fixed.sum(axis=0)
+    spread = np.sqrt(fixed / len(perms))
+    pieces, whole, some = [], keeps.all(axis=1).tolist(), keeps.any(axis=1).tolist()
+    for e in sorted(range(len(perms)), key=lambda e: [e >> b & 1 for b in range(len(perms).bit_length())]):
+        if some[e]:
+            keep = slice(None) if whole[e] else np.flatnonzero(keeps[e])
+            pieces.append((e, (perms[:, keep], signed[e][:, keep], spread[keep]), keep))
+    scale = 1.0 / np.sqrt(fixed)
+    return perms, amps * scale, scale, pieces
 
 
-def _project(mat: np.ndarray, spaces: list[Space]) -> list[np.ndarray]:
-    """The Hermitian `mat`, in `_pairing` order and commuting with an involution, on each of its `_eigenspaces`.
+def _gathered(mat: np.ndarray, orbits: Orbits) -> list[tuple[np.ndarray, Piece]]:
+    """The Hermitian block matrix `mat` on each piece of `orbits`, with the piece.
 
-    With v_a the pair vectors: <v_a| mat |v_b> = mat_ab + tau s_b mat_(a, perm b),
-    <v_a| mat |e_f> = sqrt 2 mat_af, and the fixed points keep mat_fg.
+    Entry (j, j') is <j, e| mat |j', e> = sum_g chi_e(g) T_g[j, j'] /
+    sqrt(n_j), where T_g[j, j'] = mat[j, p_g(j')] a_g(j') / sqrt(n_j') is
+    one gather of the representatives' rows per element g.  The sums over g
+    of all characters at once are a Walsh-Hadamard transform, one butterfly
+    per generator.  The trivial group's one piece is the block itself.
     """
-    r, f, s, _keep, _tau = spaces[0]
-    same, cross = mat[:r, :r], mat[:r, r + f:] * s
+    cols, weights, scale, pieces = orbits
+    if len(cols) == 1:
+        return [(mat, pieces[0][1])]
+    rows = mat.take(cols[0], axis=0)
+    terms = []
+    for col, weight in zip(cols, weights):
+        terms.append(rows.take(col, axis=1))
+        terms[-1] *= weight
+    del rows
+    step = 1
+    while step < len(terms):
+        for e in range(len(terms)):
+            if not e & step:
+                plus = terms[e] + terms[e | step]
+                np.subtract(terms[e], terms[e | step], out=terms[e | step])
+                terms[e] = plus
+        step *= 2
     out = []
-    for _r, _f, _s, keep, tau in spaces:
-        piece = np.empty((r + len(keep), r + len(keep)), dtype=complex)
-        (np.add if tau > 0 else np.subtract)(same, cross, out=piece[:r, :r])
-        if len(keep):
-            rows = r + keep
-            np.multiply(mat[rows, :r], np.sqrt(2.0), out=piece[r:, :r])
-            piece[:r, r:] = piece[r:, :r].conj().T
-            piece[r:, r:] = mat[rows[:, None], rows]
-        out.append(piece)
+    for e, piece, keep in pieces:
+        part = terms[e]
+        part *= scale[:, None]
+        out.append((part if isinstance(keep, slice) else part[np.ix_(keep, keep)], piece))
     return out
 
 
-def _arranged(idx: np.ndarray, phases: np.ndarray | None, rev: np.ndarray,
-              signs: np.ndarray | None) -> tuple[np.ndarray, list]:
-    """A kept block's indices in the order its splits read, and its plan [(space, subplan)]; [] keeps it whole.
+def _scattered(vecs: np.ndarray, piece: Piece, out: np.ndarray) -> None:
+    """Write a piece's eigenvector columns into `out` in its block's basis, the inverse of `_gathered`.
 
-    The splits are by the involutions that map the block onto itself: U
-    when `phases` are given (its j-th index pairs with its j-th from last),
-    then the mirror R (`rev`, `signs`) where it maps the block onto itself,
-    squares to one sign there (taken as iR when that sign is -1) and
-    commutes with U.  On U's pair vectors v_a, R acts as an involution:
-    v_a goes to v_perm(a), or with the sign tau phi_a s_(partner of a) to
-    the pair vector whose partner perm(a) is.  Each split's basis is in
-    `_pairing` order, U's spaces' in the order of R's pairing, so
-    `_project` reads slices of the block matrix built in this order.
+    Amplitude v_j goes to position p_g(j) as chi_e(g) a_g(j) sqrt(n_j / |G|)
+    v_j for every element g, the n_j that fix j writing the same value.  Rows
+    outside the piece's orbits are left as they are.
     """
-    n = len(idx)
-    mirror = None
-    if signs is not None:
-        image = rev[idx]
-        perm = np.searchsorted(idx, image)
-        if (idx.take(perm, mode="clip") == image).all():
-            s = signs[idx]
-            square = s * s[perm]
-            if (square == square[0]).all():
-                mirror = perm, (s if square[0] > 0 else 1j * s)
-    if phases is None:
-        if mirror is None:
-            return idx, []
-        perm, s = mirror
-        order, r = _pairing(perm)
-        return idx[order], [(space, []) for space in _eigenspaces(s[order[:n - r]], r)]
-    half, phi = n // 2, phases[idx]
-    order, subplans = np.arange(half), {1: [], -1: []}
-    # R U e_j = phi_j s_(n-1-j) e_(n-1-perm(j)) against U R e_j = s_j phi_perm(j) e_(n-1-perm(j))
-    if mirror is not None and np.array_equal(mirror[1] * phi[mirror[0]], phi * mirror[1][::-1]):
-        perm, s = mirror
-        crossed = perm[:half] >= half
-        order, r = _pairing(np.where(crossed, n - 1 - perm[:half], perm[:half]))
-        for tau in (1, -1):
-            on_half = np.where(crossed, tau * phi[:half] * s[::-1][:half], s[:half])
-            subplans[tau] = [(space, []) for space in _eigenspaces(on_half[order[:half - r]], r)]
-    plan = [(space, subplans[space[4]]) for space in _eigenspaces(phi[order], half)]
-    return np.concatenate([idx[order], idx[::-1][order]]), plan
-
-
-def _projected_entries(plan: list) -> int:
-    """The entries of every matrix `_pieces` projects for `plan`."""
-    return sum((space[0] + len(space[3])) ** 2 + _projected_entries(sub) for space, sub in plan)
-
-
-def _pieces(mat: np.ndarray, plan: list, lifts: tuple[Space, ...] = ()) -> list[tuple[np.ndarray, tuple]]:
-    """(matrix, lifts) of each leaf of `plan`, lifts innermost first."""
-    if not plan:
-        return [(mat, lifts)]
-    parts = _project(mat, [space for space, _sub in plan])
-    return [piece for (space, sub), part in zip(plan, parts) for piece in _pieces(part, sub, (space, *lifts))]
+    cols, amps, spread = piece
+    scaled = vecs * spread[:, None]
+    for col, amp in zip(cols, amps):
+        out[col] = amp[:, None] * scaled
 
 
 def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray], list[tuple], dict]:
     """The invariant blocks of a Hermitian `op` within the dense cap, the pieces to diagonalise, and the twins.
 
-    A piece is (block, Hermitian matrix, lifts), in block order; `_lift`
-    takes its eigenvectors through the lifts into the block's basis.  A
-    kept block is split by the flip U (`_flip_phases`), then by the mirror
-    R (`_mirror_signs`) on each of U's spaces (`_arranged`); each split is
-    one `_project`.  So the half-filled block of a one-flavour Gross-Neveu
-    Hamiltonian gives four pieces and every other kept block of more than
-    one state two; without either symmetry a block is one piece.  A kept block's indices are returned in
-    the order of its splits, not ascending.  U maps each block onto the
-    block holding x - (its largest index), as every `_actions` table is the
-    same at i ^ x up to one sign.  A block mapped onto a later one, its
-    twin, is not built: its indices are x - those of that block, and
-    `twins` maps it to (that block, phi on it).
+    G is the group of the signed permutations g|i> = a_i |p(i)> that commute
+    with every term: the flip U (`_flip_phases`), the mirror R
+    (`_mirror_signs`) and UR, where `op` has them.  Each maps every block
+    onto a block.  A block that an element maps an earlier block onto is
+    that block's twin and is not built: its indices are p of that block's,
+    row for row, and `twins` maps it to (that block, a on it).  Every other
+    block is kept with ascending indices and split by `_orbits` under its
+    stabiliser, the elements that map it onto itself.  A piece is (block,
+    Hermitian matrix, `Piece`), in block order.
 
     No dim x dim array is formed.  The memory guard counts, before any
-    allocation, the kept block matrices, every projected matrix (or the
-    copy `eigh` takes of a whole block) and every block's eigenvectors, 16
-    bytes an entry.
+    allocation, the kept block matrices, for a split block its
+    representatives' rows, one gather per element and two working copies
+    at the size of the representatives (for a whole block the copy `eigh`
+    takes of it), and every block's eigenvectors, 16 bytes an entry.
     """
     if op.n_qubits > dense_cap:
         raise ValueError(f"{op.n_qubits} qubits exceeds dense cap {dense_cap}")
@@ -488,51 +495,38 @@ def _split_blocks(op: PauliSumOperator, dense_cap: int) -> tuple[list[np.ndarray
         raise ValueError("operator must be Hermitian")
     actions = list(op._actions())
     blocks = _invariant_blocks(actions, op.n_qubits)
-    rev, top = _reversal(op.n_qubits), (1 << op.n_qubits) - 1
+    top, rev = (1 << op.n_qubits) - 1, _reversal(op.n_qubits)
     phases, signs = _flip_phases(op), _mirror_signs(op, rev)
-    first = {int(idx[0]): k for k, idx in enumerate(blocks)}
-    # U maps block k onto block image[k]; without U onto none, and no block has a twin
-    image = [len(blocks) if phases is None else first[top - int(idx[-1])] for idx in blocks]
-    kept = [k for k, m in enumerate(image) if m >= k]
-    plans = []
-    for k in kept:
-        blocks[k], plan = _arranged(blocks[k], phases if image[k] == k else None, rev, signs)
-        plans.append(plan)
-    twins = {}
-    for k, m in enumerate(image):
-        if k < m < len(blocks):
-            blocks[m], twins[m] = top - blocks[k], (k, phases[blocks[k]])
+    elements = [] if phases is None else [(np.arange(top + 1) ^ top, phases)]
+    if signs is not None:
+        elements.append((rev, signs))
+        if phases is not None:
+            elements.append((rev ^ top, signs * phases[rev]))   # U R|i> = s_i phi_rev(i) |rev(i) ^ x>
+    block_of = np.empty(top + 1, dtype=np.intp)
+    block_of[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])
+    twins, plans = {}, {}
+    for k, idx in enumerate(blocks):
+        if k in twins:
+            continue
+        stabiliser = []
+        for perm, amp in elements:
+            m = int(block_of[perm[idx[0]]])
+            if m == k and len(stabiliser) < 2:   # two elements generate the stabiliser
+                stabiliser.append((np.searchsorted(idx, perm[idx]), amp[idx]))
+            elif m != k and m not in twins:
+                blocks[m], twins[m] = perm[idx], (k, amp[idx])
+        plans[k] = _orbits(stabiliser, len(idx))
     _require_memory(
-        16 * sum(len(blocks[k]) ** 2 + (_projected_entries(plan) or len(blocks[k]) ** 2)
-                 for k, plan in zip(kept, plans))
+        16 * sum(len(blocks[k]) ** 2 + (len(blocks[k]) ** 2 if len(cols) == 1 else
+                                        cols.shape[1] * (len(blocks[k]) + (len(cols) + 2) * cols.shape[1]))
+                 for k, (cols, *_rest) in plans.items())
         + 16 * sum(len(idx) ** 2 for idx in blocks),
         f"the complex block matrices and eigenvectors of {op.n_qubits} qubits",
     )
     pieces = []
-    for k, mat, plan in zip(kept, _block_matrices(actions, [blocks[k] for k in kept], op.n_qubits), plans):
-        pieces += [(k, part, lifts) for part, lifts in _pieces(mat, plan)]
+    for (k, orbits), mat in zip(plans.items(), _block_matrices(actions, [blocks[k] for k in plans], op.n_qubits)):
+        pieces += [(k, part, piece) for part, piece in _gathered(mat, orbits)]
     return blocks, pieces, twins
-
-
-def _lift(vecs: np.ndarray, lifts: tuple[Space, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """A piece's eigenvector columns in its block's basis, through each space of `lifts`, innermost first.
-
-    A pair vector's amplitude a goes to its representative as a / sqrt 2
-    and to its partner as tau s a / sqrt 2; a fixed point's is kept.  The
-    result is written into `out` when one is given.
-    """
-    for level, (r, f, s, keep, tau) in enumerate(lifts, 1):
-        last = level == len(lifts)
-        lifted = out if last and out is not None else np.empty((2 * r + f, vecs.shape[1]), dtype=complex)
-        np.multiply(vecs[:r], np.sqrt(0.5), out=lifted[:r])
-        np.multiply(tau * s[:, None], lifted[:r], out=lifted[r + f:])
-        if f:
-            lifted[r:r + f] = 0.0
-            lifted[r + keep] = vecs[r:]
-        vecs = lifted
-    if out is not None and not lifts:
-        out[:] = vecs
-    return vecs
 
 
 def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Groups]:
@@ -541,9 +535,10 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Grou
     Each piece of `_split_blocks` is solved by `eigh`, lifted into the
     next columns of its block and let go, so the block matrices are freed
     with the last whole block.  A twin takes its earlier block's
-    eigenvalues, and its eigenvectors mapped by U, rows multiplied by phi,
-    which is exact.  The eigenvectors of all blocks of one size share one
-    (count, size, size) array, allocated when the first of them is solved.
+    eigenvalues, and its eigenvectors mapped by the element g that made it
+    a twin, rows multiplied by a, which is exact.  The eigenvectors of all
+    blocks of one size share one zeroed (count, size, size) array, allocated
+    when the first of them is solved.
     Block eigenvalues are merged by a stable sort; each block records the
     columns its eigenvalues took.
     """
@@ -557,16 +552,16 @@ def _eigensystem(op: PauliSumOperator, dense_cap: int) -> tuple[np.ndarray, Grou
     def vecs(k: int) -> np.ndarray:
         size = len(blocks[k])
         if size not in stacks:
-            stacks[size] = np.empty((len(members[size]), size, size), dtype=complex)
+            stacks[size] = np.zeros((len(members[size]), size, size), dtype=complex)
         return stacks[size][slot[k]]
 
     evals: list[list[np.ndarray]] = [[] for _ in blocks]
     pieces.reverse()
     while pieces:
-        k, mat, lifts = pieces.pop()
+        k, mat, piece = pieces.pop()
         w, v = np.linalg.eigh(mat)
         done = sum(map(len, evals[k]))
-        _lift(v, lifts, out=vecs(k)[:, done:done + len(w)])
+        _scattered(v, piece, vecs(k)[:, done:done + len(w)])
         evals[k].append(w)
     for k, (j, phi) in twins.items():
         evals[k] = evals[j]

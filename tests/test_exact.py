@@ -17,6 +17,7 @@ from gnlab.exact import (
     _lowest_pair,
     _mirror_signs,
     _reversal,
+    _scattered,
     _split_blocks,
     fix_phase,
     ground_state_dense,
@@ -65,6 +66,44 @@ def random_hermitian_pauli_sum(n, n_terms, rng):
         string = "".join(rng.choice(list("IXYZ"), size=n))
         terms.append((float(rng.standard_normal()), string))
     return PauliSumOperator.from_terms(n, terms)
+
+
+def symmetric_pauli_sum(n, n_terms, rng, flip, mirror):
+    """A random Hermitian Pauli sum that commutes with U = X on every qubit when `flip` (an even
+    number of Z and Y letters in every string) and with the qubit reversal R when `mirror` (every
+    string with its reverse, of the same coefficient)."""
+    terms = []
+    while len(terms) < n_terms:
+        string = "".join(rng.choice(list("IXYZ"), size=n))
+        if flip and sum(letter in "YZ" for letter in string) % 2:
+            continue
+        coeff = float(rng.standard_normal())
+        terms += [(coeff, string)] + ([(coeff, string[::-1])] if mirror and string != string[::-1] else [])
+    if flip and not mirror:   # a Z Z that U keeps and R does not
+        terms.append((0.7, "ZZ" + "I" * (n - 2)))
+    if mirror and not flip:   # a mirrored field that R keeps and U does not
+        terms += [(0.7, "Z" + "I" * (n - 1)), (0.7, "I" * (n - 1) + "Z")]
+    return PauliSumOperator.from_terms(n, terms)
+
+
+def symmetry_case(case, rng):
+    """The operator of a `test_every_piece_is_an_eigensystem_of_the_full_matrix` case."""
+    if case.startswith("random"):
+        return symmetric_pauli_sum(5, 10, rng, flip=case in ("random-flip", "random-both"),
+                                   mirror=case in ("random-mirror", "random-both"))
+    spec = ModelSpec(n_sites=4, spacing=0.25, bare_mass=0.2, coupling_sq=1.5)
+    if case == "gross-neveu-two-flavours":
+        return build_hamiltonian(ModelSpec(n_sites=2, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2))
+    ham = build_hamiltonian(spec)
+    extra = {
+        "gross-neveu": [],
+        # a potential rising along the chain breaks both U and R; Z Z on the first two modes breaks R
+        "gross-neveu-potential": [(0.3 + 0.05 * q, "I" * q + "Z" + "I" * (7 - q)) for q in range(8)],
+        "gross-neveu-zz": [(0.3, "ZZ" + "I" * 6)],
+        # a field symmetric under the mirror, odd under U
+        "gross-neveu-mirror-field": [(0.3 + 0.05 * min(q, 7 - q), "I" * q + "Z" + "I" * (7 - q)) for q in range(8)],
+    }[case]
+    return ham + PauliSumOperator.from_terms(8, extra) if extra else ham
 
 
 class TestDense:
@@ -323,6 +362,66 @@ class TestBlockEigensystem:
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
 
+    @pytest.mark.parametrize("case, flip, mirror", [
+        ("random", False, False), ("random-flip", True, False), ("random-mirror", False, True),
+        ("random-both", True, True), ("gross-neveu-potential", False, False), ("gross-neveu-zz", True, False),
+        ("gross-neveu-mirror-field", False, True), ("gross-neveu", True, True),
+        ("gross-neveu-two-flavours", True, True),
+    ])
+    def test_every_piece_is_an_eigensystem_of_the_full_matrix(self, case, flip, mirror, rng):
+        """Each piece of `_split_blocks`, lifted by `_scattered`, holds exact eigenpairs of the full
+        matrix, and the pieces with their twins' copies give its whole spectrum, whether the group
+        the solver finds is {1}, {1, U}, {1, R} or {1, U, R, UR}."""
+        op = symmetry_case(case, rng)
+        assert (_flip_phases(op) is not None, _mirror_signs(op, _reversal(op.n_qubits)) is not None) == (flip, mirror)
+        mat = op.to_matrix()
+        blocks, pieces, twins = _split_blocks(op, DENSE_CAP_DEFAULT)
+        assert max(len(cols) for _k, _mat, (cols, _amps, _spread) in pieces) == 2 ** (flip + mirror)
+        copies = {k: 1 + sum(j == k for j, _amp in twins.values()) for k, _mat, _piece in pieces}
+        scale, evals = np.linalg.norm(mat), []
+        for k, part, piece in pieces:
+            w, v = np.linalg.eigh(part)
+            lifted = np.zeros((len(blocks[k]), len(w)), dtype=complex)
+            _scattered(v, piece, lifted)
+            vecs = np.zeros((len(mat), len(w)), dtype=complex)
+            vecs[blocks[k]] = lifted
+            assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(len(w))) <= 1e-12
+            assert np.linalg.norm(mat @ vecs - vecs * w) <= 1e-12 * scale
+            evals += copies[k] * [w]
+        reference = np.linalg.eigvalsh(mat)
+        assert np.max(np.abs(np.sort(np.concatenate(evals)) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n_sites, n_pieces", [(2, 14), (3, 23)])
+    def test_two_flavour_mirror_twins_are_solved_once(self, monkeypatch, n_sites, n_pieces):
+        # R swaps the flavours, mapping the (a, b) sector onto (b, a): one of each pair is
+        # diagonalised (17 and 30 pieces if both were), its partner is R applied to it
+        ham = build_hamiltonian(ModelSpec(n_sites=n_sites, spacing=0.25, bare_mass=0.2, coupling_sq=1.5, flavors=2))
+        n = ham.n_qubits
+        blocks, pieces, twins = _split_blocks(ham, DENSE_CAP_DEFAULT)
+        assert len(pieces) == n_pieces
+        assert not {k for k, _mat, _piece in pieces} & set(twins)
+        rev = _reversal(n)
+        signs = _mirror_signs(ham, rev)
+        mirrored = {m: k for m, (k, amp) in twins.items()
+                    if np.array_equal(blocks[m], rev[blocks[k]]) and np.array_equal(amp, signs[blocks[k]])}
+        assert len(mirrored) >= 2
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh"))
+        prop = ExactPropagator(ham)
+        assert calls == [("eigh", len(mat), True) for _k, mat, _piece in pieces]
+        by_first = {int(idx[0]): (idx, vecs) for idx, _cols, vecs in per_block(prop)}
+        images, amps = action_table(mirror_oracle(n), n)
+
+        def full(block):
+            idx, vecs = by_first[int(np.min(block))]
+            out = np.zeros((1 << n, len(idx)), dtype=complex)
+            out[idx] = vecs
+            return out
+
+        for m, k in mirrored.items():
+            partner, mapped = full(blocks[k]), np.zeros((1 << n, len(blocks[k])), dtype=complex)
+            mapped[images] = amps[:, None] * partner
+            assert np.max(np.abs(mapped - full(blocks[m]))) <= 1e-14
+
     def test_action_tables_built_once_per_solve(self, monkeypatch):
         op = build_hamiltonian(ModelSpec(n_sites=3, spacing=0.25, bare_mass=0.2, coupling_sq=1.5))
         actions, calls = PauliSumOperator._actions, []
@@ -403,7 +502,7 @@ class TestBlockEigensystem:
         assert ground_state_dense(ham).ground_energy == ExactPropagator(ham).evals[0]
         # the mirror split of the half-filled block into quarters
         assert np.array_equal(_mirror_signs(split, _reversal(split.n_qubits)), signs)
-        assert sum(k == 4 for k, _mat, _lifts in _split_blocks(split, DENSE_CAP_DEFAULT)[1]) == 4
+        assert sum(k == 4 for k, _mat, _piece in _split_blocks(split, DENSE_CAP_DEFAULT)[1]) == 4
         dense, full = ground_state_dense(split), ExactPropagator(split).spectrum()
         assert dense.ground_energy == full.ground_energy
         assert np.array_equal(dense.ground_vector, full.ground_vector)
@@ -502,9 +601,10 @@ class TestMirror:
             assert _mirror_signs(op, _reversal(op.n_qubits)) is None
             blocks, pieces, twins = _split_blocks(op, DENSE_CAP_DEFAULT)
             assert twins == {}
-            assert [k for k, _mat, _lifts in pieces] == list(range(len(blocks)))
-            for idx, (_k, mat, lifts) in zip(blocks, pieces):
-                assert lifts == ()
+            assert [k for k, _mat, _piece in pieces] == list(range(len(blocks)))
+            for idx, (_k, mat, (cols, _amps, _fixed)) in zip(blocks, pieces):
+                # the trivial group: one element, the identity on the whole block
+                assert np.array_equal(cols, [np.arange(len(idx))])
                 assert np.array_equal(idx, np.sort(idx))
                 assert np.array_equal(mat, op.to_matrix()[np.ix_(idx, idx)])
 
